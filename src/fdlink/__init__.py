@@ -17,7 +17,6 @@ from .analytic import (
     cdf_gamma_ba,
     mixture_weights,
     mu_coefficient,
-    mu_prime_coefficient,
     order_statistic_cdf,
     quadrature_avg_rate,
     quadrature_avg_ser,

@@ -2,18 +2,34 @@
 for the Serial-Max policy, plus quadrature oracles that evaluate the
 defining integrals independently.
 
-Numerical strategy for the alternating binomial sums: coefficients are
-exact integers converted to float at the final multiply, terms are
-reduced with math.fsum, and each result carries a cancellation diagnostic.
-SER sums losing more than ~6 digits (max term magnitude > 1e6 * |value|)
-are re-evaluated with mpmath at 50 digits, where the cancellation is
-harmless; if the diagnostic trips hard (> 1e12 * |value|) the public
-averages fall back to the quadrature value and keep the flag set.
+Numerical strategy: the CDF of either selected link is a sum
+F(x) = sum_c A_c e^(-c x/lambda_s) / (1 + c eta x) / D over c = 0..nn = n_a*n_b,
+with exact integer coefficients A_c over a shared denominator D, built
+once per array size with Python ints (_coefficients).  Every average,
+ceiling and floor integrates that sum term by term, so it is
+sum_c A_c K(c) / D with a kernel K that alone differs between them:
 
-The product Q(sqrt(2a+b)) * e^(a+b/2) that appears throughout the SER
-forms equals 0.5 * erfcx(sqrt(a+b/2)) and is computed that way; the bare
-exponential overflows for small eta*lambda_s while the product stays
-bounded.
+- rate:    [S(u) - S(x0)] / (1 - c eta) / ln 2, with S(x) = e^x E1(x),
+           u = 1/(eta lambda_s) and x0 = c/lambda_s; where 1 - c eta is
+           exactly 0 the exact limit x0 S(x0) - 1 is used, because
+           S' = S - 1/x (A&S 5.1.26);
+- ceiling: ln(c eta) / (1 - c eta) / ln 2, the lambda_s -> inf limit,
+           with limit -1 at c eta = 1;
+- SER and floor: Q(sqrt(2a+b)) e^(a+b/2) = erfcx(sqrt(a+b/2)) / 2 with
+           a = 1/(eta lambda_s) (0 for the floor), b = beta/(c eta).
+
+The alternating sum cancels up to ~10 digits for rates at 6x6, and up to
+~20 for SERs and floors at eta >= 0.02; a rate kernel next to a singular
+c = 1/eta loses up to ~18 more in its difference quotient.  So kernels
+and sum are all evaluated at 50 digits in mpmath, whatever the inputs,
+and the double result is accurate to its last digit.  Each result
+carries its largest term and is flagged when the sum cancels more digits
+than 50 can spare (SERs below ~1e-30, e.g. eta <= 1e-3 at 6x6).
+
+The perfect-cancellation CDF (eta = 0) is kept in its non-alternating
+form sum_l B_l f^l (1-f)^(nn-l) / D, f = 1 - e^(-x/lambda_s), with the
+per-l integers B_l from the same table, since the alternating form
+loses every digit at small x; its rate and SER averages are quadratures.
 
 Closed forms are supported for n_a*n_b <= 36; larger systems are
 simulation-only.
@@ -21,32 +37,29 @@ simulation-only.
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfcx, gamma as gamma_fn
+
+# exp_e1_scaled and erfcx are not called here; they stay bound because
+# perfbench/spans.py counts calls made through these module attributes
+from scipy.special import erfcx, gamma as gamma_fn  # noqa: F401
 
 from .config import ModulationParams, SystemConfig
-from .errors import (
-    CancellationWarning,
-    ConvergenceFailure,
-    DomainError,
-    RequiresPerfectCancellation,
-    SingularTermWarning,
-)
-from .special import binom, exp_e1_scaled
+from .errors import ConvergenceFailure, DomainError, RequiresPerfectCancellation
+from .special import binom, exp_e1_scaled  # noqa: F401
 
 _LN2 = math.log(2.0)
-_MAX_NN_CLOSED_FORM = 36
-_SINGULAR_TOL = 1e-9
-_SINGULAR_PERTURB = 1e-6
-_CANCELLATION_RATIO = 1e12
-_MP_PROMOTE_RATIO = 1e6
+MAX_NN_CLOSED_FORM = 36
 _CDF_CLAMP = 1e-9
+# working precision of every closed-form sum, and the significant digits
+# a double result needs
+_DPS = 50
+_DOUBLE_DIGITS = 17
 
 
 @dataclass(frozen=True)
@@ -59,30 +72,28 @@ class MixtureWeights:
 
 @dataclass(frozen=True)
 class AnalyticValue:
+    """A closed-form value, the largest term of its sum, and whether the sum
+    cancelled more digits than its working precision can spare."""
+
     value: float
     max_term_magnitude: float
     cancellation_flag: bool
 
 
 def _check_closed_form_size(cfg: SystemConfig) -> None:
-    if cfg.nn > _MAX_NN_CLOSED_FORM:
+    if cfg.nn > MAX_NN_CLOSED_FORM:
         raise DomainError(
-            f"closed forms support n_a*n_b <= {_MAX_NN_CLOSED_FORM}, got {cfg.nn}; "
+            f"closed forms support n_a*n_b <= {MAX_NN_CLOSED_FORM}, got {cfg.nn}; "
             "use the Monte Carlo estimators instead"
         )
 
 
 def mu_coefficient(k: int, l: int, m: int, n_a: int, n_b: int) -> float:
-    """Combinatorial coefficient of the second-link CDF triple sum."""
+    """Coefficient of the (k, l, m) term of the second-link CDF triple sum,
+    as the source derivation writes it; _coefficients collects these by
+    c = n_a*n_b - l + m."""
     nn = n_a * n_b
     num = binom(nn - k - 1, n_a + n_b - k - 1) * binom(nn, l) * binom(l, m)
-    return num / binom(nn - 1, n_a + n_b - 2)
-
-
-def mu_prime_coefficient(k: int, l: int, n_a: int, n_b: int) -> float:
-    """m-marginalized coefficient used by the perfect-cancellation CDF."""
-    nn = n_a * n_b
-    num = binom(nn - k - 1, n_a + n_b - k - 1) * binom(nn, l)
     return num / binom(nn - 1, n_a + n_b - 2)
 
 
@@ -94,6 +105,35 @@ def mixture_weights(n_a: int, n_b: int) -> MixtureWeights:
         [binom(nn - k - 1, n_a + n_b - k - 1) / denom for k in range(1, n_a + n_b)]
     )
     return MixtureWeights(p=p)
+
+
+@functools.lru_cache(maxsize=None)
+def _coefficients(
+    n_a: int, n_b: int, link: str
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Exact integers (D, B, A) of a selected link's SINR CDF:
+
+        F(x) = sum_l B_l f^l (1-f)^(nn-l) / D                   at eta = 0,
+        F(x) = sum_c A_c e^(-c x/lam) / (1 + c eta x) / D       at any eta,
+
+    with f = 1 - e^(-x/lam), l, c = 0..nn.  The first link is the largest
+    of nn entries, F = f^nn; the second is the rank mixture, where the
+    (nn-k)-th order statistic has probability C(nn-k-1, n_a+n_b-k-1) / D.
+    A follows from B by expanding f^l binomially, and conditioning on the
+    residual interference turns each e^(-c x/lam) into the eta form."""
+    nn = n_a * n_b
+    if link == "ab":
+        denom, powers = 1, [0] * nn + [1]
+    else:
+        denom = binom(nn - 1, n_a + n_b - 2)
+        ranks = [binom(nn - k - 1, n_a + n_b - k - 1) for k in range(1, n_a + n_b)]
+        # the (nn-k)-th order statistic is below x when at least nn-k entries are
+        powers = [binom(nn, l) * sum(ranks[max(nn - l, 1) - 1:]) for l in range(nn + 1)]
+    table = [0] * (nn + 1)
+    for l, b in enumerate(powers):
+        for m in range(l + 1):
+            table[nn - l + m] += (-1) ** m * binom(l, m) * b
+    return denom, tuple(powers), tuple(table)
 
 
 def order_statistic_cdf(r: int, n: int, x: float, lam: float) -> float:
@@ -117,52 +157,33 @@ def _clamp_cdf(value: float) -> float:
     return value
 
 
-def cdf_gamma_ab(x: float, cfg: SystemConfig) -> float:
-    """CDF of the first selected link's instantaneous SINR."""
+def _cdf(x: float, cfg: SystemConfig, link: str) -> float:
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
     _check_closed_form_size(cfg)
-    nn = cfg.nn
+    denom, powers, table = _coefficients(cfg.n_a, cfg.n_b, link)
+    nn, lam = cfg.nn, cfg.lambda_s
     if cfg.eta == 0.0:
-        return (-math.expm1(-x / cfg.lambda_s)) ** nn
-    terms = [
-        (-1.0) ** k
-        * binom(nn, k)
-        * math.exp(-k * x / cfg.lambda_s)
-        / (k * cfg.eta * x + 1.0)
-        for k in range(nn + 1)
-    ]
-    return _clamp_cdf(math.fsum(terms))
+        # every term is positive here, so small x keeps its digits
+        f = -math.expm1(-x / lam)
+        terms = [b * f**l * math.exp(-(nn - l) * x / lam) for l, b in enumerate(powers) if b]
+    else:
+        terms = [
+            a * math.exp(-c * x / lam) / (c * cfg.eta * x + 1.0)
+            for c, a in enumerate(table)
+            if a
+        ]
+    return _clamp_cdf(math.fsum(terms) / denom)
+
+
+def cdf_gamma_ab(x: float, cfg: SystemConfig) -> float:
+    """CDF of the first selected link's instantaneous SINR."""
+    return _cdf(x, cfg, "ab")
 
 
 def cdf_gamma_ba(x: float, cfg: SystemConfig) -> float:
     """CDF of the second selected link's instantaneous SINR."""
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
-    _check_closed_form_size(cfg)
-    nn, n_a, n_b = cfg.nn, cfg.n_a, cfg.n_b
-    terms = []
-    if cfg.eta == 0.0:
-        f = -math.expm1(-x / cfg.lambda_s)
-        for k in range(1, n_a + n_b):
-            for l in range(nn - k, nn + 1):
-                terms.append(
-                    mu_prime_coefficient(k, l, n_a, n_b)
-                    * f**l
-                    * math.exp(-(nn - l) * x / cfg.lambda_s)
-                )
-    else:
-        for k in range(1, n_a + n_b):
-            for l in range(nn - k, nn + 1):
-                for m in range(l + 1):
-                    c = nn - l + m
-                    terms.append(
-                        (-1.0) ** m
-                        * mu_coefficient(k, l, m, n_a, n_b)
-                        * math.exp(-c * x / cfg.lambda_s)
-                        / (c * cfg.eta * x + 1.0)
-                    )
-    return _clamp_cdf(math.fsum(terms))
+    return _cdf(x, cfg, "ba")
 
 
 # ---------------------------------------------------------------------------
@@ -213,114 +234,70 @@ def quadrature_avg_ser(
 # closed-form averages
 
 
-def _safe_term_eta(c: int, eta: float) -> float:
-    """Eta to use for a term with denominator 1 - c*eta.
-
-    When the denominator is within 1e-9 of zero the whole term is a 0/0
-    form with a finite limit; evaluating both its numerator and denominator
-    at a slightly perturbed eta recovers that limit to O(1e-6)."""
-    if abs(1.0 - c * eta) < _SINGULAR_TOL:
-        warnings.warn(
-            f"singular denominator 1 - {c}*eta; term evaluated at perturbed eta",
-            SingularTermWarning,
-            stacklevel=3,
-        )
-        return eta * (1.0 + _SINGULAR_PERTURB)
-    return eta
-
-
-def _rate_kernel(c: int, cfg: SystemConfig) -> float:
-    """[S(1/(eta*lam)) - S(c/lam)] / (1 - c*eta), with S(x) = e^x E1(x)."""
-    eta = _safe_term_eta(c, cfg.eta)
-    bracket = exp_e1_scaled(1.0 / (eta * cfg.lambda_s)) - exp_e1_scaled(c / cfg.lambda_s)
-    return bracket / (1.0 - c * eta)
+def _table_sum(cfg: SystemConfig, link: str, kernel, constant=0) -> AnalyticValue:
+    """constant + sum_{c>=1} A_c K(c) / D.  Called inside mpmath.workdps(_DPS);
+    kernel(c) returns an mpf at that precision."""
+    denom, _, table = _coefficients(cfg.n_a, cfg.n_b, link)
+    terms = [mpmath.mpf(constant)]
+    terms += [a * kernel(c) / denom for c, a in enumerate(table) if c and a]
+    value = mpmath.fsum(terms)
+    max_term = max(abs(t) for t in terms)
+    return AnalyticValue(
+        value=float(value),
+        max_term_magnitude=float(max_term),
+        cancellation_flag=max_term > abs(value) * 10 ** (_DPS - _DOUBLE_DIGITS),
+    )
 
 
-def _ceiling_kernel(c: int, eta_in: float) -> float:
-    """ln(c*eta) / (1 - c*eta), the lambda_s -> inf limit of _rate_kernel."""
-    eta = _safe_term_eta(c, eta_in)
-    return math.log(c * eta) / (1.0 - c * eta)
+def _combine(cfg: SystemConfig, ab: AnalyticValue, ba: AnalyticValue) -> AnalyticValue:
+    """Weighted sum of the two links; the better link carries the larger of
+    (w, 1-w)."""
+    wmax, wmin = max(cfg.w, 1.0 - cfg.w), min(cfg.w, 1.0 - cfg.w)
+    return AnalyticValue(
+        value=wmax * ab.value + wmin * ba.value,
+        max_term_magnitude=max(ab.max_term_magnitude, ba.max_term_magnitude),
+        cancellation_flag=ab.cancellation_flag or ba.cancellation_flag,
+    )
 
 
-def _finalize(terms: list[float], fallback=None) -> AnalyticValue:
-    value = math.fsum(terms)
-    max_term = max((abs(t) for t in terms), default=0.0)
-    flagged = abs(value) > 0 and max_term / abs(value) > _CANCELLATION_RATIO
-    if flagged and fallback is not None:
-        warnings.warn(
-            "alternating sum lost too many digits; quadrature value substituted",
-            CancellationWarning,
-            stacklevel=3,
-        )
-        value = fallback()
-    return AnalyticValue(value=value, max_term_magnitude=max_term, cancellation_flag=flagged)
+def _s(x):
+    # S(x) = e^x E1(x)
+    return mpmath.exp(x) * mpmath.e1(x)
+
+
+def _avg_rate(cfg: SystemConfig, link: str) -> AnalyticValue:
+    _check_closed_form_size(cfg)
+    if cfg.eta == 0.0:
+        # u = 1/(eta*lambda_s) is infinite; integrate the eta = 0 CDF instead
+        value = quadrature_avg_rate(lambda x: _cdf(x, cfg, link))
+        return AnalyticValue(value=value, max_term_magnitude=abs(value), cancellation_flag=False)
+    with mpmath.workdps(_DPS):
+        eta, lam = mpmath.mpf(cfg.eta), mpmath.mpf(cfg.lambda_s)
+        s_u = _s(1 / (eta * lam))
+
+        def kernel(c):
+            # at c*eta = 1 exactly, u = x0 and the quotient's limit is
+            # x0 S'(x0) = x0 S(x0) - 1
+            x0, d = c / lam, 1 - c * eta
+            s_x0 = _s(x0)
+            return ((s_u - s_x0) / d if d else x0 * s_x0 - 1) / mpmath.ln2
+
+        return _table_sum(cfg, link, kernel)
 
 
 def avg_rate_ab(cfg: SystemConfig) -> AnalyticValue:
-    """Average rate of the first selected link.
-
-    The closed-form sum starts at k = 1; the k = 0 term would contain a
-    divergent E1(0).  For eta = 0 the value is obtained by quadrature
-    over the degenerate max-order-statistic CDF.
-    """
-    _check_closed_form_size(cfg)
-    if cfg.eta == 0.0:
-        value = quadrature_avg_rate(lambda x: cdf_gamma_ab(x, cfg))
-        return AnalyticValue(value=value, max_term_magnitude=abs(value), cancellation_flag=False)
-    nn = cfg.nn
-    terms = [
-        (-1.0) ** k * binom(nn, k) * _rate_kernel(k, cfg) / _LN2
-        for k in range(1, nn + 1)
-    ]
-    return _finalize(terms, fallback=lambda: quadrature_avg_rate(lambda x: cdf_gamma_ab(x, cfg)))
-
-
-def _rate_ba_terms(cfg: SystemConfig) -> list[float]:
-    nn, n_a, n_b = cfg.nn, cfg.n_a, cfg.n_b
-    terms = []
-    for k in range(1, n_a + n_b):
-        for l in range(nn - k, nn):  # F1: l up to nn-1
-            for m in range(l + 1):
-                c = nn - l + m
-                terms.append(
-                    (-1.0) ** m
-                    * mu_coefficient(k, l, m, n_a, n_b)
-                    * _rate_kernel(c, cfg)
-                    / _LN2
-                )
-        for m in range(1, nn + 1):  # F2: l = nn, m >= 1
-            terms.append(
-                (-1.0) ** m
-                * mu_coefficient(k, nn, m, n_a, n_b)
-                * _rate_kernel(m, cfg)
-                / _LN2
-            )
-    return terms
+    """Average rate of the first selected link."""
+    return _avg_rate(cfg, "ab")
 
 
 def avg_rate_ba(cfg: SystemConfig) -> AnalyticValue:
     """Average rate of the second selected link."""
-    _check_closed_form_size(cfg)
-    if cfg.eta == 0.0:
-        value = quadrature_avg_rate(lambda x: cdf_gamma_ba(x, cfg))
-        return AnalyticValue(value=value, max_term_magnitude=abs(value), cancellation_flag=False)
-    return _finalize(
-        _rate_ba_terms(cfg),
-        fallback=lambda: quadrature_avg_rate(lambda x: cdf_gamma_ba(x, cfg)),
-    )
+    return _avg_rate(cfg, "ba")
 
 
 def avg_weighted_sum_rate(cfg: SystemConfig) -> AnalyticValue:
-    """Average weighted sum rate of Serial-Max; the better link carries
-    the larger of (w, 1-w)."""
-    r_ab = avg_rate_ab(cfg)
-    r_ba = avg_rate_ba(cfg)
-    wmax, wmin = max(cfg.w, 1.0 - cfg.w), min(cfg.w, 1.0 - cfg.w)
-    return AnalyticValue(
-        value=wmax * r_ab.value + wmin * r_ba.value,
-        max_term_magnitude=max(r_ab.max_term_magnitude, r_ba.max_term_magnitude),
-        cancellation_flag=r_ab.cancellation_flag or r_ba.cancellation_flag,
-    )
+    """Average weighted sum rate of Serial-Max."""
+    return _combine(cfg, avg_rate_ab(cfg), avg_rate_ba(cfg))
 
 
 def rate_ceiling(cfg: SystemConfig) -> float:
@@ -331,137 +308,54 @@ def rate_ceiling(cfg: SystemConfig) -> float:
     _check_closed_form_size(cfg)
     if cfg.eta == 0.0:
         raise DomainError("rate ceiling requires eta > 0 (no ceiling under perfect cancellation)")
-    nn, n_a, n_b = cfg.nn, cfg.n_a, cfg.n_b
-    ab_terms = [
-        (-1.0) ** k * binom(nn, k) * _ceiling_kernel(k, cfg.eta) / _LN2
-        for k in range(1, nn + 1)
-    ]
-    ba_terms = []
-    for k in range(1, n_a + n_b):
-        for l in range(nn - k, nn):
-            for m in range(l + 1):
-                c = nn - l + m
-                ba_terms.append(
-                    (-1.0) ** m
-                    * mu_coefficient(k, l, m, n_a, n_b)
-                    * _ceiling_kernel(c, cfg.eta)
-                    / _LN2
-                )
-        for m in range(1, nn + 1):
-            ba_terms.append(
-                (-1.0) ** m
-                * mu_coefficient(k, nn, m, n_a, n_b)
-                * _ceiling_kernel(m, cfg.eta)
-                / _LN2
-            )
-    wmax, wmin = max(cfg.w, 1.0 - cfg.w), min(cfg.w, 1.0 - cfg.w)
-    return wmax * math.fsum(ab_terms) + wmin * math.fsum(ba_terms)
-
-
-def _ser_product(a: float, b: float) -> float:
-    # Q(sqrt(2a+b)) * e^{a+b/2} without overflow
-    return 0.5 * erfcx(math.sqrt(a + b / 2.0))
-
-
-def _ser_ab_coeffs(cfg: SystemConfig):
-    """(sign, exact integer coefficient, c) triples of the first-link sum;
-    the shared denominator is 1."""
-    nn = cfg.nn
-    for k in range(1, nn + 1):
-        yield (-1) ** k, binom(nn, k), k
-
-
-def _ser_ba_coeffs(cfg: SystemConfig):
-    """(sign, exact integer numerator, c) triples of the second-link sum;
-    the shared denominator is C(nn-1, n_a+n_b-2)."""
-    nn, n_a, n_b = cfg.nn, cfg.n_a, cfg.n_b
-    for k in range(1, n_a + n_b):
-        rank = binom(nn - k - 1, n_a + n_b - k - 1)
-        for l in range(nn - k, nn):  # G1
-            for m in range(l + 1):
-                yield (-1) ** m, rank * binom(nn, l) * binom(l, m), nn - l + m
-        for m in range(1, nn + 1):  # G2: l = nn
-            yield (-1) ** m, rank * binom(nn, m), m
-
-
-def _ser_terms(cfg: SystemConfig, a: float, which: str) -> list[float]:
-    mod = cfg.modulation
-    pre = mod.alpha_mod * math.sqrt(mod.beta_mod * math.pi) / math.sqrt(2.0)
-    if which == "ab":
-        coeffs, denom = _ser_ab_coeffs(cfg), 1
-    else:
-        coeffs, denom = _ser_ba_coeffs(cfg), binom(cfg.nn - 1, cfg.n_a + cfg.n_b - 2)
-    # the constant part of the CDF integrates to alpha/2
-    terms = [mod.alpha_mod / 2.0]
-    for sign, numer, c in coeffs:
-        terms.append(
-            pre
-            * sign
-            * (numer / denom)
-            / math.sqrt(c * cfg.eta)
-            * _ser_product(a, mod.beta_mod / (c * cfg.eta))
-        )
-    return terms
-
-
-def _ser_value_mp(cfg: SystemConfig, a: float, which: str, dps: int = 50) -> float:
-    """Re-evaluate an SER sum at high precision; the alternating terms are
-    identical, only the arithmetic carries more digits."""
-    mod = cfg.modulation
-    with mpmath.workdps(dps):
-        alpha = mpmath.mpf(mod.alpha_mod)
-        beta = mpmath.mpf(mod.beta_mod)
+    with mpmath.workdps(_DPS):
         eta = mpmath.mpf(cfg.eta)
-        pre = alpha * mpmath.sqrt(beta * mpmath.pi) / mpmath.sqrt(2)
-        if which == "ab":
-            coeffs, denom = _ser_ab_coeffs(cfg), 1
-        else:
-            coeffs, denom = _ser_ba_coeffs(cfg), binom(cfg.nn - 1, cfg.n_a + cfg.n_b - 2)
-        total = alpha / 2
-        for sign, numer, c in coeffs:
-            z = mpmath.sqrt(mpmath.mpf(a) + beta / (2 * c * eta))
-            product = mpmath.exp(z * z) * mpmath.erfc(z) / 2
-            total += pre * sign * mpmath.mpf(numer) / denom / mpmath.sqrt(c * eta) * product
-        return float(total)
+
+        def kernel(c):
+            d = 1 - c * eta
+            return (mpmath.log(c * eta) / d if d else -1) / mpmath.ln2
+
+        ab, ba = (_table_sum(cfg, link, kernel) for link in ("ab", "ba"))
+    return _combine(cfg, ab, ba).value
 
 
-def _ser_average(cfg: SystemConfig, which: str) -> AnalyticValue:
+def _avg_ser(cfg: SystemConfig, link: str, floor: bool = False) -> AnalyticValue:
+    """Average SER of one link, or its lambda_s -> inf floor (a = 0)."""
     _check_closed_form_size(cfg)
-    cdf = cdf_gamma_ab if which == "ab" else cdf_gamma_ba
     if cfg.eta == 0.0:
-        value = quadrature_avg_ser(lambda x: cdf(x, cfg), cfg.modulation)
+        value = quadrature_avg_ser(lambda x: _cdf(x, cfg, link), cfg.modulation)
         return AnalyticValue(value=value, max_term_magnitude=abs(value), cancellation_flag=False)
-    a = 1.0 / (cfg.eta * cfg.lambda_s)
-    terms = _ser_terms(cfg, a, which)
-    value = math.fsum(terms)
-    max_term = max(abs(t) for t in terms)
-    if value == 0.0 or max_term / abs(value) > _MP_PROMOTE_RATIO:
-        value = _ser_value_mp(cfg, a, which)
-    flagged = value == 0.0 or max_term / abs(value) > _CANCELLATION_RATIO
-    return AnalyticValue(value=value, max_term_magnitude=max_term, cancellation_flag=flagged)
+    mod = cfg.modulation
+    with mpmath.workdps(_DPS):
+        alpha, beta = mpmath.mpf(mod.alpha_mod), mpmath.mpf(mod.beta_mod)
+        eta = mpmath.mpf(cfg.eta)
+        a = 0 if floor else 1 / (eta * mpmath.mpf(cfg.lambda_s))
+        pre = alpha * mpmath.sqrt(beta * mpmath.pi / 2) / 2
+
+        def kernel(c):
+            # erfcx(z) = e^(z^2) erfc(z) with z^2 squared exactly, since a
+            # rounded square would cost log10(z^2) digits of the product
+            z = mpmath.sqrt(a + beta / (2 * c * eta))
+            erfcx_z = mpmath.exp(mpmath.fmul(z, z, exact=True)) * mpmath.erfc(z)
+            return pre * erfcx_z / mpmath.sqrt(c * eta)
+
+        # the c = 0 constant of the CDF integrates to alpha/2
+        return _table_sum(cfg, link, kernel, constant=alpha / 2)
 
 
 def avg_ser_ab(cfg: SystemConfig) -> AnalyticValue:
     """Average SER of the first selected link."""
-    return _ser_average(cfg, "ab")
+    return _avg_ser(cfg, "ab")
 
 
 def avg_ser_ba(cfg: SystemConfig) -> AnalyticValue:
     """Average SER of the second selected link."""
-    return _ser_average(cfg, "ba")
+    return _avg_ser(cfg, "ba")
 
 
 def avg_weighted_sum_ser(cfg: SystemConfig) -> AnalyticValue:
-    """Average weighted sum SER of Serial-Max; the better link carries
-    the larger of (w, 1-w)."""
-    s_ab = avg_ser_ab(cfg)
-    s_ba = avg_ser_ba(cfg)
-    wmax, wmin = max(cfg.w, 1.0 - cfg.w), min(cfg.w, 1.0 - cfg.w)
-    return AnalyticValue(
-        value=wmax * s_ab.value + wmin * s_ba.value,
-        max_term_magnitude=max(s_ab.max_term_magnitude, s_ba.max_term_magnitude),
-        cancellation_flag=s_ab.cancellation_flag or s_ba.cancellation_flag,
-    )
+    """Average weighted sum SER of Serial-Max."""
+    return _combine(cfg, avg_ser_ab(cfg), avg_ser_ba(cfg))
 
 
 def ser_floor(cfg: SystemConfig) -> float:
@@ -469,16 +363,8 @@ def ser_floor(cfg: SystemConfig) -> float:
     _check_closed_form_size(cfg)
     if cfg.eta == 0.0:
         raise DomainError("SER floor requires eta > 0 (no floor under perfect cancellation)")
-    wmax, wmin = max(cfg.w, 1.0 - cfg.w), min(cfg.w, 1.0 - cfg.w)
-
-    def component(which: str) -> float:
-        terms = _ser_terms(cfg, 0.0, which)
-        value = math.fsum(terms)
-        if value == 0.0 or max(abs(t) for t in terms) / abs(value) > _MP_PROMOTE_RATIO:
-            value = _ser_value_mp(cfg, 0.0, which)
-        return value
-
-    return wmax * component("ab") + wmin * component("ba")
+    ab, ba = (_avg_ser(cfg, link, floor=True) for link in ("ab", "ba"))
+    return _combine(cfg, ab, ba).value
 
 
 # ---------------------------------------------------------------------------

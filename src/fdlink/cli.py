@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
+    MAX_NN_CLOSED_FORM,
     asymptotic_ser_perfect_cancellation,
     avg_weighted_sum_rate,
     avg_weighted_sum_ser,
@@ -39,6 +40,7 @@ from .config import (
 )
 from .errors import FdlinkError, InvalidRange, IoError, UnknownPreset
 from .montecarlo import (
+    POLICIES,
     mc_empirical_cdf,
     mc_p_not,
     mc_weighted_sum_rate,
@@ -46,8 +48,16 @@ from .montecarlo import (
 )
 from .selection import comparison_count, p_not_upper_bound
 
-METRICS = ("wsr", "wser", "p_not", "cdf", "complexity")
-_CLOSED_FORM_NN_MAX = 36
+# the policy names each metric accepts; p_not and cdf describe Serial-Max
+# itself, and complexity counts comparisons of exhaustive search
+METRIC_POLICIES = {
+    "wsr": POLICIES,
+    "wser": POLICIES,
+    "p_not": ("serial_max",),
+    "cdf": ("serial_max",),
+    "complexity": ("exhaustive", "serial_max"),
+}
+METRICS = tuple(METRIC_POLICIES)
 
 
 @dataclass
@@ -68,6 +78,13 @@ class SweepSpec:
             raise InvalidRange(f"unknown metric {self.metric!r}")
         if not self.policies or not self.snr_db or not self.eta or not self.sizes:
             raise InvalidRange("sweep grids must be nonempty")
+        allowed = METRIC_POLICIES[self.metric]
+        for policy in self.policies:
+            if policy not in allowed:
+                raise InvalidRange(
+                    f"policy {policy!r} does not apply to metric {self.metric!r}; "
+                    f"choose from {', '.join(allowed)}"
+                )
         if self.metric in ("wsr", "wser", "p_not", "cdf") and self.trials < 1:
             raise InvalidRange("trials must be >= 1 for Monte Carlo columns")
         if self.fmt not in ("csv", "json"):
@@ -165,7 +182,7 @@ def _rows_for_point(spec: SweepSpec, n_a: int, n_b: int, eta: float, snr_db: flo
                                 analytic_value=analytic_fn(float(x), cfg), **common)
         return
 
-    closed_form_ok = cfg.nn <= _CLOSED_FORM_NN_MAX
+    closed_form_ok = cfg.nn <= MAX_NN_CLOSED_FORM
     for policy in spec.policies:
         mc_fn = mc_weighted_sum_rate if spec.metric == "wsr" else mc_weighted_sum_ser
         est = mc_fn(cfg, policy, spec.trials, spec.seed)
@@ -173,11 +190,9 @@ def _rows_for_point(spec: SweepSpec, n_a: int, n_b: int, eta: float, snr_db: flo
         limit = None
         if policy == "serial_max" and closed_form_ok:
             if spec.metric == "wsr":
+                analytic_value = avg_weighted_sum_rate(cfg).value
                 if eta > 0:
-                    analytic_value = avg_weighted_sum_rate(cfg).value
                     limit = rate_ceiling(cfg)
-                else:
-                    analytic_value = avg_weighted_sum_rate(cfg).value
             else:
                 analytic_value = avg_weighted_sum_ser(cfg).value
                 if eta > 0:

@@ -118,6 +118,10 @@ def load_config(path: str) -> SystemConfig:
         if required not in values:
             raise InvalidRange(f"missing config key {required!r}")
 
+    for count in ("n_a", "n_b"):
+        if not values[count].is_integer():
+            raise InvalidRange(f"{count} must be a whole number, got {values[count]}")
+
     mod = BPSK
     if "alpha_mod" in values or "beta_mod" in values:
         mod = ModulationParams(

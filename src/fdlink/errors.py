@@ -42,10 +42,10 @@ class IoError(FdlinkError):
 
 
 class SingularTermWarning(UserWarning):
-    """A 1 - c*eta denominator was within 1e-9 of zero; the term was
-    evaluated at a perturbed eta and the result flagged."""
+    """Kept for API compatibility; no longer raised.  A vanishing 1 - c*eta
+    denominator is now evaluated through its exact limit."""
 
 
 class CancellationWarning(UserWarning):
-    """An alternating sum lost too many digits; the quadrature value was
-    substituted for the closed form."""
+    """Kept for API compatibility; no longer raised.  Closed-form sums are
+    evaluated at 50 digits and report lost digits in AnalyticValue."""

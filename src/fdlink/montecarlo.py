@@ -211,6 +211,8 @@ def mc_empirical_cdf(
         raise ValueError("grid must be one-dimensional and ascending")
     if which not in ("gamma_ab", "gamma_ba"):
         raise ValueError(f"which must be 'gamma_ab' or 'gamma_ba', got {which!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     lambda_i = cfg.eta * cfg.lambda_s
     counts = np.zeros(grid.size, dtype=np.int64)
     for start, count in _iter_chunks(trials):

@@ -154,6 +154,20 @@ def test_main_validation_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+def test_main_rejects_unknown_policy(tmp_path, capsys):
+    rc = main(["--metric", "wsr", "--policy", "foo", "--trials", "10",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "policy 'foo'" in capsys.readouterr().err
+
+
+def test_main_rejects_policy_that_does_not_fit_the_metric(tmp_path, capsys):
+    rc = main(["--metric", "complexity", "--policy", "max_wsr",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "policy 'max_wsr'" in capsys.readouterr().err
+
+
 def test_main_numerical_failure_exit_code(tmp_path, capsys):
     # closed forms refuse n_a*n_b > 36 only for serial_max analytic columns;
     # an unwritable output path is the reliable io/numerical failure path

@@ -116,3 +116,10 @@ def test_load_config_requires_single_snr_spec(tmp_path):
     path.write_text("n_a = 3\nn_b = 3\nlambda_s = 10\nsnr_db = 10\neta = 0.1\nw = 0.7\n")
     with pytest.raises(InvalidRange):
         load_config(str(path))
+
+
+def test_load_config_rejects_fractional_antenna_count(tmp_path):
+    path = tmp_path / "sys.cfg"
+    path.write_text("n_a = 2.7\nn_b = 3\nlambda_s = 10\neta = 0.1\nw = 0.7\n")
+    with pytest.raises(InvalidRange):
+        load_config(str(path))

@@ -168,6 +168,11 @@ def test_empirical_cdf_validation():
         mc_empirical_cdf(cfg, "gamma_xx", 10, 0, np.array([1.0, 2.0]))
 
 
+def test_empirical_cdf_rejects_zero_trials():
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        mc_empirical_cdf(make_cfg(), "gamma_ab", 0, 0, np.array([1.0, 2.0]))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_p_not_within_bound(n):
     cfg = make_cfg(n_a=n, n_b=n)
