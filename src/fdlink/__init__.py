@@ -23,15 +23,7 @@ from .analytic import (
     rate_ceiling,
     ser_floor,
 )
-from .channel import (
-    RngStream,
-    TrialDraw,
-    draw_residual_inr,
-    draw_snr_matrix,
-    draw_trial,
-    instantaneous_sinr,
-    to_obtainable_sinr,
-)
+from .channel import instantaneous_sinr, to_obtainable_sinr
 from .config import (
     BPSK,
     DerivedParams,
@@ -51,8 +43,6 @@ from .montecarlo import (
     mc_p_not,
     mc_weighted_sum_rate,
     mc_weighted_sum_ser,
-    rate_of,
-    ser_of,
 )
 from .selection import (
     LinkSelection,

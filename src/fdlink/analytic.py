@@ -260,6 +260,17 @@ def _combine(cfg: SystemConfig, ab: AnalyticValue, ba: AnalyticValue) -> Analyti
     )
 
 
+def _vouched(result: AnalyticValue, what: str) -> float:
+    """The value of a limit that has no AnalyticValue to carry its flag;
+    raises where the sum cancelled more digits than it can spare."""
+    if result.cancellation_flag:
+        raise DomainError(
+            f"{what} sum cancels more than {_DPS - _DOUBLE_DIGITS} digits "
+            f"(largest term {result.max_term_magnitude:.3g}, value {result.value:.3g})"
+        )
+    return result.value
+
+
 def _s(x):
     # S(x) = e^x E1(x)
     return mpmath.exp(x) * mpmath.e1(x)
@@ -316,7 +327,7 @@ def rate_ceiling(cfg: SystemConfig) -> float:
             return (mpmath.log(c * eta) / d if d else -1) / mpmath.ln2
 
         ab, ba = (_table_sum(cfg, link, kernel) for link in ("ab", "ba"))
-    return _combine(cfg, ab, ba).value
+    return _vouched(_combine(cfg, ab, ba), "rate ceiling")
 
 
 def _avg_ser(cfg: SystemConfig, link: str, floor: bool = False) -> AnalyticValue:
@@ -364,7 +375,7 @@ def ser_floor(cfg: SystemConfig) -> float:
     if cfg.eta == 0.0:
         raise DomainError("SER floor requires eta > 0 (no floor under perfect cancellation)")
     ab, ba = (_avg_ser(cfg, link, floor=True) for link in ("ab", "ba"))
-    return _combine(cfg, ab, ba).value
+    return _vouched(_combine(cfg, ab, ba), "SER floor")
 
 
 # ---------------------------------------------------------------------------

@@ -4,38 +4,19 @@ Rayleigh fading is simulated directly in the |h|^2 domain: each per-link
 instantaneous SNR is exponential with mean lambda_s, sampled by inverse
 CDF as -lambda * ln(u) with u in (0, 1].
 
-Trials use counter-based Philox substreams.  Each trial owns a block of
-uniform doubles at a fixed stride, so the draw for (master_seed,
-trial_index) is reproducible in isolation and identical whether trials
-are generated one at a time or in a vectorized batch.
+There is one draw path, draw_trial_batch.  Its Philox stream is
+counter-addressed: each trial owns a block of uniform doubles at a fixed
+stride, so the batch for trials [k, k + count) is bitwise identical to
+rows k.. of any batch that covers them, and a single trial is simply a
+batch of one.
 """
 
 from __future__ import annotations
-
-import csv
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .config import DerivedParams, SystemConfig
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Handle naming one trial's substream of the master Philox stream."""
-
-    master_seed: int
-    trial_index: int
-
-
-@dataclass(frozen=True)
-class TrialDraw:
-    """One slot's randomness: the SNR matrix and both residual-INR draws."""
-
-    snr: np.ndarray
-    inr_a: float
-    inr_b: float
 
 
 # A Philox counter increment yields 4 uint64 outputs = 4 doubles, so the
@@ -49,42 +30,9 @@ def _doubles_per_trial(n_a: int, n_b: int) -> int:
     return -(-need // _PHILOX_BLOCK) * _PHILOX_BLOCK
 
 
-def _trial_uniforms(stream: RngStream, n_a: int, n_b: int) -> np.ndarray:
-    stride = _doubles_per_trial(n_a, n_b)
-    bitgen = Philox(key=stream.master_seed)
-    bitgen.advance(stream.trial_index * stride // _PHILOX_BLOCK)
-    return Generator(bitgen).random(stride)
-
-
 def _exponential_from_uniform(u: np.ndarray, mean: float):
     # u is in [0, 1); flip to (0, 1] so the log never sees zero
     return -mean * np.log1p(-u)
-
-
-def draw_snr_matrix(stream: RngStream, cfg: SystemConfig) -> np.ndarray:
-    """n_a x n_b matrix of i.i.d. exponential(mean lambda_s) SNRs."""
-    u = _trial_uniforms(stream, cfg.n_a, cfg.n_b)[: cfg.nn]
-    return _exponential_from_uniform(u, cfg.lambda_s).reshape(cfg.n_a, cfg.n_b)
-
-
-def draw_residual_inr(stream: RngStream, lambda_i: float, *, cfg: SystemConfig, slot: int = 0) -> float:
-    """Residual-INR draw for one node; exactly 0 when lambda_i = 0.
-
-    slot 0 is the draw consumed at node A, slot 1 the one at node B;
-    both live in the same trial block right after the matrix entries.
-    """
-    if slot not in (0, 1):
-        raise ValueError(f"slot must be 0 or 1, got {slot}")
-    u = _trial_uniforms(stream, cfg.n_a, cfg.n_b)[cfg.nn + slot]
-    return float(_exponential_from_uniform(np.asarray(u), lambda_i))
-
-
-def draw_trial(stream: RngStream, cfg: SystemConfig, lambda_i: float) -> TrialDraw:
-    """All randomness of one trial, sliced from the trial's block."""
-    u = _trial_uniforms(stream, cfg.n_a, cfg.n_b)
-    snr = _exponential_from_uniform(u[: cfg.nn], cfg.lambda_s).reshape(cfg.n_a, cfg.n_b)
-    inr_a, inr_b = _exponential_from_uniform(u[cfg.nn : cfg.nn + 2], lambda_i)
-    return TrialDraw(snr=snr, inr_a=float(inr_a), inr_b=float(inr_b))
 
 
 def draw_trial_batch(
@@ -93,7 +41,7 @@ def draw_trial_batch(
     """Vectorized draws for trials [start_trial, start_trial + count).
 
     Returns (snr, inr_a, inr_b) with shapes (count, n_a, n_b), (count,),
-    (count,), bitwise identical to per-trial draw_trial results.
+    (count,); inr_a is the draw consumed at node A, inr_b the one at B.
     """
     stride = _doubles_per_trial(cfg.n_a, cfg.n_b)
     bitgen = Philox(key=master_seed)
@@ -106,32 +54,11 @@ def draw_trial_batch(
 
 
 def to_obtainable_sinr(snr: np.ndarray, derived: DerivedParams) -> np.ndarray:
-    """Entrywise gamma = gamma_s * scale; strictly monotone, argmax-preserving."""
+    """Entrywise gamma = gamma_s * scale; strictly monotone, order-preserving."""
     return snr * derived.scale
 
 
-def instantaneous_sinr(gamma_s: float, gamma_ri: float) -> float:
-    """gamma_s / (gamma_ri + 1) with the actual residual-interference draw."""
+def instantaneous_sinr(gamma_s, gamma_ri):
+    """gamma_s / (gamma_ri + 1) with the actual residual-interference draw,
+    elementwise."""
     return gamma_s / (gamma_ri + 1.0)
-
-
-def dump_draws_csv(
-    path: str, master_seed: int, trials: int, cfg: SystemConfig, lambda_i: float
-) -> None:
-    """Debug dump: one row per trial with the matrix entries row-major."""
-    header = ["trial_index"] + [
-        f"snr_{i}_{j}" for i in range(cfg.n_a) for j in range(cfg.n_b)
-    ] + ["inr_a", "inr_b"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(trials):
-            draw = draw_trial(RngStream(master_seed, t), cfg, lambda_i)
-            writer.writerow(
-                [
-                    t,
-                    *(repr(float(v)) for v in draw.snr.ravel()),
-                    repr(float(draw.inr_a)),
-                    repr(float(draw.inr_b)),
-                ]
-            )

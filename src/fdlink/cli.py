@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,6 +90,8 @@ class SweepSpec:
             raise InvalidRange("trials must be >= 1 for Monte Carlo columns")
         if self.fmt not in ("csv", "json"):
             raise InvalidRange(f"unknown format {self.fmt!r}")
+        for (n_a, n_b), eta, snr_db in itertools.product(self.sizes, self.eta, self.snr_db):
+            _cfg(n_a, n_b, snr_db, eta, self.w)
 
 
 @dataclass
@@ -221,10 +224,8 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate every grid point in deterministic order and write results."""
     spec.validate()
     rows: list[ResultRow] = []
-    for n_a, n_b in spec.sizes:
-        for eta in spec.eta:
-            for snr_db in spec.snr_db:
-                rows.extend(_rows_for_point(spec, n_a, n_b, eta, snr_db))
+    for (n_a, n_b), eta, snr_db in itertools.product(spec.sizes, spec.eta, spec.snr_db):
+        rows.extend(_rows_for_point(spec, n_a, n_b, eta, snr_db))
 
     try:
         if spec.fmt == "csv":
@@ -324,9 +325,9 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
         spec.snr_db = _parse_range(args.snr_db)
     if args.eta:
         spec.eta = [float(p) for p in args.eta.split(",")]
-    if args.na or args.nb:
-        n_a = args.na if args.na else spec.sizes[0][0]
-        n_b = args.nb if args.nb else spec.sizes[0][1]
+    if args.na is not None or args.nb is not None:
+        n_a = args.na if args.na is not None else spec.sizes[0][0]
+        n_b = args.nb if args.nb is not None else spec.sizes[0][1]
         spec.sizes = [(n_a, n_b)]
     if args.w is not None:
         spec.w = args.w

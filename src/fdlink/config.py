@@ -60,8 +60,8 @@ def validate_config(raw: SystemConfig) -> SystemConfig:
         raise InvalidAntennaCount(
             f"need at least 2 antennas per node, got n_a={raw.n_a}, n_b={raw.n_b}"
         )
-    if not raw.lambda_s > 0:
-        raise InvalidRange(f"lambda_s must be positive, got {raw.lambda_s}")
+    if not 0 < raw.lambda_s < math.inf:
+        raise InvalidRange(f"lambda_s must be positive and finite, got {raw.lambda_s}")
     if not 0 <= raw.eta < 1:
         raise InvalidRange(f"eta must lie in [0, 1), got {raw.eta}")
     if not 0 < raw.w < 1:

@@ -1,7 +1,9 @@
 """The three bidirectional link-selection policies.
 
-All policies consume the obtainable-SINR matrix.  Because that matrix is
-a positive scaling of the SNR matrix, the selected antenna pairs are
+Each policy has one batched kernel over a (T, n_a, n_b) stack of
+obtainable-SINR matrices; the scalar functions are T = 1 wrappers that
+build a SelectionOutcome.  Because the obtainable-SINR matrix is a
+positive scaling of the SNR matrix, the selected antenna pairs are
 identical either way.  Ties are broken lexicographically on antenna
 indices so tests are deterministic (ties are measure-zero under
 continuous fading).
@@ -14,14 +16,13 @@ B, rx antenna at A).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc
 
 from .config import ModulationParams
 from .errors import DegenerateSize, MatrixTooSmall
-from .special import q_function
 
 
 @dataclass(frozen=True)
@@ -48,18 +49,21 @@ class SelectionOutcome:
     comparisons_used: int
 
 
-def _require_2x2(sinr: np.ndarray) -> tuple[int, int]:
-    if sinr.ndim != 2 or sinr.shape[0] < 2 or sinr.shape[1] < 2:
-        raise MatrixTooSmall(f"need an n_a x n_b matrix with n >= 2, got shape {sinr.shape}")
-    return sinr.shape
+def _require_2x2(sinr: np.ndarray) -> np.ndarray:
+    g = np.asarray(sinr, dtype=float)
+    if g.ndim != 2 or g.shape[0] < 2 or g.shape[1] < 2:
+        raise MatrixTooSmall(f"need an n_a x n_b matrix with n >= 2, got shape {g.shape}")
+    return g
 
 
-def rate_map(gamma: float) -> float:
-    return math.log2(1.0 + gamma)
+def rate_map(gamma):
+    """Per-link rate log2(1 + gamma), elementwise."""
+    return np.log2(1.0 + gamma)
 
 
-def ser_map(gamma: float, mod: ModulationParams) -> float:
-    return mod.alpha_mod * q_function(math.sqrt(mod.beta_mod * gamma))
+def ser_map(gamma, mod: ModulationParams):
+    """Per-link conditional SER alpha * Q(sqrt(beta * gamma)), elementwise."""
+    return mod.alpha_mod * 0.5 * erfc(np.sqrt(mod.beta_mod * gamma / 2.0))
 
 
 def _feasible_pairs(n_a: int, n_b: int):
@@ -75,27 +79,56 @@ def _feasible_pairs(n_a: int, n_b: int):
                     yield i_t, j_r, i_r, j_t
 
 
-def _exhaustive(sinr: np.ndarray, w: float, link_metric, maximize: bool) -> SelectionOutcome:
-    n_a, n_b = _require_2x2(sinr)
-    best = None
-    best_pair = None
-    for i_t, j_r, i_r, j_t in _feasible_pairs(n_a, n_b):
-        obj = w * link_metric(sinr[i_t, j_r]) + (1.0 - w) * link_metric(sinr[i_r, j_t])
-        if best is None or (obj > best if maximize else obj < best):
-            best = obj
-            best_pair = (i_t, j_r, i_r, j_t)
-    i_t, j_r, i_r, j_t = best_pair
+def _serial_max_positions(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-trial (first, second) flat argmax positions of (T, n_a, n_b)
+    matrices, and the (T, n_a, n_b) mask of entries pruned before step 2."""
+    t, n_a, n_b = g.shape
+    idx1 = np.argmax(g.reshape(t, n_a * n_b), axis=1)
+    i1, j1 = np.divmod(idx1, n_b)
+    rows = np.arange(n_a)[None, :, None]
+    cols = np.arange(n_b)[None, None, :]
+    pruned = (rows == i1[:, None, None]) | (cols == j1[:, None, None])
+    idx2 = np.argmax(np.where(pruned, -np.inf, g).reshape(t, n_a * n_b), axis=1)
+    return idx1, idx2, pruned
+
+
+def _exhaustive_positions(
+    g: np.ndarray, w: float, metric: str, mod: ModulationParams | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial (ab, ba) flat positions of the best feasible pair of
+    (T, n_a, n_b) matrices: the largest weighted sum rate for metric
+    "rate", the smallest weighted sum SER for "ser"."""
+    t, n_a, n_b = g.shape
+    i_t, j_r, i_r, j_t = np.array(list(_feasible_pairs(n_a, n_b))).T
+    if metric == "rate":
+        per_link = rate_map(g)
+        sign = 1.0
+    else:
+        per_link = ser_map(g, mod)
+        sign = -1.0  # argmax of the negated objective = argmin
+    obj = w * per_link[:, i_t, j_r] + (1.0 - w) * per_link[:, i_r, j_t]
+    best = np.argmax(sign * obj, axis=1)
+    return i_t[best] * n_b + j_r[best], i_r[best] * n_b + j_t[best]
+
+
+def _exhaustive(
+    sinr: np.ndarray, w: float, metric: str, mod: ModulationParams | None
+) -> SelectionOutcome:
+    g = _require_2x2(sinr)
+    n_a, n_b = g.shape
+    ab, ba = _exhaustive_positions(g[None], w, metric, mod)
+    (i_t, j_r), (i_r, j_t) = divmod(int(ab[0]), n_b), divmod(int(ba[0]), n_b)
     return SelectionOutcome(
         selection=LinkSelection(ab_link=(i_t, j_r), ba_link=(j_t, i_r)),
-        gamma_first=float(sinr[i_t, j_r]),
-        gamma_second=float(sinr[i_r, j_t]),
+        gamma_first=float(g[i_t, j_r]),
+        gamma_second=float(g[i_r, j_t]),
         comparisons_used=comparison_count("exhaustive", n_a, n_b),
     )
 
 
 def exhaustive_max_wsr(sinr: np.ndarray, w: float) -> SelectionOutcome:
     """Brute-force maximizer of w*R(gamma_ab) + (1-w)*R(gamma_ba)."""
-    return _exhaustive(sinr, w, rate_map, maximize=True)
+    return _exhaustive(sinr, w, "rate", None)
 
 
 def exhaustive_min_wser(sinr: np.ndarray, w: float, mod: ModulationParams) -> SelectionOutcome:
@@ -103,7 +136,7 @@ def exhaustive_min_wser(sinr: np.ndarray, w: float, mod: ModulationParams) -> Se
 
     w weights the A->B link, the same convention as the rate criterion.
     """
-    return _exhaustive(sinr, w, lambda g: ser_map(g, mod), maximize=False)
+    return _exhaustive(sinr, w, "ser", mod)
 
 
 def serial_max(sinr: np.ndarray, w: float = 1.0) -> SelectionOutcome:
@@ -115,44 +148,17 @@ def serial_max(sinr: np.ndarray, w: float = 1.0) -> SelectionOutcome:
     when w >= 0.5).  The comparison tally counts one comparison per
     element examined, matching the published complexity accounting.
     """
-    n_a, n_b = _require_2x2(sinr)
-    comparisons = 0
-
-    best1 = -math.inf
-    pos1 = (0, 0)
-    for i in range(n_a):
-        for j in range(n_b):
-            comparisons += 1
-            if sinr[i, j] > best1:
-                best1 = float(sinr[i, j])
-                pos1 = (i, j)
-
-    best2 = -math.inf
-    pos2 = (0, 0)
-    for i in range(n_a):
-        if i == pos1[0]:
-            continue
-        for j in range(n_b):
-            if j == pos1[1]:
-                continue
-            comparisons += 1
-            if sinr[i, j] > best2:
-                best2 = float(sinr[i, j])
-                pos2 = (i, j)
-
-    if w >= 0.5:
-        first_pos, second_pos = pos1, pos2
-    else:
-        first_pos, second_pos = pos2, pos1
-    selection = LinkSelection(
-        ab_link=(first_pos[0], first_pos[1]),
-        ba_link=(second_pos[1], second_pos[0]),
-    )
+    g = _require_2x2(sinr)
+    n_a, n_b = g.shape
+    idx1, idx2, pruned = _serial_max_positions(g[None])
+    pos1, pos2 = divmod(int(idx1[0]), n_b), divmod(int(idx2[0]), n_b)
+    first_pos, second_pos = (pos1, pos2) if w >= 0.5 else (pos2, pos1)
     return SelectionOutcome(
-        selection=selection,
-        gamma_first=best1,
-        gamma_second=best2,
-        comparisons_used=comparisons,
+        selection=LinkSelection(ab_link=first_pos, ba_link=second_pos[::-1]),
+        gamma_first=float(g[pos1]),
+        gamma_second=float(g[pos2]),
+        # step 1 examines every entry, step 2 every entry left unpruned
+        comparisons_used=n_a * n_b + int(np.count_nonzero(~pruned)),
     )
 
 

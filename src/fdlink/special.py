@@ -92,25 +92,3 @@ def binom(n: int, k: int) -> int:
         raise DomainError(f"binom requires 0 <= k <= n <= {_BINOM_N_MAX}, got ({n}, {k})")
     return math.comb(n, k)
 
-
-class BinomialTable:
-    """Pascal-triangle table of exact binomial coefficients up to n_max."""
-
-    def __init__(self, n_max: int):
-        if not 0 <= n_max <= _BINOM_N_MAX:
-            raise DomainError(f"n_max must lie in [0, {_BINOM_N_MAX}], got {n_max}")
-        self.n_max = n_max
-        rows = [[1]]
-        for n in range(1, n_max + 1):
-            prev = rows[-1]
-            row = [1]
-            for k in range(1, n):
-                row.append(prev[k - 1] + prev[k])
-            row.append(1)
-            rows.append(row)
-        self._rows = rows
-
-    def __call__(self, n: int, k: int) -> int:
-        if not (0 <= k <= n <= self.n_max):
-            raise DomainError(f"C({n},{k}) outside table of size {self.n_max}")
-        return self._rows[n][k]

@@ -49,11 +49,8 @@ from fdlink import montecarlo
 from fdlink.analytic import cdf_gamma_ab, cdf_gamma_ba
 from fdlink.channel import draw_trial_batch
 from fdlink.cli import preset, run_sweep
-from fdlink.montecarlo import (
-    _exhaustive_positions,
-    _serial_max_positions,
-    _trial_sinrs,
-)
+from fdlink.montecarlo import _trial_sinrs
+from fdlink.selection import _exhaustive_positions, _serial_max_positions
 
 
 def _report(num: int, title: str, ok: bool, detail: str) -> None:
@@ -144,7 +141,7 @@ def test_criterion_01_two_step_selection_equivalence():
     flat = g.reshape(trials, -1)
     rows = np.arange(trials)
 
-    idx1, idx2 = _serial_max_positions(g)
+    idx1, idx2, _ = _serial_max_positions(g)
     g1, g2 = flat[rows, idx1], flat[rows, idx2]
     rank = 1 + (flat > g2[:, None]).sum(axis=1)
     sel = (rank >= 2) & (rank <= 3)
@@ -225,7 +222,7 @@ def test_criterion_04_second_link_rank_mixture():
     rng = np.random.default_rng(404)
     g = rng.exponential(1.0, (trials, 3, 3))
     flat = g.reshape(trials, -1)
-    idx1, idx2 = _serial_max_positions(g)
+    idx1, idx2, _ = _serial_max_positions(g)
     second = flat[np.arange(trials), idx2]
     exceed = (flat > second[:, None]).sum(axis=1)
     p33 = mixture_weights(3, 3).p

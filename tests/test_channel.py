@@ -2,19 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from fdlink import (
-    RngStream,
     SystemConfig,
     derived_params,
-    draw_residual_inr,
-    draw_snr_matrix,
-    draw_trial,
     instantaneous_sinr,
     to_obtainable_sinr,
     validate_config,
 )
-from fdlink.channel import draw_trial_batch, dump_draws_csv
+from fdlink.channel import draw_trial_batch
 
 
 @pytest.fixture
@@ -22,27 +19,46 @@ def cfg():
     return validate_config(SystemConfig(n_a=3, n_b=3, lambda_s=10.0, eta=0.1, w=0.7))
 
 
+def one_trial(seed, k, cfg, lam_i):
+    """Independent oracle for trial k: its own Philox stream advanced to the
+    trial's block of ceil((n_a*n_b + 2)/4)*4 doubles (4 doubles per counter
+    step), mapped to exponentials by inverse CDF."""
+    stride = -(-(cfg.nn + 2) // 4) * 4
+    bitgen = Philox(key=seed)
+    bitgen.advance(k * stride // 4)
+    u = Generator(bitgen).random(stride)
+    snr = -cfg.lambda_s * np.log1p(-u[: cfg.nn])
+    inr_a, inr_b = -lam_i * np.log1p(-u[cfg.nn : cfg.nn + 2])
+    return snr.reshape(cfg.n_a, cfg.n_b), inr_a, inr_b
+
+
 def test_same_stream_is_bitwise_identical(cfg):
-    s = RngStream(master_seed=42, trial_index=17)
-    a = draw_snr_matrix(s, cfg)
-    b = draw_snr_matrix(s, cfg)
+    a, _, _ = draw_trial_batch(42, 17, 1, cfg, 0.0)
+    b, _, _ = draw_trial_batch(42, 17, 1, cfg, 0.0)
     assert np.array_equal(a, b)
 
 
 def test_distinct_trials_differ(cfg):
-    a = draw_snr_matrix(RngStream(42, 0), cfg)
-    b = draw_snr_matrix(RngStream(42, 1), cfg)
+    a, _, _ = draw_trial_batch(42, 0, 1, cfg, 0.0)
+    b, _, _ = draw_trial_batch(42, 1, 1, cfg, 0.0)
     assert not np.array_equal(a, b)
 
 
 def test_batch_matches_per_trial_draws(cfg):
+    # a batch starting at trial k holds rows k.. of a batch starting at 0,
+    # and each row equals that trial drawn on its own
     lam_i = cfg.eta * cfg.lambda_s
+    snr0, inr_a0, inr_b0 = draw_trial_batch(7, 0, 25, cfg, lam_i)
     snr, inr_a, inr_b = draw_trial_batch(7, 5, 20, cfg, lam_i)
-    for offset in (0, 3, 19):
-        d = draw_trial(RngStream(7, 5 + offset), cfg, lam_i)
-        assert np.array_equal(snr[offset], d.snr)
-        assert inr_a[offset] == d.inr_a
-        assert inr_b[offset] == d.inr_b
+    assert np.array_equal(snr, snr0[5:])
+    assert np.array_equal(inr_a, inr_a0[5:])
+    assert np.array_equal(inr_b, inr_b0[5:])
+    for k in (0, 5, 8, 24):
+        for d_snr, d_inr_a, d_inr_b in (draw_trial_batch(7, k, 1, cfg, lam_i),
+                                        one_trial(7, k, cfg, lam_i)):
+            assert np.array_equal(snr0[k], np.reshape(d_snr, (3, 3)))
+            assert inr_a0[k] == np.ravel(d_inr_a)[0]
+            assert inr_b0[k] == np.ravel(d_inr_b)[0]
 
 
 def test_snr_sample_mean(cfg):
@@ -63,7 +79,9 @@ def test_snr_empirical_cdf_ks(cfg):
 
 
 def test_residual_inr_zero_mean_is_exact_zero(cfg):
-    assert draw_residual_inr(RngStream(1, 0), 0.0, cfg=cfg) == 0.0
+    _, inr_a, inr_b = draw_trial_batch(1, 0, 1, cfg, 0.0)
+    assert inr_a[0] == 0.0
+    assert inr_b[0] == 0.0
 
 
 def test_residual_inr_sample_mean(cfg):
@@ -80,7 +98,7 @@ def test_residual_inr_median(cfg):
 
 def test_obtainable_sinr_scaling(cfg):
     d = derived_params(cfg)
-    snr = draw_snr_matrix(RngStream(0, 0), cfg)
+    snr = draw_trial_batch(0, 0, 1, cfg, 0.0)[0][0]
     g = to_obtainable_sinr(snr, d)
     assert np.allclose(g, snr * d.scale)
     assert np.argmax(g) == np.argmax(snr)
@@ -110,13 +128,3 @@ def test_rank_position_symmetry(cfg):
     sigma = math.sqrt(snr.shape[0] * (1 / cfg.nn) * (1 - 1 / cfg.nn))
     assert np.all(np.abs(counts - expected) < 5 * sigma)
 
-
-def test_dump_draws_csv(tmp_path, cfg):
-    path = tmp_path / "draws.csv"
-    dump_draws_csv(str(path), 21, 4, cfg, 1.0)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 5
-    assert lines[0].startswith("trial_index,snr_0_0")
-    first = lines[1].split(",")
-    d = draw_trial(RngStream(21, 0), cfg, 1.0)
-    assert float(first[1]) == d.snr[0, 0]

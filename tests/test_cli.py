@@ -177,3 +177,19 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     ])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--metric", "wsr", "--eta", "1.5"],
+    ["--metric", "wsr", "--w", "2"],
+    ["--metric", "wsr", "--na", "1"],
+    ["--metric", "wsr", "--snr-db", "nan"],
+    ["--metric", "wsr", "--snr-db", "1e400"],
+    ["--preset", "fig2", "--na", "0"],
+], ids=["eta", "w", "na", "snr-nan", "snr-inf", "preset-na-0"])
+def test_main_rejects_bad_grid_input(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    rc = main(args + ["--trials", "10", "--out", str(out)])
+    assert rc == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()

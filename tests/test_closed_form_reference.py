@@ -28,6 +28,7 @@ from fdlink import (
     ser_floor,
     validate_config,
 )
+from fdlink.errors import DomainError
 
 REF_DPS = 60
 REL_TOL = 1e-10
@@ -167,6 +168,18 @@ def test_sers_and_floor_match_60_digit_reference(n_a, n_b):
             worst.append((rel_err(ab, ref_ab), "ser_ab", eta, lam))
             worst.append((rel_err(ba, ref_ba), "ser_ba", eta, lam))
     assert max(worst)[0] <= REL_TOL, max(worst)
+
+
+def test_floor_refuses_a_sum_it_cannot_vouch_for():
+    # at 6x6 the first-link floor's largest term is 3e42 x its value at
+    # eta = 1e-3 and 6e50 x at 1e-4, more than 50 digits can spare
+    for eta in (1e-3, 1e-4):
+        with pytest.raises(DomainError, match="SER floor sum cancels"):
+            ser_floor(make_cfg(6, 6, 1.0, eta))
+    for eta in (0.01, 0.02, 0.05):
+        cfg = make_cfg(6, 6, 1.0, eta)
+        (floor,) = closed_forms_silently(lambda: ser_floor(cfg))
+        assert rel_err(floor, weighted(*ser_reference(cfg, a_zero=True))) <= REL_TOL
 
 
 def test_singular_point_agrees_with_monte_carlo():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -15,12 +14,11 @@ from fdlink import (
     p_not_upper_bound,
     quadrature_avg_rate,
     quadrature_avg_ser,
-    rate_of,
-    ser_of,
     validate_config,
 )
 from fdlink import montecarlo
 from fdlink.analytic import cdf_gamma_ab
+from fdlink.selection import rate_map, ser_map
 
 
 def make_cfg(**kw):
@@ -30,15 +28,15 @@ def make_cfg(**kw):
 
 
 def test_rate_of_values():
-    assert rate_of(0.0) == 0.0
-    assert rate_of(1.0) == 1.0
-    assert rate_of(3.0) == 2.0
+    assert rate_map(0.0) == 0.0
+    assert rate_map(1.0) == 1.0
+    assert rate_map(3.0) == 2.0
 
 
 def test_ser_of_values():
-    assert ser_of(0.0, BPSK) == 0.5
+    assert ser_map(0.0, BPSK) == 0.5
     # BPSK at gamma: Q(sqrt(2*gamma))
-    assert ser_of(4.5, BPSK) == pytest.approx(0.5 * math.erfc(math.sqrt(4.5)), rel=1e-14)
+    assert ser_map(4.5, BPSK) == pytest.approx(0.5 * math.erfc(math.sqrt(4.5)), rel=1e-14)
 
 
 def test_single_trial_is_deterministic():
@@ -187,14 +185,3 @@ def test_p_not_decreases_with_array_size():
         vals.append(est.value)
     assert vals[0] > vals[1] > vals[2]
 
-
-def test_json_record_round_trip():
-    cfg = make_cfg()
-    est = mc_weighted_sum_rate(cfg, "serial_max", 100, 77)
-    rec = json.loads(est.to_json("rate", "serial_max", cfg))
-    assert rec["metric"] == "rate"
-    assert rec["policy"] == "serial_max"
-    assert rec["trials"] == 100
-    assert rec["seed"] == 77
-    assert rec["value"] == est.value
-    assert rec["cfg"]["n_a"] == 3
