@@ -2,8 +2,9 @@
 policy, with Monte Carlo and closed-form columns side by side.
 
 Output is plot-ready long-format CSV (or JSON), one row per grid point,
-plus a JSON sidecar recording the full sweep spec and tool version.  SNR
-is accepted in dB on the command line and converted to linear scale once.
+plus a JSON sidecar recording the sweep spec (all but the output path) and
+tool version.  SNR is accepted in dB on the command line and converted to
+linear scale once.
 Re-running a sweep with the same seed produces byte-identical files.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
@@ -42,7 +43,7 @@ from .config import (
 from .errors import FdlinkError, InvalidRange, IoError, UnknownPreset
 from .montecarlo import (
     POLICIES,
-    mc_empirical_cdf,
+    mc_empirical_cdfs,
     mc_p_not,
     mc_weighted_sum_rate,
     mc_weighted_sum_ser,
@@ -173,12 +174,9 @@ def _rows_for_point(spec: SweepSpec, n_a: int, n_b: int, eta: float, snr_db: flo
 
     if spec.metric == "cdf":
         grid = np.linspace(0.0, 5.0 * cfg.lambda_s, 50)[1:]
-        emp_ab = mc_empirical_cdf(cfg, "gamma_ab", spec.trials, spec.seed, grid)
-        emp_ba = mc_empirical_cdf(cfg, "gamma_ba", spec.trials, spec.seed, grid)
-        for which, emp, analytic_fn in (
-            ("gamma_ab", emp_ab, cdf_gamma_ab),
-            ("gamma_ba", emp_ba, cdf_gamma_ba),
-        ):
+        links = ("gamma_ab", "gamma_ba")
+        emps = mc_empirical_cdfs(cfg, links, spec.trials, spec.seed, grid)
+        for which, emp, analytic_fn in zip(links, emps, (cdf_gamma_ab, cdf_gamma_ba)):
             for x, p in zip(emp.grid, emp.probabilities):
                 yield ResultRow(policy=which, x=float(x), trials=spec.trials,
                                 seed=spec.seed, mc_value=float(p),
@@ -240,10 +238,14 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
             with open(spec.out, "w") as fh:
                 json.dump([dataclasses.asdict(r) for r in rows], fh, indent=1)
                 fh.write("\n")
+        # the sidecar sits at out + ".meta.json"; leaving out itself out
+        # keeps a sweep's sidecar the same wherever it is written
+        recorded = dataclasses.asdict(spec)
+        del recorded["out"]
         sidecar = {
             "tool": "fdlink",
             "version": __version__,
-            "spec": {**dataclasses.asdict(spec), "sizes": [list(s) for s in spec.sizes]},
+            "spec": {**recorded, "sizes": [list(s) for s in spec.sizes]},
         }
         with open(spec.out + ".meta.json", "w") as fh:
             json.dump(sidecar, fh, indent=1, sort_keys=True)

@@ -119,25 +119,35 @@ def mc_weighted_sum_ser(
     return _mc_weighted_sum(cfg, policy, trials, seed, "ser")
 
 
+def mc_empirical_cdfs(
+    cfg: SystemConfig, which: tuple[str, ...], trials: int, seed: int, grid: np.ndarray
+) -> list[EmpiricalCdf]:
+    """Empirical CDFs of the Serial-Max instantaneous SINRs named in which
+    ("gamma_ab", "gamma_ba"), all from one draw and selection per chunk."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or np.any(np.diff(grid) < 0):
+        raise ValueError("grid must be one-dimensional and ascending")
+    for name in which:
+        if name not in ("gamma_ab", "gamma_ba"):
+            raise ValueError(f"which must be 'gamma_ab' or 'gamma_ba', got {name!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    lambda_i = cfg.eta * cfg.lambda_s
+    counts = np.zeros((len(which), grid.size), dtype=np.int64)
+    for start, count in _iter_chunks(trials):
+        snr, inr_a, inr_b = draw_trial_batch(seed, start, count, cfg, lambda_i)
+        gamma_ab, gamma_ba = _trial_sinrs(snr, inr_a, inr_b, cfg, "serial_max")
+        for row, name in zip(counts, which):
+            samples = np.sort(gamma_ab if name == "gamma_ab" else gamma_ba)
+            row += np.searchsorted(samples, grid, side="right")
+    return [EmpiricalCdf(grid=grid, probabilities=row / trials) for row in counts]
+
+
 def mc_empirical_cdf(
     cfg: SystemConfig, which: str, trials: int, seed: int, grid: np.ndarray
 ) -> EmpiricalCdf:
     """Empirical CDF of the Serial-Max instantaneous SINR gamma_AB or gamma_BA."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be one-dimensional and ascending")
-    if which not in ("gamma_ab", "gamma_ba"):
-        raise ValueError(f"which must be 'gamma_ab' or 'gamma_ba', got {which!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    lambda_i = cfg.eta * cfg.lambda_s
-    counts = np.zeros(grid.size, dtype=np.int64)
-    for start, count in _iter_chunks(trials):
-        snr, inr_a, inr_b = draw_trial_batch(seed, start, count, cfg, lambda_i)
-        gamma_ab, gamma_ba = _trial_sinrs(snr, inr_a, inr_b, cfg, "serial_max")
-        samples = np.sort(gamma_ab if which == "gamma_ab" else gamma_ba)
-        counts += np.searchsorted(samples, grid, side="right")
-    return EmpiricalCdf(grid=grid, probabilities=counts / trials)
+    return mc_empirical_cdfs(cfg, (which,), trials, seed, grid)[0]
 
 
 def mc_p_not(cfg: SystemConfig, trials: int, seed: int) -> MetricEstimate:

@@ -2,11 +2,23 @@
 
 Each policy has one batched kernel over a (T, n_a, n_b) stack of
 obtainable-SINR matrices; the scalar functions are T = 1 wrappers that
-build a SelectionOutcome.  Because the obtainable-SINR matrix is a
-positive scaling of the SNR matrix, the selected antenna pairs are
-identical either way.  Ties are broken lexicographically on antenna
-indices so tests are deterministic (ties are measure-zero under
-continuous fading).
+build a SelectionOutcome.
+
+Exhaustive search scores only the pairs of the K = n_a + n_b best
+entries by per-link value.  One link of a pair shares a row or column
+with at most K - 2 other entries, so if the other link lies outside the
+K best, one of the K best fits in its place and scores no less; an
+optimal pair therefore lies among the K best.  Each trial checks a
+certificate, a float bound on every pair that uses an entry outside the
+K.  A trial that fails it, and every size where K**2 is no fewer than
+the feasible pairs, is scored over all feasible pairs, so the positions
+equal full enumeration bit for bit.  comparison_count("exhaustive", ...)
+is the paper's count for exhaustive search, not this kernel's work.
+
+Because the obtainable-SINR matrix is a positive scaling of the SNR
+matrix, the selected antenna pairs are identical either way.  Ties are
+broken lexicographically on antenna indices so tests are deterministic
+(ties are measure-zero under continuous fading).
 
 Index convention: matrix rows are antennas at node A, columns antennas
 at node B, all 0-based.  A LinkSelection stores the A->B link as
@@ -92,23 +104,67 @@ def _serial_max_positions(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return idx1, idx2, pruned
 
 
+def _all_pairs_positions(
+    per_link: np.ndarray, w: float, sign: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """First maximum of sign * (w*a + (1-w)*b) over every feasible pair of
+    (T, n_a, n_b) per-link values, in _feasible_pairs order."""
+    n_a, n_b = per_link.shape[1:]
+    i_t, j_r, i_r, j_t = np.array(list(_feasible_pairs(n_a, n_b))).T
+    obj = w * per_link[:, i_t, j_r] + (1.0 - w) * per_link[:, i_r, j_t]
+    best = np.argmax(sign * obj, axis=1)
+    return i_t[best] * n_b + j_r[best], i_r[best] * n_b + j_t[best]
+
+
 def _exhaustive_positions(
     g: np.ndarray, w: float, metric: str, mod: ModulationParams | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (ab, ba) flat positions of the best feasible pair of
     (T, n_a, n_b) matrices: the largest weighted sum rate for metric
-    "rate", the smallest weighted sum SER for "ser"."""
+    "rate", the smallest weighted sum SER for "ser".
+
+    Only the K = n_a + n_b best entries by per-link value are paired.
+    A trial whose answer is not certified exact falls back to scoring
+    every feasible pair, as do sizes where K**2 is no fewer pairs.
+    """
     t, n_a, n_b = g.shape
-    i_t, j_r, i_r, j_t = np.array(list(_feasible_pairs(n_a, n_b))).T
     if metric == "rate":
-        per_link = rate_map(g)
-        sign = 1.0
+        per_link, sign = rate_map(g), 1.0
     else:
-        per_link = ser_map(g, mod)
-        sign = -1.0  # argmax of the negated objective = argmin
-    obj = w * per_link[:, i_t, j_r] + (1.0 - w) * per_link[:, i_r, j_t]
-    best = np.argmax(sign * obj, axis=1)
-    return i_t[best] * n_b + j_r[best], i_r[best] * n_b + j_t[best]
+        per_link, sign = ser_map(g, mod), -1.0  # argmax of the negated objective = argmin
+    k = n_a + n_b
+    if k * k >= n_a * n_b * (n_a - 1) * (n_b - 1):
+        return _all_pairs_positions(per_link, w, sign)
+    flat = per_link.reshape(t, n_a * n_b)
+    # positions 0..k-1: the k best entries; position k: the best of the rest
+    order = np.argpartition(-sign * flat, k, axis=1)
+    # ascending flat index makes the row-major argmax the lexicographic one
+    cand = np.sort(order[:, :k], axis=1)
+    v = np.take_along_axis(flat, cand, axis=1)
+    obj = sign * (w * v[:, :, None] + (1.0 - w) * v[:, None, :])
+    i, j = np.divmod(cand, n_b)
+    obj[(i[:, :, None] == i[:, None, :]) | (j[:, :, None] == j[:, None, :])] = -np.inf
+    obj = obj.reshape(t, k * k)
+    best = np.argmax(obj, axis=1)
+    rows = np.arange(t)
+    top = obj[rows, best]
+    ab, ba = cand[rows, best // k], cand[rows, best % k]
+    # Certificate: x is the best value outside the k, m the best overall.
+    # Rounding is monotone, so for 0 <= w <= 1 no pair with an outside
+    # entry scores above sign*(w*x + (1-w)*m) or its mirror; if both lie
+    # strictly below top, no such pair reaches or ties it.  For w outside
+    # [0, 1] one bound is never below top.  Non-finite values go to the
+    # all-pairs pass too: argmax picks a NaN wherever it lies.
+    x = flat[rows, order[:, k]]
+    m = v.max(axis=1) if sign > 0 else v.min(axis=1)
+    exact = (
+        (sign * (w * x + (1.0 - w) * m) < top)
+        & (sign * (w * m + (1.0 - w) * x) < top)
+        & np.isfinite(flat).all(axis=1)
+    )
+    if not exact.all():
+        ab[~exact], ba[~exact] = _all_pairs_positions(per_link[~exact], w, sign)
+    return ab, ba
 
 
 def _exhaustive(

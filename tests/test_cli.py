@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from fdlink import montecarlo
 from fdlink.cli import FIELDS, SweepSpec, main, preset, run_sweep
 from fdlink.errors import InvalidRange, UnknownPreset
 
@@ -114,6 +115,27 @@ def test_cdf_metric_rows(tmp_path):
     for r in rows:
         assert 0.0 <= r.mc_value <= 1.0
         assert 0.0 <= r.analytic_value <= 1.0
+
+
+def test_cdf_sweep_draws_each_trial_once(tmp_path, monkeypatch):
+    calls = []
+    draw = montecarlo.draw_trial_batch
+
+    def recording(seed, start, count, *args):
+        calls.append((start, count))
+        return draw(seed, start, count, *args)
+
+    monkeypatch.setattr(montecarlo, "draw_trial_batch", recording)
+    run_sweep(tiny_spec(tmp_path, metric="cdf", trials=1000))
+    assert calls == [(0, 1000)]
+
+
+def test_sweep_output_does_not_depend_on_its_directory(tmp_path):
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        run_sweep(tiny_spec(tmp_path, out=str(tmp_path / name / "out.csv")))
+    for suffix in ("out.csv", "out.csv.meta.json"):
+        assert (tmp_path / "a" / suffix).read_bytes() == (tmp_path / "b" / suffix).read_bytes()
 
 
 def test_main_happy_path(tmp_path, capsys):

@@ -19,7 +19,13 @@ from fdlink import (
     weighted_combine_ser,
 )
 from fdlink.errors import DegenerateSize, MatrixTooSmall
-from fdlink.selection import _exhaustive_positions, _serial_max_positions, rate_map, ser_map
+from fdlink.selection import (
+    _all_pairs_positions,
+    _exhaustive_positions,
+    _serial_max_positions,
+    rate_map,
+    ser_map,
+)
 
 
 def brute_force_best(g, w, metric, maximize):
@@ -274,7 +280,7 @@ def brute_force_serial_max(g):
 def integer_stacks(hi):
     return arrays(
         np.float64,
-        st.tuples(st.integers(2, 6), st.integers(2, 4), st.integers(2, 4)),
+        st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
         elements=st.integers(0, hi).map(float),
     )
 
@@ -283,7 +289,8 @@ def integer_stacks(hi):
 @given(g=st.one_of(integer_stacks(3), integer_stacks(10**6)), w=st.floats(0.05, 0.95))
 def test_batched_kernels_match_oracles(g, w):
     # random and tie-heavy small-integer stacks; each trial's positions must
-    # be exactly the oracle's, lexicographic tie-break included
+    # be exactly the oracle's, lexicographic tie-break included.  Sizes up
+    # to 6x6 take both the pruned top-K path and the all-pairs path
     t, n_a, n_b = g.shape
 
     def flat(i, j):
@@ -305,3 +312,57 @@ def test_batched_kernels_match_oracles(g, w):
         for k in range(t):
             _, (i_t, j_r, i_r, j_t) = brute_force_best(per_link[k], w, lambda v: v, maximize)
             assert (ab[k], ba[k]) == (flat(i_t, j_r), flat(i_r, j_t))
+
+
+def test_exhaustive_falls_back_when_every_ser_underflows():
+    # every SER is 0, so every feasible pair ties and no top-K answer can
+    # be certified: the kernel must return the first feasible pair
+    n_a, n_b = 4, 5
+    rng = np.random.default_rng(3)
+    g = 1e4 + np.stack([rng.permutation(n_a * n_b) for _ in range(4)]).reshape(4, n_a, n_b)
+    assert not ser_map(g, BPSK).any()
+    ab, ba = _exhaustive_positions(g, 0.7, "ser", BPSK)
+    assert ab.tolist() == [0] * 4
+    assert ba.tolist() == [n_b + 1] * 4
+
+
+def test_exhaustive_tie_at_the_top_k_boundary():
+    # 4x4, K = 8: the top entry's row and column hold ranks 2..7, so its
+    # best compatible partners are the two entries tied at ranks 8 and 9,
+    # and argpartition keeps only one of them.  The lexicographic first
+    # optimum pairs the top entry with the tied entry of smaller flat index.
+    n = 4
+    block = [(i, j) for i in range(1, n) for j in range(1, n)]
+    stack, tied = [], []
+    for a, b in itertools.combinations(block, 2):
+        g = np.zeros((n, n))
+        g[0, 0] = 1e6
+        g[0, 1:], g[1:, 0] = (100.0, 99.0, 98.0), (97.0, 96.0, 95.0)
+        rest = [p for p in block if p not in (a, b)]
+        for value, p in enumerate(rest, start=1):
+            g[p] = value
+        g[a] = g[b] = 50.0
+        stack.append(g)
+        tied.append(a[0] * n + a[1])
+    g = np.array(stack)
+    for w in (0.7, 0.3):
+        ab, ba = _exhaustive_positions(g, w, "rate", None)
+        top, partner = (ab, ba) if w >= 0.5 else (ba, ab)
+        assert top.tolist() == [0] * len(stack)
+        assert partner.tolist() == tied
+        per_link = rate_map(g)
+        for k in range(len(stack)):
+            _, (i_t, j_r, i_r, j_t) = brute_force_best(per_link[k], w, lambda v: v, True)
+            assert (ab[k], ba[k]) == (i_t * n + j_r, i_r * n + j_t)
+
+
+@pytest.mark.parametrize("w", [0.7, 1.3, -0.2])
+def test_exhaustive_matches_all_pairs_off_the_physical_domain(w):
+    # a weight outside [0, 1] or a NaN entry voids the top-K argument; the
+    # kernel must still return what scoring every feasible pair returns
+    g = np.random.default_rng(1).exponential(1.0, (200, 5, 5))
+    g[::2, 4, 4] = np.nan
+    for metric, per_link, sign in (("rate", rate_map(g), 1.0), ("ser", ser_map(g, BPSK), -1.0)):
+        ab, ba = _exhaustive_positions(g, w, metric, BPSK)
+        ref_ab, ref_ba = _all_pairs_positions(per_link, w, sign)
+        assert np.array_equal(ab, ref_ab) and np.array_equal(ba, ref_ba)
