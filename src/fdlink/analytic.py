@@ -51,6 +51,7 @@ from scipy.special import erfcx, gamma as gamma_fn  # noqa: F401
 
 from .config import ModulationParams, SystemConfig
 from .errors import ConvergenceFailure, DomainError, RequiresPerfectCancellation
+from .selection import by_weight
 from .special import binom, exp_e1_scaled  # noqa: F401
 
 _LN2 = math.log(2.0)
@@ -177,12 +178,12 @@ def _cdf(x: float, cfg: SystemConfig, link: str) -> float:
 
 
 def cdf_gamma_ab(x: float, cfg: SystemConfig) -> float:
-    """CDF of the first selected link's instantaneous SINR."""
+    """CDF of the first pick's SINR (first pick = the larger-weight direction)."""
     return _cdf(x, cfg, "ab")
 
 
 def cdf_gamma_ba(x: float, cfg: SystemConfig) -> float:
-    """CDF of the second selected link's instantaneous SINR."""
+    """CDF of the second pick's SINR (second pick = the smaller-weight direction)."""
     return _cdf(x, cfg, "ba")
 
 
@@ -249,12 +250,11 @@ def _table_sum(cfg: SystemConfig, link: str, kernel, constant=0) -> AnalyticValu
     )
 
 
-def _combine(cfg: SystemConfig, ab: AnalyticValue, ba: AnalyticValue) -> AnalyticValue:
-    """Weighted sum of the two links; the better link carries the larger of
-    (w, 1-w)."""
-    wmax, wmin = max(cfg.w, 1.0 - cfg.w), min(cfg.w, 1.0 - cfg.w)
+def _combine(cfg: SystemConfig, first: AnalyticValue, second: AnalyticValue) -> AnalyticValue:
+    """w*(A->B) + (1-w)*(B->A) of the first and second pick's values."""
+    ab, ba = by_weight(first, second, cfg.w)
     return AnalyticValue(
-        value=wmax * ab.value + wmin * ba.value,
+        value=cfg.w * ab.value + (1.0 - cfg.w) * ba.value,
         max_term_magnitude=max(ab.max_term_magnitude, ba.max_term_magnitude),
         cancellation_flag=ab.cancellation_flag or ba.cancellation_flag,
     )
@@ -297,12 +297,12 @@ def _avg_rate(cfg: SystemConfig, link: str) -> AnalyticValue:
 
 
 def avg_rate_ab(cfg: SystemConfig) -> AnalyticValue:
-    """Average rate of the first selected link."""
+    """Average rate of the first pick (the larger-weight direction)."""
     return _avg_rate(cfg, "ab")
 
 
 def avg_rate_ba(cfg: SystemConfig) -> AnalyticValue:
-    """Average rate of the second selected link."""
+    """Average rate of the second pick (the smaller-weight direction)."""
     return _avg_rate(cfg, "ba")
 
 
@@ -355,12 +355,12 @@ def _avg_ser(cfg: SystemConfig, link: str, floor: bool = False) -> AnalyticValue
 
 
 def avg_ser_ab(cfg: SystemConfig) -> AnalyticValue:
-    """Average SER of the first selected link."""
+    """Average SER of the first pick (the larger-weight direction)."""
     return _avg_ser(cfg, "ab")
 
 
 def avg_ser_ba(cfg: SystemConfig) -> AnalyticValue:
-    """Average SER of the second selected link."""
+    """Average SER of the second pick (the smaller-weight direction)."""
     return _avg_ser(cfg, "ba")
 
 
@@ -425,5 +425,5 @@ def asymptotic_ser_perfect_cancellation(
     )
     ser_ab = u1 / lambda_s**nn
     ser_ba = u2 / lambda_s**m_div
-    weighted = min(cfg.w, 1.0 - cfg.w) * u2 / lambda_s**m_div
+    weighted = by_weight(cfg.w, 1.0 - cfg.w, cfg.w)[1] * u2 / lambda_s**m_div  # smaller weight
     return ser_ab, ser_ba, weighted

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -48,7 +49,7 @@ from .montecarlo import (
     mc_weighted_sum_rate,
     mc_weighted_sum_ser,
 )
-from .selection import comparison_count, p_not_upper_bound
+from .selection import by_weight, comparison_count, p_not_upper_bound
 
 # the policy names each metric accepts; p_not and cdf describe Serial-Max
 # itself, and complexity counts comparisons of exhaustive search
@@ -176,7 +177,9 @@ def _rows_for_point(spec: SweepSpec, n_a: int, n_b: int, eta: float, snr_db: flo
         grid = np.linspace(0.0, 5.0 * cfg.lambda_s, 50)[1:]
         links = ("gamma_ab", "gamma_ba")
         emps = mc_empirical_cdfs(cfg, links, spec.trials, spec.seed, grid)
-        for which, emp, analytic_fn in zip(links, emps, (cdf_gamma_ab, cdf_gamma_ba)):
+        # cdf_gamma_ab/_ba are the first/second pick; by_weight puts each on its link
+        analytic_fns = by_weight(cdf_gamma_ab, cdf_gamma_ba, cfg.w)
+        for which, emp, analytic_fn in zip(links, emps, analytic_fns):
             for x, p in zip(emp.grid, emp.probabilities):
                 yield ResultRow(policy=which, x=float(x), trials=spec.trials,
                                 seed=spec.seed, mc_value=float(p),
@@ -256,13 +259,15 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
 
 
 def _parse_range(text: str) -> list[float]:
-    """'a:b:step' inclusive range, or a comma-separated list."""
+    """'a:b:step' inclusive range of at most 10,000 points, or a comma-separated list."""
     if ":" in text:
         a, b, step = (float(p) for p in text.split(":"))
         if step <= 0:
             raise InvalidRange(f"step must be positive in {text!r}")
-        n = int(round((b - a) / step))
-        return [a + i * step for i in range(n + 1) if a + i * step <= b + 1e-9]
+        n = (b - a) / step
+        if not math.isfinite(n) or round(n) >= 10_000:
+            raise InvalidRange(f"{text!r} is not a finite range of at most 10,000 points")
+        return [a + i * step for i in range(round(n) + 1) if a + i * step <= b + 1e-9]
     return [float(p) for p in text.split(",")]
 
 
@@ -293,11 +298,13 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
     defaults: dict = {}
     if args.config:
         cfg = load_config(args.config)
+        if cfg.modulation != BPSK:  # rows and sidecar record no modulation
+            raise InvalidRange(f"{args.config}: sweeps run BPSK only, got {cfg.modulation}")
         defaults = dict(
             sizes=[(cfg.n_a, cfg.n_b)],
             eta=[cfg.eta],
             w=cfg.w,
-            snr_db=[10.0 * np.log10(cfg.lambda_s)],
+            snr_db=[10.0 * math.log10(cfg.lambda_s)],
         )
     if args.preset:
         spec = preset(

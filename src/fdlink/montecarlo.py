@@ -3,11 +3,11 @@ CDFs, and the Serial-Max optimality-gap frequency.
 
 Each chunk of trials is one draw_trial_batch call, addressed by its
 first trial index, so a run is reproducible bitwise for a fixed (seed,
-trials) and independent of chunking.  Antenna pairs are chosen by the
-batched kernels of fdlink.selection, which also supplies the per-link
-rate and SER maps.  Per-trial metric values are reduced with math.fsum,
-which returns the correctly rounded true sum, so any evaluation order
-gives the identical result.
+trials) and independent of chunking.  fdlink.selection.select picks
+each trial's A->B and B->A links for every policy, and the same module
+supplies the per-link rate and SER maps.  Per-trial metric values are
+reduced with math.fsum, which returns the correctly rounded true sum, so
+any evaluation order gives the identical result.
 
 The SER estimator averages the conditional SER alpha*Q(sqrt(beta*gamma))
 over channel and interference draws; no symbol-level noise is simulated.
@@ -23,11 +23,9 @@ import numpy as np
 
 from .channel import draw_trial_batch, instantaneous_sinr, to_obtainable_sinr
 from .config import SystemConfig, derived_params
-from .selection import _exhaustive_positions, _serial_max_positions, rate_map, ser_map
+from .selection import POLICIES, rate_map, select, ser_map
 
 _CHUNK = 1 << 17
-
-POLICIES = ("max_wsr", "min_wser", "serial_max")
 
 
 @dataclass(frozen=True)
@@ -58,25 +56,20 @@ def _trial_sinrs(
     """
     g = to_obtainable_sinr(snr, derived_params(cfg))
     flat_snr = snr.reshape(snr.shape[0], -1)
-    if policy == "serial_max":
-        idx1, idx2, _ = _serial_max_positions(g)
-        ab, ba = (idx1, idx2) if cfg.w >= 0.5 else (idx2, idx1)
-    elif policy == "max_wsr":
-        ab, ba = _exhaustive_positions(g, cfg.w, "rate", None)
-    elif policy == "min_wser":
-        ab, ba = _exhaustive_positions(g, cfg.w, "ser", cfg.modulation)
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
+    ab, ba = select(g, cfg.w, policy, cfg.modulation)
     rows = np.arange(snr.shape[0])
     return (instantaneous_sinr(flat_snr[rows, ab], inr_b),
             instantaneous_sinr(flat_snr[rows, ba], inr_a))
 
 
-def _iter_chunks(trials: int):
-    start = 0
-    while start < trials:
-        yield start, min(_CHUNK, trials - start)
-        start += _CHUNK
+def _chunks(cfg: SystemConfig, trials: int, seed: int):
+    """(snr, inr_a, inr_b) of trials 0..trials-1, one draw_trial_batch
+    call per chunk of at most _CHUNK trials."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    lambda_i = cfg.eta * cfg.lambda_s
+    for start in range(0, trials, _CHUNK):
+        yield draw_trial_batch(seed, start, min(_CHUNK, trials - start), cfg, lambda_i)
 
 
 def _estimate_from_values(values: np.ndarray, trials: int, seed: int) -> MetricEstimate:
@@ -93,13 +86,9 @@ def _estimate_from_values(values: np.ndarray, trials: int, seed: int) -> MetricE
 def _mc_weighted_sum(
     cfg: SystemConfig, policy: str, trials: int, seed: int, metric: str
 ) -> MetricEstimate:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    lambda_i = cfg.eta * cfg.lambda_s
     link = rate_map if metric == "rate" else (lambda g: ser_map(g, cfg.modulation))
     parts = []
-    for start, count in _iter_chunks(trials):
-        snr, inr_a, inr_b = draw_trial_batch(seed, start, count, cfg, lambda_i)
+    for snr, inr_a, inr_b in _chunks(cfg, trials, seed):
         gamma_ab, gamma_ba = _trial_sinrs(snr, inr_a, inr_b, cfg, policy)
         parts.append(cfg.w * link(gamma_ab) + (1.0 - cfg.w) * link(gamma_ba))
     return _estimate_from_values(np.concatenate(parts), trials, seed)
@@ -122,20 +111,17 @@ def mc_weighted_sum_ser(
 def mc_empirical_cdfs(
     cfg: SystemConfig, which: tuple[str, ...], trials: int, seed: int, grid: np.ndarray
 ) -> list[EmpiricalCdf]:
-    """Empirical CDFs of the Serial-Max instantaneous SINRs named in which
-    ("gamma_ab", "gamma_ba"), all from one draw and selection per chunk."""
+    """Empirical CDFs of the Serial-Max instantaneous SINRs named in which,
+    all from one draw and selection per chunk: "gamma_ab" is the A->B
+    link and "gamma_ba" the B->A link, whichever pick serves each."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) < 0):
         raise ValueError("grid must be one-dimensional and ascending")
     for name in which:
         if name not in ("gamma_ab", "gamma_ba"):
             raise ValueError(f"which must be 'gamma_ab' or 'gamma_ba', got {name!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    lambda_i = cfg.eta * cfg.lambda_s
     counts = np.zeros((len(which), grid.size), dtype=np.int64)
-    for start, count in _iter_chunks(trials):
-        snr, inr_a, inr_b = draw_trial_batch(seed, start, count, cfg, lambda_i)
+    for snr, inr_a, inr_b in _chunks(cfg, trials, seed):
         gamma_ab, gamma_ba = _trial_sinrs(snr, inr_a, inr_b, cfg, "serial_max")
         for row, name in zip(counts, which):
             samples = np.sort(gamma_ab if name == "gamma_ab" else gamma_ba)
@@ -146,7 +132,7 @@ def mc_empirical_cdfs(
 def mc_empirical_cdf(
     cfg: SystemConfig, which: str, trials: int, seed: int, grid: np.ndarray
 ) -> EmpiricalCdf:
-    """Empirical CDF of the Serial-Max instantaneous SINR gamma_AB or gamma_BA."""
+    """Empirical CDF of one link's Serial-Max SINR; see mc_empirical_cdfs."""
     return mc_empirical_cdfs(cfg, (which,), trials, seed, grid)[0]
 
 
@@ -156,21 +142,15 @@ def mc_p_not(cfg: SystemConfig, trials: int, seed: int) -> MetricEstimate:
     'Strictly' means the exhaustive weighted-rate objective exceeds the
     Serial-Max one by more than 1e-12 relative.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    derived = derived_params(cfg)
     misses = 0
-    wmax, wmin = max(cfg.w, 1.0 - cfg.w), min(cfg.w, 1.0 - cfg.w)
-    for start, count in _iter_chunks(trials):
-        snr, _, _ = draw_trial_batch(seed, start, count, cfg, derived.lambda_i)
-        g = to_obtainable_sinr(snr, derived)
-        t = g.shape[0]
-        ab, ba = _exhaustive_positions(g, cfg.w, "rate", None)
-        flat_r = rate_map(g).reshape(t, -1)
-        rows = np.arange(t)
-        exh = cfg.w * flat_r[rows, ab] + (1.0 - cfg.w) * flat_r[rows, ba]
-        idx1, idx2, _ = _serial_max_positions(g)
-        ser_obj = wmax * flat_r[rows, idx1] + wmin * flat_r[rows, idx2]
+    for snr, _, _ in _chunks(cfg, trials, seed):
+        g = to_obtainable_sinr(snr, derived_params(cfg))
+        flat_r = rate_map(g).reshape(g.shape[0], -1)
+        rows = np.arange(g.shape[0])
+        exh, ser_obj = (
+            cfg.w * flat_r[rows, ab] + (1.0 - cfg.w) * flat_r[rows, ba]
+            for ab, ba in (select(g, cfg.w, p, None) for p in ("max_wsr", "serial_max"))
+        )
         misses += int(np.count_nonzero(exh - ser_obj > 1e-12 * np.abs(exh)))
     p = misses / trials
     std_error = math.sqrt(p * (1.0 - p) / trials)

@@ -1,8 +1,10 @@
 """The three bidirectional link-selection policies.
 
 Each policy has one batched kernel over a (T, n_a, n_b) stack of
-obtainable-SINR matrices; the scalar functions are T = 1 wrappers that
-build a SelectionOutcome.
+obtainable-SINR matrices, behind one switch on the policy's name,
+select().  w weights A->B, and the first pick serves the larger-weight
+direction, a rule written only in by_weight().  The scalar functions are
+T = 1 wrappers that build a SelectionOutcome.
 
 Exhaustive search scores only the pairs of the K = n_a + n_b best
 entries by per-link value.  One link of a pair shares a row or column
@@ -55,17 +57,11 @@ class LinkSelection:
 
 @dataclass(frozen=True)
 class SelectionOutcome:
+    """Links and SINRs; first/second pick = larger/smaller-weight direction."""
     selection: LinkSelection
-    gamma_first: float   # SINR of the link carrying the larger weight
+    gamma_first: float
     gamma_second: float
     comparisons_used: int
-
-
-def _require_2x2(sinr: np.ndarray) -> np.ndarray:
-    g = np.asarray(sinr, dtype=float)
-    if g.ndim != 2 or g.shape[0] < 2 or g.shape[1] < 2:
-        raise MatrixTooSmall(f"need an n_a x n_b matrix with n >= 2, got shape {g.shape}")
-    return g
 
 
 def rate_map(gamma):
@@ -167,32 +163,57 @@ def _exhaustive_positions(
     return ab, ba
 
 
-def _exhaustive(
-    sinr: np.ndarray, w: float, metric: str, mod: ModulationParams | None
+POLICIES = ("max_wsr", "min_wser", "serial_max")
+
+
+def by_weight(ab, ba, w: float):
+    """(larger-weight, smaller-weight) of an A->B value (weight w) and a B->A
+    one.  Its own inverse: it maps (first pick, second pick) to (A->B, B->A)."""
+    return (ab, ba) if w >= 0.5 else (ba, ab)
+
+
+def select(
+    g: np.ndarray, w: float, policy: str, mod: ModulationParams | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial (A->B, B->A) flat positions that policy picks in a
+    (T, n_a, n_b) stack; w weights A->B, and mod is used by min_wser only."""
+    if policy == "serial_max":
+        idx1, idx2, _ = _serial_max_positions(g)
+        return by_weight(idx1, idx2, w)
+    if policy == "max_wsr":
+        return _exhaustive_positions(g, w, "rate", None)
+    if policy == "min_wser":
+        return _exhaustive_positions(g, w, "ser", mod)
+    raise ValueError(f"unknown policy {policy!r}")
+
+
+def _outcome(
+    sinr: np.ndarray, w: float, policy: str, mod: ModulationParams | None = None
 ) -> SelectionOutcome:
-    g = _require_2x2(sinr)
+    g = np.asarray(sinr, dtype=float)
+    if g.ndim != 2 or g.shape[0] < 2 or g.shape[1] < 2:
+        raise MatrixTooSmall(f"need an n_a x n_b matrix with n >= 2, got shape {g.shape}")
     n_a, n_b = g.shape
-    ab, ba = _exhaustive_positions(g[None], w, metric, mod)
-    (i_t, j_r), (i_r, j_t) = divmod(int(ab[0]), n_b), divmod(int(ba[0]), n_b)
+    ab, ba = (int(p[0]) for p in select(g[None], w, policy, mod))
+    (i_t, j_r), (i_r, j_t) = divmod(ab, n_b), divmod(ba, n_b)
+    first, second = by_weight(g[i_t, j_r], g[i_r, j_t], w)
+    method = "serial_max" if policy == "serial_max" else "exhaustive"
     return SelectionOutcome(
         selection=LinkSelection(ab_link=(i_t, j_r), ba_link=(j_t, i_r)),
-        gamma_first=float(g[i_t, j_r]),
-        gamma_second=float(g[i_r, j_t]),
-        comparisons_used=comparison_count("exhaustive", n_a, n_b),
+        gamma_first=float(first),
+        gamma_second=float(second),
+        comparisons_used=comparison_count(method, n_a, n_b),
     )
 
 
 def exhaustive_max_wsr(sinr: np.ndarray, w: float) -> SelectionOutcome:
     """Brute-force maximizer of w*R(gamma_ab) + (1-w)*R(gamma_ba)."""
-    return _exhaustive(sinr, w, "rate", None)
+    return _outcome(sinr, w, "max_wsr")
 
 
 def exhaustive_min_wser(sinr: np.ndarray, w: float, mod: ModulationParams) -> SelectionOutcome:
-    """Brute-force minimizer of w*SER(gamma_ab) + (1-w)*SER(gamma_ba).
-
-    w weights the A->B link, the same convention as the rate criterion.
-    """
-    return _exhaustive(sinr, w, "ser", mod)
+    """Brute-force minimizer of w*SER(gamma_ab) + (1-w)*SER(gamma_ba)."""
+    return _outcome(sinr, w, "min_wser", mod)
 
 
 def serial_max(sinr: np.ndarray, w: float = 1.0) -> SelectionOutcome:
@@ -200,36 +221,27 @@ def serial_max(sinr: np.ndarray, w: float = 1.0) -> SelectionOutcome:
 
     Step 1 picks the global matrix maximum; its row and column are
     pruned and step 2 picks the maximum of the remaining submatrix.
-    The best link serves the direction with the larger weight (A->B
-    when w >= 0.5).  The comparison tally counts one comparison per
-    element examined, matching the published complexity accounting.
+    The best link serves the direction with the larger weight.  The
+    comparison tally counts one comparison per element examined,
+    n_a*n_b + (n_a-1)*(n_b-1), matching the published accounting.
     """
-    g = _require_2x2(sinr)
-    n_a, n_b = g.shape
-    idx1, idx2, pruned = _serial_max_positions(g[None])
-    pos1, pos2 = divmod(int(idx1[0]), n_b), divmod(int(idx2[0]), n_b)
-    first_pos, second_pos = (pos1, pos2) if w >= 0.5 else (pos2, pos1)
-    return SelectionOutcome(
-        selection=LinkSelection(ab_link=first_pos, ba_link=second_pos[::-1]),
-        gamma_first=float(g[pos1]),
-        gamma_second=float(g[pos2]),
-        # step 1 examines every entry, step 2 every entry left unpruned
-        comparisons_used=n_a * n_b + int(np.count_nonzero(~pruned)),
-    )
+    return _outcome(sinr, w, "serial_max")
 
 
 def weighted_combine_rate(gamma_first: float, gamma_second: float, w: float) -> float:
-    """max(w,1-w)*R(gamma_first) + min(w,1-w)*R(gamma_second)."""
-    return max(w, 1.0 - w) * rate_map(gamma_first) + min(w, 1.0 - w) * rate_map(gamma_second)
+    """w*R(gamma_ab) + (1-w)*R(gamma_ba), with first/second pick = the
+    larger/smaller-weight direction."""
+    ab, ba = by_weight(rate_map(gamma_first), rate_map(gamma_second), w)
+    return w * ab + (1.0 - w) * ba
 
 
 def weighted_combine_ser(
     gamma_first: float, gamma_second: float, w: float, mod: ModulationParams
 ) -> float:
-    """max(w,1-w)*SER(gamma_first) + min(w,1-w)*SER(gamma_second)."""
-    return max(w, 1.0 - w) * ser_map(gamma_first, mod) + min(w, 1.0 - w) * ser_map(
-        gamma_second, mod
-    )
+    """w*SER(gamma_ab) + (1-w)*SER(gamma_ba), with first/second pick = the
+    larger/smaller-weight direction."""
+    ab, ba = by_weight(ser_map(gamma_first, mod), ser_map(gamma_second, mod), w)
+    return w * ab + (1.0 - w) * ba
 
 
 def second_link_rank(sinr: np.ndarray, outcome: SelectionOutcome) -> int:

@@ -165,6 +165,34 @@ def test_main_config_file_defaults(tmp_path):
         row = next(reader)
     assert (row["n_a"], row["n_b"], row["w"]) == ("2", "3", "0.6")
     assert float(row["eta"]) == 0.1
+    assert float(row["snr_db"]) == 10.0
+
+
+def test_main_rejects_config_with_other_modulation(tmp_path, capsys):
+    # rows and sidecar record no modulation, so a sweep cannot honour one
+    cfg_file = tmp_path / "sys.cfg"
+    cfg_file.write_text("n_a = 2\nn_b = 3\nsnr_db = 10\neta = 0.1\nw = 0.6\nbeta_mod = 1\n")
+    out = tmp_path / "cfg.csv"
+    rc = main(["--metric", "wser", "--config", str(cfg_file), "--trials", "50",
+               "--out", str(out)])
+    assert rc == 2
+    assert "BPSK" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("w", [0.3, 0.7])
+def test_cdf_sweep_pairs_each_link_with_its_closed_form(tmp_path, w):
+    out = tmp_path / "cdf.csv"
+    rc = main(["--metric", "cdf", "--na", "3", "--nb", "3", "--snr-db", "10",
+               "--eta", "0.05", "--w", str(w), "--trials", "20000", "--out", str(out)])
+    assert rc == 0
+    gaps = {}
+    with open(out, newline="") as fh:
+        for row in csv.DictReader(fh):
+            gap = abs(float(row["mc_value"]) - float(row["analytic_value"]))
+            gaps[row["policy"]] = max(gaps.get(row["policy"], 0.0), gap)
+    assert set(gaps) == {"gamma_ab", "gamma_ba"}
+    assert max(gaps.values()) <= 0.02
 
 
 def test_main_validation_exit_code(tmp_path, capsys):
@@ -208,7 +236,9 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     ["--metric", "wsr", "--snr-db", "nan"],
     ["--metric", "wsr", "--snr-db", "1e400"],
     ["--preset", "fig2", "--na", "0"],
-], ids=["eta", "w", "na", "snr-nan", "snr-inf", "preset-na-0"])
+    ["--metric", "wsr", "--snr-db", "0:1e300:1e-300"],
+    ["--metric", "wsr", "--snr-db", "0:100:0.001"],
+], ids=["eta", "w", "na", "snr-nan", "snr-inf", "preset-na-0", "range-inf", "range-long"])
 def test_main_rejects_bad_grid_input(tmp_path, capsys, args):
     out = tmp_path / "x.csv"
     rc = main(args + ["--trials", "10", "--out", str(out)])

@@ -20,10 +20,13 @@ from fdlink import (
 )
 from fdlink.errors import DegenerateSize, MatrixTooSmall
 from fdlink.selection import (
+    POLICIES,
     _all_pairs_positions,
     _exhaustive_positions,
     _serial_max_positions,
+    by_weight,
     rate_map,
+    select,
     ser_map,
 )
 
@@ -77,14 +80,12 @@ def test_exhaustive_matches_brute_force_oracle():
         g = rng.exponential(1.0, (n_a, n_b))
         w = rng.uniform(0.05, 0.95)
         out = exhaustive_max_wsr(g, w)
-        obj = w * math.log2(1 + out.gamma_first) + (1 - w) * math.log2(1 + out.gamma_second)
+        obj = weighted_combine_rate(out.gamma_first, out.gamma_second, w)
         best, _ = brute_force_max_wsr(g, w)
         assert obj == pytest.approx(best, rel=1e-12)
 
         out = exhaustive_min_wser(g, w, BPSK)
-        obj = w * 0.5 * math.erfc(math.sqrt(out.gamma_first)) + (1 - w) * 0.5 * math.erfc(
-            math.sqrt(out.gamma_second)
-        )
+        obj = weighted_combine_ser(out.gamma_first, out.gamma_second, w, BPSK)
         best, _ = brute_force_min_wser(g, w)
         assert obj == pytest.approx(best, rel=1e-12)
 
@@ -222,21 +223,64 @@ def test_serial_max_scaling_invariance(g, c):
     assert a.selection == b.selection
 
 
-def test_serial_max_never_beats_exhaustive():
+@pytest.mark.parametrize("w", [0.7, 0.3])
+def test_serial_max_never_beats_exhaustive(w):
     rng = np.random.default_rng(6)
     for _ in range(300):
         g = rng.exponential(1.0, (3, 3))
-        w = 0.7
         sm = serial_max(g, w)
         sm_rate = weighted_combine_rate(sm.gamma_first, sm.gamma_second, w)
         ex = exhaustive_max_wsr(g, w)
-        ex_rate = w * math.log2(1 + ex.gamma_first) + (1 - w) * math.log2(1 + ex.gamma_second)
+        ex_rate = weighted_combine_rate(ex.gamma_first, ex.gamma_second, w)
         assert sm_rate <= ex_rate + 1e-12
 
         sm_ser = weighted_combine_ser(sm.gamma_first, sm.gamma_second, w, BPSK)
         exs = exhaustive_min_wser(g, w, BPSK)
         exs_ser = weighted_combine_ser(exs.gamma_first, exs.gamma_second, w, BPSK)
         assert sm_ser >= exs_ser - 1e-15
+
+
+def test_by_weight_is_its_own_inverse():
+    assert by_weight("ab", "ba", 0.7) == ("ab", "ba")
+    assert by_weight("ab", "ba", 0.5) == ("ab", "ba")
+    assert by_weight("ab", "ba", 0.3) == ("ba", "ab")
+    for w in (0.7, 0.5, 0.3):
+        assert by_weight(*by_weight("ab", "ba", w), w) == ("ab", "ba")
+
+
+def test_select_rejects_unknown_policy():
+    with pytest.raises(ValueError, match="unknown policy"):
+        select(np.ones((1, 3, 3)), 0.7, "exhaustive", BPSK)
+
+
+@pytest.mark.parametrize("w", [0.7, 0.3])
+def test_first_pick_serves_the_larger_weight_direction(w):
+    # every policy: gamma_first is the link of the larger-weight direction,
+    # and select's (A->B, B->A) positions are the outcome's links
+    rng = np.random.default_rng(11)
+    outcomes = {
+        "max_wsr": lambda g: exhaustive_max_wsr(g, w),
+        "min_wser": lambda g: exhaustive_min_wser(g, w, BPSK),
+        "serial_max": lambda g: serial_max(g, w),
+    }
+    assert set(outcomes) == set(POLICIES)
+    for _ in range(50):
+        g = rng.exponential(1.0, (3, 4))
+        for policy, fn in outcomes.items():
+            out = fn(g)
+            (i_t, j_r), (j_t, i_r) = out.selection.ab_link, out.selection.ba_link
+            first, second = by_weight(g[i_t, j_r], g[i_r, j_t], w)
+            assert (out.gamma_first, out.gamma_second) == (first, second)
+            ab, ba = select(g[None], w, policy, BPSK)
+            assert (ab[0], ba[0]) == (i_t * 4 + j_r, i_r * 4 + j_t)
+        best_rate, _ = brute_force_max_wsr(g, w)
+        out = outcomes["max_wsr"](g)
+        assert weighted_combine_rate(out.gamma_first, out.gamma_second, w) == pytest.approx(
+            best_rate, rel=1e-12)
+        best_ser, _ = brute_force_min_wser(g, w)
+        out = outcomes["min_wser"](g)
+        assert weighted_combine_ser(out.gamma_first, out.gamma_second, w, BPSK) == pytest.approx(
+            best_ser, rel=1e-12)
 
 
 def test_rank_two_or_three_implies_optimal():
