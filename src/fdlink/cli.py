@@ -88,8 +88,11 @@ class SweepSpec:
                     f"policy {policy!r} does not apply to metric {self.metric!r}; "
                     f"choose from {', '.join(allowed)}"
                 )
-        if self.metric in ("wsr", "wser", "p_not", "cdf") and self.trials < 1:
-            raise InvalidRange("trials must be >= 1 for Monte Carlo columns")
+        if self.metric in ("wsr", "wser", "p_not", "cdf"):
+            if self.trials < 1:
+                raise InvalidRange("trials must be >= 1 for Monte Carlo columns")
+            if not 0 <= self.seed < 2**128:  # the Philox key's range
+                raise InvalidRange(f"seed must lie in [0, 2**128), got {self.seed}")
         if self.fmt not in ("csv", "json"):
             raise InvalidRange(f"unknown format {self.fmt!r}")
         for (n_a, n_b), eta, snr_db in itertools.product(self.sizes, self.eta, self.snr_db):
@@ -157,60 +160,72 @@ def _cfg(n_a: int, n_b: int, snr_db: float, eta: float, w: float) -> SystemConfi
     )
 
 
-def _rows_for_point(spec: SweepSpec, n_a: int, n_b: int, eta: float, snr_db: float):
-    common = dict(metric=spec.metric, n_a=n_a, n_b=n_b, snr_db=snr_db, eta=eta, w=spec.w)
+def _rows_for_size(spec: SweepSpec, n_a: int, n_b: int):
+    """Rows of every (eta, SNR) point at one array size, in grid order.
+
+    Monte Carlo metrics make one call per policy for all the points, so
+    Serial-Max draws and selects each chunk once for the whole grid."""
+    points = list(itertools.product(spec.eta, spec.snr_db))
+    commons = [dict(metric=spec.metric, n_a=n_a, n_b=n_b, snr_db=snr_db, eta=eta, w=spec.w)
+               for eta, snr_db in points]
     if spec.metric == "complexity":
-        for policy in spec.policies:
-            yield ResultRow(policy=policy, comparisons=comparison_count(policy, n_a, n_b),
-                            **common)
+        for common in commons:
+            for policy in spec.policies:
+                yield ResultRow(policy=policy, comparisons=comparison_count(policy, n_a, n_b),
+                                **common)
         return
 
-    cfg = _cfg(n_a, n_b, snr_db, eta, spec.w)
+    cfgs = [_cfg(n_a, n_b, snr_db, eta, spec.w) for eta, snr_db in points]
     if spec.metric == "p_not":
-        est = mc_p_not(cfg, spec.trials, spec.seed)
-        yield ResultRow(policy="serial_max", trials=spec.trials, seed=spec.seed,
-                        mc_value=est.value, mc_stderr=est.std_error,
-                        analytic_value=p_not_upper_bound(n_a, n_b), **common)
+        for cfg, common in zip(cfgs, commons):
+            est = mc_p_not(cfg, spec.trials, spec.seed)
+            yield ResultRow(policy="serial_max", trials=spec.trials, seed=spec.seed,
+                            mc_value=est.value, mc_stderr=est.std_error,
+                            analytic_value=p_not_upper_bound(n_a, n_b), **common)
         return
 
     if spec.metric == "cdf":
-        grid = np.linspace(0.0, 5.0 * cfg.lambda_s, 50)[1:]
+        grids = [np.linspace(0.0, 5.0 * cfg.lambda_s, 50)[1:] for cfg in cfgs]
         links = ("gamma_ab", "gamma_ba")
-        emps = mc_empirical_cdfs(cfg, links, spec.trials, spec.seed, grid)
+        all_emps = mc_empirical_cdfs(cfgs, links, spec.trials, spec.seed, grids)
         # cdf_gamma_ab/_ba are the first/second pick; by_weight puts each on its link
-        analytic_fns = by_weight(cdf_gamma_ab, cdf_gamma_ba, cfg.w)
-        for which, emp, analytic_fn in zip(links, emps, analytic_fns):
-            for x, p in zip(emp.grid, emp.probabilities):
-                yield ResultRow(policy=which, x=float(x), trials=spec.trials,
-                                seed=spec.seed, mc_value=float(p),
-                                analytic_value=analytic_fn(float(x), cfg), **common)
+        analytic_fns = by_weight(cdf_gamma_ab, cdf_gamma_ba, spec.w)
+        for cfg, common, emps in zip(cfgs, commons, all_emps):
+            for which, emp, analytic_fn in zip(links, emps, analytic_fns):
+                for x, p in zip(emp.grid, emp.probabilities):
+                    yield ResultRow(policy=which, x=float(x), trials=spec.trials,
+                                    seed=spec.seed, mc_value=float(p),
+                                    analytic_value=analytic_fn(float(x), cfg), **common)
         return
 
-    closed_form_ok = cfg.nn <= MAX_NN_CLOSED_FORM
-    for policy in spec.policies:
-        mc_fn = mc_weighted_sum_rate if spec.metric == "wsr" else mc_weighted_sum_ser
-        est = mc_fn(cfg, policy, spec.trials, spec.seed)
-        analytic_value = None
-        limit = None
-        if policy == "serial_max" and closed_form_ok:
-            if spec.metric == "wsr":
-                analytic_value = avg_weighted_sum_rate(cfg).value
-                if eta > 0:
-                    limit = rate_ceiling(cfg)
-            else:
-                analytic_value = avg_weighted_sum_ser(cfg).value
-                if eta > 0:
-                    limit = ser_floor(cfg)
+    mc_fn = mc_weighted_sum_rate if spec.metric == "wsr" else mc_weighted_sum_ser
+    estimates = {policy: mc_fn(cfgs, policy, spec.trials, spec.seed)
+                 for policy in spec.policies}
+    closed_form_ok = n_a * n_b <= MAX_NN_CLOSED_FORM
+    for k, (cfg, common) in enumerate(zip(cfgs, commons)):
+        for policy in spec.policies:
+            est = estimates[policy][k]
+            analytic_value = None
+            limit = None
+            if policy == "serial_max" and closed_form_ok:
+                if spec.metric == "wsr":
+                    analytic_value = avg_weighted_sum_rate(cfg).value
+                    if cfg.eta > 0:
+                        limit = rate_ceiling(cfg)
                 else:
-                    # perfect cancellation: overlay the high-SNR asymptote
-                    _, _, limit = asymptotic_ser_perfect_cancellation(cfg, cfg.lambda_s)
-        yield ResultRow(policy=policy, trials=spec.trials, seed=spec.seed,
-                        mc_value=est.value, mc_stderr=est.std_error,
-                        analytic_value=analytic_value, ceiling_or_floor=limit,
-                        comparisons=comparison_count(
-                            "serial_max" if policy == "serial_max" else "exhaustive",
-                            n_a, n_b),
-                        **common)
+                    analytic_value = avg_weighted_sum_ser(cfg).value
+                    if cfg.eta > 0:
+                        limit = ser_floor(cfg)
+                    else:
+                        # perfect cancellation: overlay the high-SNR asymptote
+                        _, _, limit = asymptotic_ser_perfect_cancellation(cfg, cfg.lambda_s)
+            yield ResultRow(policy=policy, trials=spec.trials, seed=spec.seed,
+                            mc_value=est.value, mc_stderr=est.std_error,
+                            analytic_value=analytic_value, ceiling_or_floor=limit,
+                            comparisons=comparison_count(
+                                "serial_max" if policy == "serial_max" else "exhaustive",
+                                n_a, n_b),
+                            **common)
 
 
 def _format_cell(value) -> str:
@@ -225,8 +240,8 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate every grid point in deterministic order and write results."""
     spec.validate()
     rows: list[ResultRow] = []
-    for (n_a, n_b), eta, snr_db in itertools.product(spec.sizes, spec.eta, spec.snr_db):
-        rows.extend(_rows_for_point(spec, n_a, n_b, eta, snr_db))
+    for n_a, n_b in spec.sizes:
+        rows.extend(_rows_for_size(spec, n_a, n_b))
 
     try:
         if spec.fmt == "csv":

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from fdlink import montecarlo
+from fdlink import SystemConfig, db_to_linear, montecarlo
 from fdlink.cli import FIELDS, SweepSpec, main, preset, run_sweep
 from fdlink.errors import InvalidRange, UnknownPreset
 
@@ -117,7 +117,7 @@ def test_cdf_metric_rows(tmp_path):
         assert 0.0 <= r.analytic_value <= 1.0
 
 
-def test_cdf_sweep_draws_each_trial_once(tmp_path, monkeypatch):
+def record_draws(monkeypatch):
     calls = []
     draw = montecarlo.draw_trial_batch
 
@@ -126,8 +126,29 @@ def test_cdf_sweep_draws_each_trial_once(tmp_path, monkeypatch):
         return draw(seed, start, count, *args)
 
     monkeypatch.setattr(montecarlo, "draw_trial_batch", recording)
-    run_sweep(tiny_spec(tmp_path, metric="cdf", trials=1000))
+    return calls
+
+
+def test_cdf_sweep_draws_each_trial_once(tmp_path, monkeypatch):
+    calls = record_draws(monkeypatch)
+    run_sweep(tiny_spec(tmp_path, metric="cdf", trials=1000, snr_db=[0.0, 10.0, 20.0],
+                        eta=[0.0, 0.05]))
     assert calls == [(0, 1000)]
+
+
+def test_serial_max_sweep_draws_each_chunk_once(tmp_path, monkeypatch):
+    # 9 SNR x 3 eta points share each chunk's draw and selection
+    monkeypatch.setattr(montecarlo, "_CHUNK", 400)
+    calls = record_draws(monkeypatch)
+    spec = tiny_spec(tmp_path, snr_db=[float(s) for s in range(0, 41, 5)],
+                     eta=[0.0, 0.02, 0.1], sizes=[(3, 3)], trials=1000)
+    rows = run_sweep(spec)
+    assert calls == [(0, 400), (400, 400), (800, 200)]
+    assert len(rows) == 27
+    for row in rows:
+        cfg = SystemConfig(n_a=3, n_b=3, lambda_s=db_to_linear(row.snr_db), eta=row.eta, w=row.w)
+        est = montecarlo.mc_weighted_sum_rate(cfg, "serial_max", 1000, spec.seed)
+        assert (row.mc_value, row.mc_stderr) == (est.value, est.std_error)
 
 
 def test_sweep_output_does_not_depend_on_its_directory(tmp_path):
@@ -238,7 +259,10 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     ["--preset", "fig2", "--na", "0"],
     ["--metric", "wsr", "--snr-db", "0:1e300:1e-300"],
     ["--metric", "wsr", "--snr-db", "0:100:0.001"],
-], ids=["eta", "w", "na", "snr-nan", "snr-inf", "preset-na-0", "range-inf", "range-long"])
+    ["--metric", "wsr", "--seed", "-1"],
+    ["--metric", "wsr", "--seed", str(2**128)],
+], ids=["eta", "w", "na", "snr-nan", "snr-inf", "preset-na-0", "range-inf", "range-long",
+        "seed-neg", "seed-2**128"])
 def test_main_rejects_bad_grid_input(tmp_path, capsys, args):
     out = tmp_path / "x.csv"
     rc = main(args + ["--trials", "10", "--out", str(out)])

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 from fdlink import (
@@ -16,9 +19,9 @@ from fdlink import (
     quadrature_avg_ser,
     validate_config,
 )
-from fdlink import montecarlo
+from fdlink import derived_params, instantaneous_sinr, montecarlo, to_obtainable_sinr
 from fdlink.analytic import cdf_gamma_ab
-from fdlink.selection import rate_map, ser_map
+from fdlink.selection import rate_map, select, ser_map
 
 
 def make_cfg(**kw):
@@ -185,3 +188,138 @@ def test_p_not_decreases_with_array_size():
         vals.append(est.value)
     assert vals[0] > vals[1] > vals[2]
 
+
+def per_point_sinrs(cfg, trials, seed):
+    """Per chunk, the Serial-Max (gamma_ab, gamma_ba) of one point drawn and
+    selected on its own: draws at its own lambda_s through
+    montecarlo.draw_trial_batch, selection on its own g."""
+    chunk = montecarlo._CHUNK
+    lambda_i = cfg.eta * cfg.lambda_s
+    for start in range(0, trials, chunk):
+        snr, inr_a, inr_b = montecarlo.draw_trial_batch(
+            seed, start, min(chunk, trials - start), cfg, lambda_i)
+        g = to_obtainable_sinr(snr, derived_params(cfg))
+        ab, ba = select(g, cfg.w, "serial_max", cfg.modulation)
+        rows = np.arange(snr.shape[0])
+        flat = snr.reshape(snr.shape[0], -1)
+        yield (instantaneous_sinr(flat[rows, ab], inr_b),
+               instantaneous_sinr(flat[rows, ba], inr_a))
+
+
+def per_point_estimate(cfg, trials, seed, metric):
+    """(mean, stderr) of one point on its own, by the same two fsum passes."""
+    parts = []
+    for gammas in per_point_sinrs(cfg, trials, seed):
+        f_ab, f_ba = (rate_map(x) if metric == "rate" else ser_map(x, cfg.modulation)
+                      for x in gammas)
+        parts.append(cfg.w * f_ab + (1.0 - cfg.w) * f_ba)
+    values = np.concatenate(parts)
+    mean = math.fsum(values) / trials
+    if trials == 1:
+        return mean, 0.0
+    return mean, math.sqrt(math.fsum((values - mean) ** 2) / (trials - 1)) / math.sqrt(trials)
+
+
+def bits(x):
+    return float(x).hex()
+
+
+def assert_shared_matches_oracle(cfgs, trials, seed, metric):
+    """Every point's shared estimate equals its per-point oracle bit for bit;
+    for metric "cdf", both links' empirical CDFs on a grid down to 1e-320."""
+    if metric == "cdf":
+        grids = [np.geomspace(1e-320, 5.0 * cfg.lambda_s, 40) for cfg in cfgs]
+        shared = montecarlo.mc_empirical_cdfs(cfgs, ("gamma_ab", "gamma_ba"), trials, seed, grids)
+        for cfg, grid, cdfs in zip(cfgs, grids, shared):
+            for k, cdf in enumerate(cdfs):
+                samples = np.sort(np.concatenate(
+                    [gammas[k] for gammas in per_point_sinrs(cfg, trials, seed)]))
+                counts = np.searchsorted(samples, grid, side="right")
+                assert np.array_equal(cdf.probabilities, counts / trials), cfg
+        return
+    fn = mc_weighted_sum_rate if metric == "rate" else mc_weighted_sum_ser
+    shared = fn(cfgs, "serial_max", trials, seed)
+    assert len(shared) == len(cfgs)
+    for cfg, est in zip(cfgs, shared):
+        mean, std_error = per_point_estimate(cfg, trials, seed, metric)
+        assert (bits(est.value), bits(est.std_error)) == (bits(mean), bits(std_error)), cfg
+
+
+points = st.tuples(
+    st.one_of(st.sampled_from([1e-300, 1e300, 1e-310]),
+              st.floats(-3.0, 8.0).map(lambda x: 10.0 ** x)),
+    st.sampled_from([0.0, 0.02, 0.1, 1.0 / 3.0, 0.5]),
+    st.sampled_from([0.3, 0.5, 0.7]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_a=st.integers(2, 6), n_b=st.integers(2, 6), grid=st.lists(points, min_size=1, max_size=4),
+       trials=st.integers(1, 300), seed=st.integers(0, 2**64 - 1),
+       metric=st.sampled_from(["rate", "ser", "cdf"]))
+def test_shared_serial_max_matches_per_point_oracle(n_a, n_b, grid, trials, seed, metric):
+    cfgs = [make_cfg(n_a=n_a, n_b=n_b, lambda_s=lam, eta=eta, w=w) for lam, eta, w in grid]
+    with mock.patch.object(montecarlo, "_CHUNK", 97):
+        assert_shared_matches_oracle(cfgs, trials, seed, metric)
+
+
+def crafted_draws(unit_snr):
+    """A stand-in for draw_trial_batch that scales a fixed unit stack as the
+    real draws scale, lambda_s * E and lambda_i * E bit for bit."""
+    unit_snr = np.asarray(unit_snr, dtype=float)
+    unit_inr = np.linspace(0.5, 1.5, unit_snr.shape[0])
+
+    def draw(seed, start, count, cfg, lambda_i):
+        rows = slice(start, start + count)
+        return cfg.lambda_s * unit_snr[rows], lambda_i * unit_inr[rows], lambda_i * unit_inr[rows]
+
+    return draw
+
+
+# b is a's next double.  lambda_s = 1.1 rounds a and b to one SNR; at
+# lambda_s = 1, eta = 0.4 the SNRs differ but the obtainable SINRs tie.
+# A point whose g ties them picks a, the lower index, where the unit
+# matrix picks b.
+A = 1.9999
+B = math.nextafter(A, 2.0)
+TIES = {
+    # step 1 ties: the point prunes another column, so its second link moves
+    "step1": ([[[A, B], [0.5, 0.25]], [[0.3, 1.2], [0.9, 0.1]]], 1.1, 0.0),
+    # step 2 ties: the second link's SNR moves by one ulp
+    "step2": ([[[5.0, 0.1, 0.2], [0.3, A, B], [0.4, 0.05, 0.15]]] * 8, 1.0, 0.4),
+}
+
+
+@pytest.mark.parametrize("metric", ["rate", "ser"])
+@pytest.mark.parametrize("step", sorted(TIES))
+def test_shared_serial_max_reselects_where_rounding_ties_the_picks(monkeypatch, step, metric):
+    unit, lambda_s, eta = TIES[step]
+    cfg = make_cfg(n_a=len(unit[0]), n_b=len(unit[0][0]), lambda_s=lambda_s, eta=eta)
+    g = to_obtainable_sinr(cfg.lambda_s * np.array([A, B]), derived_params(cfg))
+    assert g[0] == g[1]
+    monkeypatch.setattr(montecarlo, "draw_trial_batch", crafted_draws(unit))
+    other = make_cfg(n_a=cfg.n_a, n_b=cfg.n_b, lambda_s=1.0, eta=0.0)
+    for cfgs in ([other, cfg], [cfg, other], [cfg]):
+        assert_shared_matches_oracle(cfgs, len(unit), 0, metric)
+
+
+def test_shared_serial_max_reselects_where_the_snr_is_subnormal(monkeypatch):
+    # a and b are far apart in E, but 1e-318 * a and 1e-318 * b are one
+    # subnormal, so that point picks a and prunes another column
+    a, b = 1.0, 1.0 + 1e-9
+    assert 1e-318 * a == 1e-318 * b
+    unit = [[[a, b, 0.1], [0.5, 0.25, 0.2], [0.05, 0.3, 0.4]]]
+    monkeypatch.setattr(montecarlo, "draw_trial_batch", crafted_draws(unit))
+    cfgs = [make_cfg(lambda_s=10.0, eta=0.0), make_cfg(lambda_s=1e-318, eta=0.0)]
+    assert_shared_matches_oracle(cfgs, 1, 0, "cdf")
+
+
+def test_point_lists_return_one_estimate_per_point():
+    cfgs = [make_cfg(lambda_s=lam) for lam in (1.0, 100.0)]
+    for policy in montecarlo.POLICIES:
+        many = mc_weighted_sum_rate(cfgs, policy, 200, 4)
+        assert many == [mc_weighted_sum_rate(cfg, policy, 200, 4) for cfg in cfgs]
+    with pytest.raises(ValueError, match="one array size"):
+        mc_weighted_sum_rate([make_cfg(), make_cfg(n_a=2)], "serial_max", 10, 0)
+    with pytest.raises(ValueError, match="one grid per config"):
+        montecarlo.mc_empirical_cdfs(cfgs, ("gamma_ab",), 10, 0, [np.ones(3)])
