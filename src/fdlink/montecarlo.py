@@ -6,8 +6,12 @@ first trial index, so a run is reproducible bitwise for a fixed (seed,
 trials) and independent of chunking.  fdlink.selection.select picks
 each trial's A->B and B->A links for every policy, and the same module
 supplies the per-link rate and SER maps.  Per-trial metric values are
-reduced with math.fsum, which returns the correctly rounded true sum, so
-any evaluation order gives the identical result.
+reduced by _exact_sum, which returns the correctly rounded true sum, so
+any evaluation order gives the identical result.  It equals math.fsum
+bit for bit, since both round the same exact sum, but adds in numpy:
+each value splits exactly into two 26-bit pieces, pieces of one 8-wide
+exponent band sum exactly in floats, and math.fsum adds only the band
+sums and the rare subnormal pieces.
 
 The estimators take one SystemConfig or a sequence of them of one array
 size.  Draws at lambda_s and lambda_i = eta * lambda_s equal the draws
@@ -47,6 +51,11 @@ _CHUNK = 1 << 17
 # g is E after at most two roundings, each within a factor 1 +- 2**-53
 _MARGIN = 1.0 + 2.0**-50
 _TINY = np.finfo(float).tiny
+# _exact_sum: Veltkamp's splitter, the largest |x| it cannot overflow on,
+# and the most pieces one bucket may sum exactly (33 + 20 bits <= 53)
+_SPLIT = 2.0**27 + 1.0
+_HUGE = 2.0**996
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -173,11 +182,46 @@ def _own_sinrs(cfg: SystemConfig, policy: str, trials: int, seed: int):
         yield _trial_sinrs(snr, inr_a, inr_b, cfg, policy)
 
 
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x), bit for bit, for a 1-D float64 array.
+
+    Each value splits exactly into two pieces of at most 26 significant
+    bits (Veltkamp).  A normal piece with biased exponent in [8b, 8b+7] is
+    a multiple of 2**(8b-1048) below 2**(8b-1015), so bincount sums up to
+    _BLOCK such pieces per bucket b exactly; math.fsum of the bucket sums
+    and the subnormal pieces, which break that bound, is the correctly
+    rounded sum.  Huge or non-finite input goes to math.fsum itself.
+    """
+    if x.size == 0 or not (-_HUGE < x.min() and x.max() < _HUGE):
+        return math.fsum(x)
+    parts = []
+    for start in range(0, x.size, _BLOCK):
+        block = x[start:start + _BLOCK]
+        hi = block * _SPLIT
+        lo = hi - block
+        hi -= lo
+        np.subtract(block, hi, out=lo)
+        bucket = np.empty(block.size, dtype=np.int64)
+        for piece in hi, lo:
+            np.right_shift(piece.view(np.int64), 55, out=bucket)
+            bucket &= 0xFF
+            low = np.flatnonzero(bucket == 0)
+            sub = piece[low]
+            subnormal = (sub != 0) & (np.abs(sub) < _TINY)
+            parts.extend(sub[subnormal].tolist())
+            piece[low[subnormal]] = 0.0
+            sums = np.bincount(bucket, weights=piece, minlength=256)
+            parts.extend(sums[sums != 0].tolist())
+    return math.fsum(parts)
+
+
 def _estimate_from_values(values: np.ndarray, trials: int, seed: int) -> MetricEstimate:
-    total = math.fsum(values)
+    total = _exact_sum(values)
     mean = total / trials
     if trials > 1:
-        sq = math.fsum((values - mean) ** 2)
+        dev = values - mean
+        dev *= dev
+        sq = _exact_sum(dev)
         std_error = math.sqrt(sq / (trials - 1)) / math.sqrt(trials)
     else:
         std_error = 0.0

@@ -256,12 +256,13 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     ["--metric", "wsr", "--na", "1"],
     ["--metric", "wsr", "--snr-db", "nan"],
     ["--metric", "wsr", "--snr-db", "1e400"],
+    ["--metric", "wsr", "--snr-db", "3075"],
     ["--preset", "fig2", "--na", "0"],
     ["--metric", "wsr", "--snr-db", "0:1e300:1e-300"],
     ["--metric", "wsr", "--snr-db", "0:100:0.001"],
     ["--metric", "wsr", "--seed", "-1"],
     ["--metric", "wsr", "--seed", str(2**128)],
-], ids=["eta", "w", "na", "snr-nan", "snr-inf", "preset-na-0", "range-inf", "range-long",
+], ids=["eta", "w", "na", "snr-nan", "snr-inf", "snr-overflow", "preset-na-0", "range-inf", "range-long",
         "seed-neg", "seed-2**128"])
 def test_main_rejects_bad_grid_input(tmp_path, capsys, args):
     out = tmp_path / "x.csv"

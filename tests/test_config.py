@@ -12,6 +12,7 @@ from fdlink import (
     load_config,
     validate_config,
 )
+from fdlink import config
 from fdlink.errors import InvalidAntennaCount, InvalidRange
 
 
@@ -54,6 +55,16 @@ def test_perfect_cancellation_boundary():
 def test_out_of_range_rejected(field, value):
     with pytest.raises(InvalidRange):
         validate_config(cfg(**{field: value}))
+
+
+def test_lambda_s_whose_draws_overflow_rejected():
+    # the largest unit draw is -log1p(-(1 - 2**-53)) = 53 ln 2
+    top = -math.log1p(-(1.0 - 2.0**-53))
+    bound = config._MAX_LAMBDA_S
+    assert validate_config(cfg(lambda_s=bound)).lambda_s * top < math.inf
+    for lam in (math.nextafter(bound, math.inf), db_to_linear(3075.0), math.inf, math.nan):
+        with pytest.raises(InvalidRange):
+            validate_config(cfg(lambda_s=lam))
 
 
 def test_bad_modulation_rejected():

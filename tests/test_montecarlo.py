@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import erfc
 
 from fdlink import (
@@ -323,3 +324,83 @@ def test_point_lists_return_one_estimate_per_point():
         mc_weighted_sum_rate([make_cfg(), make_cfg(n_a=2)], "serial_max", 10, 0)
     with pytest.raises(ValueError, match="one grid per config"):
         montecarlo.mc_empirical_cdfs(cfgs, ("gamma_ab",), 10, 0, [np.ones(3)])
+
+
+@pytest.mark.parametrize("snr_db", [27.0, 30.0, 40.0])
+def test_high_snr_ser_point_matches_fsum_oracle(snr_db):
+    # at eta = 0 the per-trial SERs underflow: at 27 dB about 46 % are 0
+    # and 0.8 % subnormal; at 40 dB all 20,000 are 0
+    cfg = make_cfg(lambda_s=10.0 ** (snr_db / 10.0), eta=0.0)
+    assert_shared_matches_oracle([cfg], 20_000, 5, "ser")
+
+
+exact_sum_elements = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-(2.0**996), 2.0**996, exclude_min=True, exclude_max=True),
+    st.floats(-(2.0**-990), 2.0**-990),
+    st.floats(-20.0, 20.0),
+)
+
+
+def sum_outcome(fsum, x):
+    """The sum's bits, or the type of error it raises."""
+    try:
+        return bits(fsum(x))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=hnp.arrays(np.float64, st.integers(0, 3000), elements=exact_sum_elements),
+       mirror=st.booleans())
+def test_exact_sum_matches_fsum(x, mirror):
+    if mirror:  # all but x[:3] cancel exactly
+        x = np.concatenate([x, -x[::-1][: len(x) - 3]])
+    assert sum_outcome(montecarlo._exact_sum, x) == sum_outcome(math.fsum, x)
+
+
+def bucket_fill_case():
+    """Values that fill one exponent bucket to its bound of 2**20 pieces,
+    across two blocks.  A normal piece in bucket b has biased exponent in
+    [8b, 8b + 7]; big, a 26-bit value at biased exponent 1039, tops bucket
+    129 and tiny_a at 1032 floors it, while tiny_b at 1024 floors the
+    16-exponent bucket 64.  The cancel term leaves tiny_a + tiny_b, so any
+    bucket sum that rounds away a low bit moves the result."""
+    big = (2.0**26 - 1.0) * 2.0**-9
+    tiny_a = (1.0 + 2.0**-25) * 2.0**9
+    tiny_b = (1.0 + 2.0**-25) * 2.0
+    copies = 2**20 + 5
+    return np.concatenate([[tiny_b], np.full(copies, big), [-copies * big, tiny_a]])
+
+
+def bucket_zero_mix():
+    """Full-mantissa normals near 2**-1016 and their negations, shuffled
+    with odd multiples of 2**-1074, which are subnormal: bucket 0 mixes
+    26-bit normal pieces with pieces 2**33 times finer."""
+    rng = np.random.default_rng(0)
+    normals = (2**52 + rng.integers(0, 2**51, 1000) * 2 + 1) * 2.0**-1068
+    odd = (2 * rng.integers(0, 2**40, 1000) + 1) * 2.0**-1074
+    x = np.concatenate([normals, -normals, odd * rng.choice([-1.0, 1.0], 1000)])
+    rng.shuffle(x)
+    return x
+
+
+HUGE_BELOW, HUGE_ABOVE = (math.nextafter(2.0**996, t) for t in (0.0, math.inf))
+EXACT_SUM_CASES = {
+    "bucket-fill": bucket_fill_case,
+    "bucket-0-mix": bucket_zero_mix,
+    "huge-1ulp-below": lambda: np.array([HUGE_BELOW, 1.0, -HUGE_BELOW, 2.0**-1074]),
+    "huge": lambda: np.array([2.0**996, 1.0, -(2.0**996), 2.0**-1074]),
+    "huge-1ulp-above": lambda: np.array([-HUGE_ABOVE, 1.0, HUGE_ABOVE, -(2.0**-1074)]),
+    "empty": lambda: np.array([]),
+    "negative-zero": lambda: np.array([-0.0]),
+    "inf": lambda: np.array([math.inf]),
+    "nan": lambda: np.array([math.nan]),
+    "opposite-infinities": lambda: np.array([math.inf, -math.inf]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_SUM_CASES))
+def test_exact_sum_matches_fsum_on_edge_cases(case):
+    x = EXACT_SUM_CASES[case]()
+    assert sum_outcome(montecarlo._exact_sum, x) == sum_outcome(math.fsum, x)
