@@ -3,8 +3,8 @@ policy, with Monte Carlo and closed-form columns side by side.
 
 Output is plot-ready long-format CSV (or JSON), one row per grid point,
 plus a JSON sidecar recording the sweep spec (all but the output path) and
-tool version.  SNR is accepted in dB on the command line and converted to
-linear scale once.
+the fdlink, numpy, scipy and mpmath versions.  SNR is accepted in dB on
+the command line and converted to linear scale once.
 Re-running a sweep with the same seed produces byte-identical files.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
@@ -21,7 +21,9 @@ import math
 import sys
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
+import scipy
 
 from . import __version__
 from .analytic import (
@@ -263,6 +265,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
         sidecar = {
             "tool": "fdlink",
             "version": __version__,
+            "libraries": {m.__name__: m.__version__ for m in (np, scipy, mpmath)},
             "spec": {**recorded, "sizes": [list(s) for s in spec.sizes]},
         }
         with open(spec.out + ".meta.json", "w") as fh:

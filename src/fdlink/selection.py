@@ -6,16 +6,26 @@ select().  w weights A->B, and the first pick serves the larger-weight
 direction, a rule written only in by_weight().  The scalar functions are
 T = 1 wrappers that build a SelectionOutcome.
 
-Exhaustive search scores only the pairs of the K = n_a + n_b best
-entries by per-link value.  One link of a pair shares a row or column
-with at most K - 2 other entries, so if the other link lies outside the
-K best, one of the K best fits in its place and scores no less; an
-optimal pair therefore lies among the K best.  Each trial checks a
-certificate, a float bound on every pair that uses an entry outside the
-K.  A trial that fails it, and every size where K**2 is no fewer than
-the feasible pairs, is scored over all feasible pairs, so the positions
-equal full enumeration bit for bit.  comparison_count("exhaustive", ...)
-is the paper's count for exhaustive search, not this kernel's work.
+Exhaustive search scores four candidates per trial.  Let h be the
+per-link value signed so that larger is better, M its first maximum, S
+the best entry outside M's row and column (Serial-Max's second pick on
+h), and R, C the best in M's row and in its column.  A feasible pair with
+a link x outside that cross scores no more with M as its other link, and
+no more again with S as x; a pair inside the cross takes one link from
+M's row and one from its column.  w*a + (1-w)*b rounds monotonically for
+0 <= w <= 1, so in floats too the optimum is (M, S), (S, M), (R, C) or
+(C, R): Serial-Max misses it only when both optimal links lie in the
+cross.  A certificate bounds every other pair strictly below the best
+candidate, in three classes: M with another outside entry, via S2, the
+runner-up outside the cross; no M but an outside entry, via h_S and
+m2 = max(h_S, h_R, h_C); the other row/column pairs, via R2 and C2, the
+runners-up in M's row and column.  A certified trial takes the
+lexicographically first candidate that reaches the best.  Other trials,
+trials with a non-finite value, any w outside (0, 1), and sizes where
+(n_a + n_b)**2 is no fewer than the feasible pairs are scored over all
+feasible pairs, so the positions equal full enumeration bit for bit.
+comparison_count("exhaustive", ...) is the paper's count for exhaustive
+search, not this kernel's work.
 
 Because the obtainable-SINR matrix is a positive scaling of the SNR
 matrix, the selected antenna pairs are identical either way.  Ties are
@@ -45,10 +55,7 @@ class LinkSelection:
     ba_link: tuple[int, int]  # (tx at B, rx at A)
 
     def __post_init__(self):
-        tx_a, _ = self.ab_link
-        _, rx_a = self.ba_link
-        tx_b, _ = self.ba_link
-        _, rx_b = self.ab_link
+        (tx_a, rx_b), (tx_b, rx_a) = self.ab_link, self.ba_link
         if tx_a == rx_a:
             raise ValueError(f"antenna {tx_a} at A used for both tx and rx")
         if tx_b == rx_b:
@@ -74,19 +81,6 @@ def ser_map(gamma, mod: ModulationParams):
     return mod.alpha_mod * 0.5 * erfc(np.sqrt(mod.beta_mod * gamma / 2.0))
 
 
-def _feasible_pairs(n_a: int, n_b: int):
-    # lexicographic on (i_t, j_r, i_r, j_t): the iteration order IS the tie-break
-    for i_t in range(n_a):
-        for j_r in range(n_b):
-            for i_r in range(n_a):
-                if i_r == i_t:
-                    continue
-                for j_t in range(n_b):
-                    if j_t == j_r:
-                        continue
-                    yield i_t, j_r, i_r, j_t
-
-
 def _serial_max_positions(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (first, second) flat argmax positions of (T, n_a, n_b)
     matrices, and the (T, n_a, n_b) mask of entries pruned before step 2."""
@@ -104,12 +98,53 @@ def _all_pairs_positions(
     per_link: np.ndarray, w: float, sign: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """First maximum of sign * (w*a + (1-w)*b) over every feasible pair of
-    (T, n_a, n_b) per-link values, in _feasible_pairs order."""
-    n_a, n_b = per_link.shape[1:]
-    i_t, j_r, i_r, j_t = np.array(list(_feasible_pairs(n_a, n_b))).T
-    obj = w * per_link[:, i_t, j_r] + (1.0 - w) * per_link[:, i_r, j_t]
-    best = np.argmax(sign * obj, axis=1)
-    return i_t[best] * n_b + j_r[best], i_r[best] * n_b + j_t[best]
+    (T, n_a, n_b) per-link values: flat positions (ab, ba) in different rows
+    and columns, in lexicographic order, the tie-break on (i_t, j_r, i_r, j_t)."""
+    t, n_a, n_b = per_link.shape
+    n = n_a * n_b
+    ab, ba = np.divmod(np.arange(n * n), n)
+    feasible = (ab // n_b != ba // n_b) & (ab % n_b != ba % n_b)
+    ab, ba = ab[feasible], ba[feasible]
+    flat = per_link.reshape(t, n)
+    best = np.argmax(sign * (w * flat[:, ab] + (1.0 - w) * flat[:, ba]), axis=1)
+    return ab[best], ba[best]
+
+
+def _cross_positions(
+    per_link: np.ndarray, w: float, sign: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """_all_pairs_positions bit for bit, from the candidates (M, S), (S, M),
+    (R, C) and (C, R) wherever the certificate holds; see the module docstring."""
+    t, n_a, n_b = per_link.shape
+    if not 0.0 < w < 1.0:
+        return _all_pairs_positions(per_link, w, sign)
+    n, rows, w1 = n_a * n_b, np.arange(t), 1.0 - w
+    # negation is exact, so w*h_p + w1*h_q is sign times the all-pairs score
+    h = sign * np.ascontiguousarray(per_link)
+    flat = h.reshape(t, n)  # a view of h
+    finite = np.isfinite(flat).all(axis=1)
+    flat[~finite] = 0.0  # scored by the all-pairs pass below
+    m = np.argmax(flat, axis=1)
+    hm, (im, jm) = flat[rows, m], np.divmod(m, n_b)
+    row, col = h[rows, im], h[rows, :, jm]
+    # h keeps the entries outside M's cross; row and col all but M
+    h[rows, im] = h[rows, :, jm] = row[rows, jm] = col[rows, im] = -np.inf
+    jr, ic, s = row.argmax(axis=1), col.argmax(axis=1), flat.argmax(axis=1)
+    (hr2, hr), (hc2, hc), (hs2, hs) = (np.partition(x, -2)[:, -2:].T for x in (row, col, flat))
+    r, c = im * n_b + jr, ic * n_b + jm
+    ab, ba = np.stack([m, s, r, c], axis=1), np.stack([s, m, c, r], axis=1)
+    obj = w * np.stack([hm, hs, hr, hc], axis=1) + w1 * np.stack([hs, hm, hc, hr], axis=1)
+    top = obj.max(axis=1)
+    pick = np.argmin(np.where(obj == top[:, None], ab * n + ba, n * n), axis=1)
+    ab, ba = ab[rows, pick], ba[rows, pick]
+    # each (u, v) bounds one class of the other pairs, in either order
+    u = np.stack([hm, np.maximum(hs, np.maximum(hr, hc)), hr2, hr], axis=1)
+    v = np.stack([hs2, hs, hc, hc2], axis=1)
+    bound = np.maximum(w * u + w1 * v, w * v + w1 * u).max(axis=1)
+    exact = finite & (bound < top)
+    if not exact.all():
+        ab[~exact], ba[~exact] = _all_pairs_positions(per_link[~exact], w, sign)
+    return ab, ba
 
 
 def _exhaustive_positions(
@@ -117,50 +152,12 @@ def _exhaustive_positions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (ab, ba) flat positions of the best feasible pair of
     (T, n_a, n_b) matrices: the largest weighted sum rate for metric
-    "rate", the smallest weighted sum SER for "ser".
-
-    Only the K = n_a + n_b best entries by per-link value are paired.
-    A trial whose answer is not certified exact falls back to scoring
-    every feasible pair, as do sizes where K**2 is no fewer pairs.
-    """
-    t, n_a, n_b = g.shape
-    if metric == "rate":
-        per_link, sign = rate_map(g), 1.0
-    else:
-        per_link, sign = ser_map(g, mod), -1.0  # argmax of the negated objective = argmin
-    k = n_a + n_b
-    if k * k >= n_a * n_b * (n_a - 1) * (n_b - 1):
-        return _all_pairs_positions(per_link, w, sign)
-    flat = per_link.reshape(t, n_a * n_b)
-    # positions 0..k-1: the k best entries; position k: the best of the rest
-    order = np.argpartition(-sign * flat, k, axis=1)
-    # ascending flat index makes the row-major argmax the lexicographic one
-    cand = np.sort(order[:, :k], axis=1)
-    v = np.take_along_axis(flat, cand, axis=1)
-    obj = sign * (w * v[:, :, None] + (1.0 - w) * v[:, None, :])
-    i, j = np.divmod(cand, n_b)
-    obj[(i[:, :, None] == i[:, None, :]) | (j[:, :, None] == j[:, None, :])] = -np.inf
-    obj = obj.reshape(t, k * k)
-    best = np.argmax(obj, axis=1)
-    rows = np.arange(t)
-    top = obj[rows, best]
-    ab, ba = cand[rows, best // k], cand[rows, best % k]
-    # Certificate: x is the best value outside the k, m the best overall.
-    # Rounding is monotone, so for 0 <= w <= 1 no pair with an outside
-    # entry scores above sign*(w*x + (1-w)*m) or its mirror; if both lie
-    # strictly below top, no such pair reaches or ties it.  For w outside
-    # [0, 1] one bound is never below top.  Non-finite values go to the
-    # all-pairs pass too: argmax picks a NaN wherever it lies.
-    x = flat[rows, order[:, k]]
-    m = v.max(axis=1) if sign > 0 else v.min(axis=1)
-    exact = (
-        (sign * (w * x + (1.0 - w) * m) < top)
-        & (sign * (w * m + (1.0 - w) * x) < top)
-        & np.isfinite(flat).all(axis=1)
-    )
-    if not exact.all():
-        ab[~exact], ba[~exact] = _all_pairs_positions(per_link[~exact], w, sign)
-    return ab, ba
+    "rate", the smallest weighted sum SER for "ser"."""
+    n_a, n_b = g.shape[1:]
+    # for SER, the argmax of the negated objective is the argmin
+    per_link, sign = (rate_map(g), 1.0) if metric == "rate" else (ser_map(g, mod), -1.0)
+    small = (n_a + n_b) ** 2 >= n_a * n_b * (n_a - 1) * (n_b - 1)
+    return (_all_pairs_positions if small else _cross_positions)(per_link, w, sign)
 
 
 POLICIES = ("max_wsr", "min_wser", "serial_max")

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import mpmath
 import pytest
 
 from fdlink import SystemConfig, db_to_linear, montecarlo
@@ -85,6 +86,8 @@ def test_sweep_json_and_sidecar(tmp_path):
     assert records[0]["policy"] == "serial_max"
     meta = json.loads((tmp_path / "out.json.meta.json").read_text())
     assert meta["tool"] == "fdlink"
+    assert sorted(meta["libraries"]) == ["mpmath", "numpy", "scipy"]
+    assert meta["libraries"]["mpmath"] == mpmath.__version__
     assert meta["spec"]["seed"] == 5
     assert meta["spec"]["sizes"] == [[2, 2]]
 

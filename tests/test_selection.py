@@ -18,10 +18,13 @@ from fdlink import (
     weighted_combine_rate,
     weighted_combine_ser,
 )
+from fdlink.channel import draw_trial_batch, to_obtainable_sinr
+from fdlink.config import SystemConfig, derived_params, validate_config
 from fdlink.errors import DegenerateSize, MatrixTooSmall
 from fdlink.selection import (
     POLICIES,
     _all_pairs_positions,
+    _cross_positions,
     _exhaustive_positions,
     _serial_max_positions,
     by_weight,
@@ -334,7 +337,7 @@ def integer_stacks(hi):
 def test_batched_kernels_match_oracles(g, w):
     # random and tie-heavy small-integer stacks; each trial's positions must
     # be exactly the oracle's, lexicographic tie-break included.  Sizes up
-    # to 6x6 take both the pruned top-K path and the all-pairs path
+    # to 6x6 take both the cross-pair kernel and the all-pairs path
     t, n_a, n_b = g.shape
 
     def flat(i, j):
@@ -359,8 +362,8 @@ def test_batched_kernels_match_oracles(g, w):
 
 
 def test_exhaustive_falls_back_when_every_ser_underflows():
-    # every SER is 0, so every feasible pair ties and no top-K answer can
-    # be certified: the kernel must return the first feasible pair
+    # every SER is 0, so every feasible pair ties and no cross-pair answer
+    # can be certified: the kernel must return the first feasible pair
     n_a, n_b = 4, 5
     rng = np.random.default_rng(3)
     g = 1e4 + np.stack([rng.permutation(n_a * n_b) for _ in range(4)]).reshape(4, n_a, n_b)
@@ -371,10 +374,10 @@ def test_exhaustive_falls_back_when_every_ser_underflows():
 
 
 def test_exhaustive_tie_at_the_top_k_boundary():
-    # 4x4, K = 8: the top entry's row and column hold ranks 2..7, so its
-    # best compatible partners are the two entries tied at ranks 8 and 9,
-    # and argpartition keeps only one of them.  The lexicographic first
-    # optimum pairs the top entry with the tied entry of smaller flat index.
+    # 4x4: the top entry's row and column hold ranks 2..7, so its best
+    # compatible partners are the two entries tied at ranks 8 and 9, both
+    # outside its cross (S and S2 tie).  The lexicographic first optimum
+    # pairs the top entry with the tied entry of smaller flat index.
     n = 4
     block = [(i, j) for i in range(1, n) for j in range(1, n)]
     stack, tied = [], []
@@ -402,7 +405,7 @@ def test_exhaustive_tie_at_the_top_k_boundary():
 
 @pytest.mark.parametrize("w", [0.7, 1.3, -0.2])
 def test_exhaustive_matches_all_pairs_off_the_physical_domain(w):
-    # a weight outside [0, 1] or a NaN entry voids the top-K argument; the
+    # a weight outside [0, 1] or a NaN entry voids the cross-pair argument; the
     # kernel must still return what scoring every feasible pair returns
     g = np.random.default_rng(1).exponential(1.0, (200, 5, 5))
     g[::2, 4, 4] = np.nan
@@ -410,3 +413,103 @@ def test_exhaustive_matches_all_pairs_off_the_physical_domain(w):
         ab, ba = _exhaustive_positions(g, w, metric, BPSK)
         ref_ab, ref_ba = _all_pairs_positions(per_link, w, sign)
         assert np.array_equal(ab, ref_ab) and np.array_equal(ba, ref_ba)
+
+
+def cross_candidates(h):
+    """(M, S), (S, M), (R, C), (C, R) of a matrix h, larger better, by plain
+    loops: M the first maximum, S the best entry outside M's row and
+    column, R and C the best in M's row and in its column."""
+    n_a, n_b = h.shape
+    cells = [(i, j) for i in range(n_a) for j in range(n_b)]
+
+    def first_max(pool):
+        return max(pool, key=lambda p: (h[p], -p[0], -p[1]))
+
+    m = first_max(cells)
+    s = first_max([p for p in cells if p[0] != m[0] and p[1] != m[1]])
+    r = first_max([p for p in cells if p[0] == m[0] and p != m])
+    c = first_max([p for p in cells if p[1] == m[1] and p != m])
+    return [(m, s), (s, m), (r, c), (c, r)]
+
+
+def matrices(elements):
+    return arrays(np.float64, st.tuples(st.integers(2, 7), st.integers(2, 7)), elements=elements)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.one_of(matrices(st.floats(0.0, 1e6, width=64)),
+                   matrices(st.integers(0, 3).map(float))),
+       w=st.floats(0.0, 1.0))
+def test_exhaustive_optimum_is_serial_max_or_cross_pair(g, w):
+    # the lemma alone, apart from any kernel: over every feasible pair, the
+    # best objective value is the best of the four candidates' values
+    for per_link, maximize in ((rate_map(g), True), (ser_map(g, BPSK), False)):
+        best, _ = brute_force_best(per_link, w, lambda v: v, maximize)
+        h = per_link if maximize else -per_link
+        values = [w * per_link[p] + (1 - w) * per_link[q] for p, q in cross_candidates(h)]
+        assert best == (max(values) if maximize else min(values))
+
+
+def assert_same_positions(got, want):
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("n_a,n_b", [(2, n) for n in range(2, 8)] + [(n, 2) for n in range(3, 8)])
+def test_cross_kernel_on_two_row_and_two_column_shapes(n_a, n_b):
+    # 2 x n has no C2 and n x 2 no R2 (M's column or row holds just M and
+    # one more entry); 2 x 2 has no S2 either.  A missing runner-up (-inf)
+    # would give 0 * -inf at w = 0 or 1 and inf - inf next to an infinite
+    # rate: the kernel hands those weights and non-finite trials to the
+    # all-pairs pass, warning-free.  (The all-pairs pass itself meets
+    # 0 * inf when w is 0 or 1 and a rate is infinite, so those two never
+    # meet here.)
+    rng = np.random.default_rng(n_a * 10 + n_b)
+    g = np.concatenate([rng.exponential(10.0, (400, n_a, n_b)),
+                        rng.integers(0, 3, (400, n_a, n_b)).astype(float)])
+    non_finite = g.copy()
+    non_finite[::37, 0, 0] = np.inf
+    non_finite[5::37, -1, -1] = np.nan
+    inside = (0.3, 0.5, 0.7, 1e-300, 1.0 - 2.0**-53)
+    for stack, weights in ((g, inside + (0.0, 1.0)), (non_finite, inside)):
+        for per_link, sign in ((rate_map(stack), 1.0), (ser_map(stack, BPSK), -1.0)):
+            for w in weights:
+                want = _all_pairs_positions(per_link, w, sign)
+                assert_same_positions(_cross_positions(per_link, w, sign), want)
+
+
+@pytest.mark.parametrize("w", [0.7, 0.3])
+def test_cross_kernel_rounding_tie_with_an_earlier_pair(w):
+    # M = (0, 0); S = (1, 2) and S' = (1, 1) lie outside M's cross, with
+    # h_S' one rounding below h_S.  (M, S') is no candidate, yet its score
+    # rounds to that of (M, S) and it comes first, so it is the answer;
+    # only the certificate (class 1, via S2 = S') sees this
+    g = np.full((3, 4), 0.01)
+    g[0, 0] = 1023.0
+    g[0, 1:], g[1:, 0] = (0.1, 0.2, 0.3), (0.4, 0.5)
+    g[1, 1], g[1, 2] = 1.0 - 2.0**-52, 1.0
+    h = rate_map(g)
+    assert h[1, 1] < h[1, 2]
+    m, s_early, s = (0, 0), (1, 1), (1, 2)
+    pairs = [(m, s_early), (m, s)] if w >= 0.5 else [(s_early, m), (s, m)]
+    early, late = (w * h[p] + (1 - w) * h[q] for p, q in pairs)
+    assert early == late
+    want = ([0], [5]) if w >= 0.5 else ([5], [0])
+    assert_same_positions(_all_pairs_positions(h[None], w, 1.0), want)
+    assert_same_positions(_cross_positions(h[None], w, 1.0), want)
+    assert_same_positions(_exhaustive_positions(g[None], w, "rate", None), want)
+
+
+@pytest.mark.parametrize("w", [0.7, 0.3, 0.5, 0.0, 1.0])
+def test_cross_kernel_matches_all_pairs_on_drawn_stacks(w):
+    # real draws; in the SER stacks w*h_M is often absorbed, so pairs tie
+    # and trials fall back (about 90 % of them at 6x6, 25 dB, eta = 0)
+    for n_a, n_b, snr_db, eta in ((4, 4, 20.0, 0.05), (5, 5, 18.0, 0.02), (6, 6, 25.0, 0.0),
+                                  (4, 6, 10.0, 0.1)):
+        cfg = validate_config(SystemConfig(n_a=n_a, n_b=n_b, lambda_s=10 ** (snr_db / 10),
+                                           eta=eta, w=0.7))
+        snr, _, _ = draw_trial_batch(1, 0, 2000, cfg, cfg.eta * cfg.lambda_s)
+        g = to_obtainable_sinr(snr, derived_params(cfg))
+        for metric, per_link, sign in (("rate", rate_map(g), 1.0),
+                                       ("ser", ser_map(g, BPSK), -1.0)):
+            want = _all_pairs_positions(per_link, w, sign)
+            assert_same_positions(_exhaustive_positions(g, w, metric, BPSK), want)
