@@ -224,9 +224,7 @@ def _rows_for_size(spec: SweepSpec, n_a: int, n_b: int):
             yield ResultRow(policy=policy, trials=spec.trials, seed=spec.seed,
                             mc_value=est.value, mc_stderr=est.std_error,
                             analytic_value=analytic_value, ceiling_or_floor=limit,
-                            comparisons=comparison_count(
-                                "serial_max" if policy == "serial_max" else "exhaustive",
-                                n_a, n_b),
+                            comparisons=comparison_count(policy, n_a, n_b),
                             **common)
 
 

@@ -83,7 +83,10 @@ def derived_params(cfg: SystemConfig) -> DerivedParams:
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise InvalidRange(f"{x_db} dB overflows a float on the linear scale") from None
 
 
 def linear_to_db(x: float) -> float:

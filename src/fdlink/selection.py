@@ -6,26 +6,20 @@ select().  w weights A->B, and the first pick serves the larger-weight
 direction, a rule written only in by_weight().  The scalar functions are
 T = 1 wrappers that build a SelectionOutcome.
 
-Exhaustive search scores four candidates per trial.  Let h be the
-per-link value signed so that larger is better, M its first maximum, S
-the best entry outside M's row and column (Serial-Max's second pick on
-h), and R, C the best in M's row and in its column.  A feasible pair with
-a link x outside that cross scores no more with M as its other link, and
-no more again with S as x; a pair inside the cross takes one link from
-M's row and one from its column.  w*a + (1-w)*b rounds monotonically for
-0 <= w <= 1, so in floats too the optimum is (M, S), (S, M), (R, C) or
-(C, R): Serial-Max misses it only when both optimal links lie in the
-cross.  A certificate bounds every other pair strictly below the best
-candidate, in three classes: M with another outside entry, via S2, the
-runner-up outside the cross; no M but an outside entry, via h_S and
-m2 = max(h_S, h_R, h_C); the other row/column pairs, via R2 and C2, the
-runners-up in M's row and column.  A certified trial takes the
-lexicographically first candidate that reaches the best.  Other trials,
-trials with a non-finite value, any w outside (0, 1), and sizes where
-(n_a + n_b)**2 is no fewer than the feasible pairs are scored over all
-feasible pairs, so the positions equal full enumeration bit for bit.
-comparison_count("exhaustive", ...) is the paper's count for exhaustive
-search, not this kernel's work.
+Exhaustive search finds each link's best partner.  Let h be the per-link
+value signed so that larger is better, and k = (1-w)*h each link's key.
+The pair (p, q) scores fl(w*h_p + k_q), and rounding is monotone, so p
+scores best with the largest key B(p) outside p's row and column: p's
+best score is fl(w*h_p + B(p)), for every w.  B is two passes of "the
+max without this entry", along each row and then down each column.  ab is
+the first link whose best score is the top one, and ba the first link
+outside ab's row and column that reaches it with ab, so the positions are
+those of scoring every feasible pair in lexicographic order.  np.max and
+np.argmax carry NaN as an argmax over every pair's score would.  The one
+case left out is a pair scored inf - inf, which needs w*h and a key that
+are infinities of opposite signs; finite values with w in [0, 1] never
+give it.  comparison_count("exhaustive", ...) is the paper's count for
+exhaustive search, not this kernel's work.
 
 Because the obtainable-SINR matrix is a positive scaling of the SNR
 matrix, the selected antenna pairs are identical either way.  Ties are
@@ -94,57 +88,52 @@ def _serial_max_positions(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return idx1, idx2, pruned
 
 
-def _all_pairs_positions(
+def _max_but_one(x: np.ndarray) -> np.ndarray:
+    """Entry i is the max over axis 0 of x without x[i], NaN-propagating
+    as np.max is; len(x) >= 2."""
+    out = np.empty_like(x)
+    out[1] = x[0]
+    for i in range(2, len(x)):  # prefix maxima
+        np.maximum(out[i - 1], x[i - 1], out=out[i])
+    suffix = out[0]  # gathers the suffix maxima, ending as max(x[1:])
+    suffix[...] = x[-1]
+    for i in range(len(x) - 2, 0, -1):
+        np.maximum(out[i], suffix, out=out[i])
+        np.maximum(suffix, x[i], out=suffix)
+    return out
+
+
+def _best_partner_positions(
     per_link: np.ndarray, w: float, sign: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """First maximum of sign * (w*a + (1-w)*b) over every feasible pair of
     (T, n_a, n_b) per-link values: flat positions (ab, ba) in different rows
-    and columns, in lexicographic order, the tie-break on (i_t, j_r, i_r, j_t)."""
+    and columns, the tie-break on (i_t, j_r, i_r, j_t); see the module docstring."""
     t, n_a, n_b = per_link.shape
-    n = n_a * n_b
-    ab, ba = np.divmod(np.arange(n * n), n)
-    feasible = (ab // n_b != ba // n_b) & (ab % n_b != ba % n_b)
-    ab, ba = ab[feasible], ba[feasible]
-    flat = per_link.reshape(t, n)
-    best = np.argmax(sign * (w * flat[:, ab] + (1.0 - w) * flat[:, ba]), axis=1)
-    return ab[best], ba[best]
-
-
-def _cross_positions(
-    per_link: np.ndarray, w: float, sign: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """_all_pairs_positions bit for bit, from the candidates (M, S), (S, M),
-    (R, C) and (C, R) wherever the certificate holds; see the module docstring."""
-    t, n_a, n_b = per_link.shape
-    if not 0.0 < w < 1.0:
-        return _all_pairs_positions(per_link, w, sign)
-    n, rows, w1 = n_a * n_b, np.arange(t), 1.0 - w
-    # negation is exact, so w*h_p + w1*h_q is sign times the all-pairs score
-    h = sign * np.ascontiguousarray(per_link)
-    flat = h.reshape(t, n)  # a view of h
-    finite = np.isfinite(flat).all(axis=1)
-    flat[~finite] = 0.0  # scored by the all-pairs pass below
-    m = np.argmax(flat, axis=1)
-    hm, (im, jm) = flat[rows, m], np.divmod(m, n_b)
-    row, col = h[rows, im], h[rows, :, jm]
-    # h keeps the entries outside M's cross; row and col all but M
-    h[rows, im] = h[rows, :, jm] = row[rows, jm] = col[rows, im] = -np.inf
-    jr, ic, s = row.argmax(axis=1), col.argmax(axis=1), flat.argmax(axis=1)
-    (hr2, hr), (hc2, hc), (hs2, hs) = (np.partition(x, -2)[:, -2:].T for x in (row, col, flat))
-    r, c = im * n_b + jr, ic * n_b + jm
-    ab, ba = np.stack([m, s, r, c], axis=1), np.stack([s, m, c, r], axis=1)
-    obj = w * np.stack([hm, hs, hr, hc], axis=1) + w1 * np.stack([hs, hm, hc, hr], axis=1)
-    top = obj.max(axis=1)
-    pick = np.argmin(np.where(obj == top[:, None], ab * n + ba, n * n), axis=1)
-    ab, ba = ab[rows, pick], ba[rows, pick]
-    # each (u, v) bounds one class of the other pairs, in either order
-    u = np.stack([hm, np.maximum(hs, np.maximum(hr, hc)), hr2, hr], axis=1)
-    v = np.stack([hs2, hs, hc, hc2], axis=1)
-    bound = np.maximum(w * u + w1 * v, w * v + w1 * u).max(axis=1)
-    exact = finite & (bound < top)
-    if not exact.all():
-        ab[~exact], ba[~exact] = _all_pairs_positions(per_link[~exact], w, sign)
+    n, trials = n_a * n_b, np.arange(t)
+    # trials last, so every step is elementwise over the trials; negation
+    # is exact, so a_p + k_q is sign times the score of the pair (p, q)
+    a = per_link.transpose(1, 2, 0).copy()
+    k = (sign * (1.0 - w)) * a
+    a *= sign * w
+    # the largest key outside each link's row and column
+    best_key = _max_but_one(_max_but_one(k.swapaxes(0, 1)).swapaxes(0, 1))
+    score = np.add(a, best_key, out=best_key).reshape(n, t)
+    ab = score.argmax(axis=0)
+    top = score[ab, trials]
+    with np.errstate(invalid="ignore"):  # an infeasible q may meet inf - inf
+        s = np.add(k, a.reshape(n, t)[ab, trials], out=k)
+    # ba: the first feasible partner that reaches the top score with ab, or
+    # a NaN score where the top score is NaN, as argmax takes the first NaN
+    i, j = np.divmod(ab, n_b)
+    feasible = (np.arange(n_a)[:, None, None] != i) & (np.arange(n_b)[:, None] != j)
+    ba = (((s >= top) | (s != s)) & feasible).reshape(n, t).argmax(axis=0)
     return ab, ba
+
+
+# trials per kernel call: its temporaries stay in cache, and memory does
+# not grow with the trial count
+_BLOCK = 4096
 
 
 def _exhaustive_positions(
@@ -153,11 +142,13 @@ def _exhaustive_positions(
     """Per-trial (ab, ba) flat positions of the best feasible pair of
     (T, n_a, n_b) matrices: the largest weighted sum rate for metric
     "rate", the smallest weighted sum SER for "ser"."""
-    n_a, n_b = g.shape[1:]
-    # for SER, the argmax of the negated objective is the argmin
-    per_link, sign = (rate_map(g), 1.0) if metric == "rate" else (ser_map(g, mod), -1.0)
-    small = (n_a + n_b) ** 2 >= n_a * n_b * (n_a - 1) * (n_b - 1)
-    return (_all_pairs_positions if small else _cross_positions)(per_link, w, sign)
+    ab, ba = np.empty(len(g), np.intp), np.empty(len(g), np.intp)
+    for lo in range(0, len(g), _BLOCK):
+        block = g[lo:lo + _BLOCK]
+        # for SER, the argmax of the negated objective is the argmin
+        per_link, sign = (rate_map(block), 1.0) if metric == "rate" else (ser_map(block, mod), -1.0)
+        ab[lo:lo + _BLOCK], ba[lo:lo + _BLOCK] = _best_partner_positions(per_link, w, sign)
+    return ab, ba
 
 
 POLICIES = ("max_wsr", "min_wser", "serial_max")
@@ -194,12 +185,11 @@ def _outcome(
     ab, ba = (int(p[0]) for p in select(g[None], w, policy, mod))
     (i_t, j_r), (i_r, j_t) = divmod(ab, n_b), divmod(ba, n_b)
     first, second = by_weight(g[i_t, j_r], g[i_r, j_t], w)
-    method = "serial_max" if policy == "serial_max" else "exhaustive"
     return SelectionOutcome(
         selection=LinkSelection(ab_link=(i_t, j_r), ba_link=(j_t, i_r)),
         gamma_first=float(first),
         gamma_second=float(second),
-        comparisons_used=comparison_count(method, n_a, n_b),
+        comparisons_used=comparison_count(policy, n_a, n_b),
     )
 
 
@@ -255,10 +245,11 @@ def p_not_upper_bound(n_a: int, n_b: int) -> float:
 
 
 def comparison_count(method: str, n_a: int, n_b: int) -> int:
-    """Comparisons needed by a selection method on an n_a x n_b matrix."""
+    """Comparisons needed by a selection method on an n_a x n_b matrix:
+    "serial_max", or "exhaustive" search, which max_wsr and min_wser run."""
     if n_a < 2 or n_b < 2:
         raise MatrixTooSmall(f"need n_a, n_b >= 2, got ({n_a}, {n_b})")
-    if method == "exhaustive":
+    if method in ("exhaustive", "max_wsr", "min_wser"):
         return n_a * n_b * (n_a - 1) * (n_b - 1) // 2
     if method == "serial_max":
         return 2 * n_a * n_b - n_a - n_b + 1

@@ -204,6 +204,18 @@ def test_main_rejects_config_with_other_modulation(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_rejects_config_whose_snr_overflows(tmp_path, capsys):
+    # 10**(4000/10) overflows a float before any range check sees it
+    cfg_file = tmp_path / "sys.cfg"
+    cfg_file.write_text("n_a = 2\nn_b = 3\nsnr_db = 4000\neta = 0.1\nw = 0.6\n")
+    out = tmp_path / "cfg.csv"
+    rc = main(["--metric", "wsr", "--config", str(cfg_file), "--trials", "50",
+               "--out", str(out)])
+    assert rc == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("w", [0.3, 0.7])
 def test_cdf_sweep_pairs_each_link_with_its_closed_form(tmp_path, w):
     out = tmp_path / "cdf.csv"
@@ -260,13 +272,14 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     ["--metric", "wsr", "--snr-db", "nan"],
     ["--metric", "wsr", "--snr-db", "1e400"],
     ["--metric", "wsr", "--snr-db", "3075"],
+    ["--metric", "wsr", "--snr-db", "4000"],
     ["--preset", "fig2", "--na", "0"],
     ["--metric", "wsr", "--snr-db", "0:1e300:1e-300"],
     ["--metric", "wsr", "--snr-db", "0:100:0.001"],
     ["--metric", "wsr", "--seed", "-1"],
     ["--metric", "wsr", "--seed", str(2**128)],
-], ids=["eta", "w", "na", "snr-nan", "snr-inf", "snr-overflow", "preset-na-0", "range-inf", "range-long",
-        "seed-neg", "seed-2**128"])
+], ids=["eta", "w", "na", "snr-nan", "snr-inf", "snr-overflow", "snr-db-overflow", "preset-na-0",
+        "range-inf", "range-long", "seed-neg", "seed-2**128"])
 def test_main_rejects_bad_grid_input(tmp_path, capsys, args):
     out = tmp_path / "x.csv"
     rc = main(args + ["--trials", "10", "--out", str(out)])

@@ -98,6 +98,8 @@ def test_db_round_trip():
         assert math.isclose(linear_to_db(db_to_linear(x_db)), x_db, rel_tol=1e-12, abs_tol=1e-12)
     with pytest.raises(InvalidRange):
         linear_to_db(0.0)
+    with pytest.raises(InvalidRange):
+        db_to_linear(4000.0)  # 1e400 overflows
 
 
 def test_load_config_round_trip(tmp_path):

@@ -23,8 +23,7 @@ from fdlink.config import SystemConfig, derived_params, validate_config
 from fdlink.errors import DegenerateSize, MatrixTooSmall
 from fdlink.selection import (
     POLICIES,
-    _all_pairs_positions,
-    _cross_positions,
+    _best_partner_positions,
     _exhaustive_positions,
     _serial_max_positions,
     by_weight,
@@ -47,6 +46,20 @@ def brute_force_best(g, w, metric, maximize):
         if best is None or (obj > best if maximize else obj < best):
             best, best_pair = obj, (i_t, j_r, i_r, j_t)
     return best, best_pair
+
+
+def _all_pairs_positions(per_link, w, sign):
+    """Vectorized oracle: first maximum of sign * (w*a + (1-w)*b) over every
+    feasible pair of (T, n_a, n_b) per-link values, scored in lexicographic
+    order: flat positions (ab, ba), the tie-break on (i_t, j_r, i_r, j_t)."""
+    t, n_a, n_b = per_link.shape
+    n = n_a * n_b
+    ab, ba = np.divmod(np.arange(n * n), n)
+    feasible = (ab // n_b != ba // n_b) & (ab % n_b != ba % n_b)
+    ab, ba = ab[feasible], ba[feasible]
+    flat = per_link.reshape(t, n)
+    best = np.argmax(sign * (w * flat[:, ab] + (1.0 - w) * flat[:, ba]), axis=1)
+    return ab[best], ba[best]
 
 
 def brute_force_max_wsr(g, w):
@@ -181,6 +194,8 @@ def test_p_not_bound_degenerate():
         ("serial_max", 3, 3, 13),
         ("serial_max", 2, 2, 5),
         ("exhaustive", 4, 5, 120),
+        ("max_wsr", 4, 5, 120),
+        ("min_wser", 3, 3, 18),
     ],
 )
 def test_comparison_count(method, n_a, n_b, expected):
@@ -333,11 +348,11 @@ def integer_stacks(hi):
 
 
 @settings(max_examples=150, deadline=None)
-@given(g=st.one_of(integer_stacks(3), integer_stacks(10**6)), w=st.floats(0.05, 0.95))
+@given(g=st.one_of(integer_stacks(3), integer_stacks(10**6)), w=st.floats(0.0, 1.0))
 def test_batched_kernels_match_oracles(g, w):
     # random and tie-heavy small-integer stacks; each trial's positions must
-    # be exactly the oracle's, lexicographic tie-break included.  Sizes up
-    # to 6x6 take both the cross-pair kernel and the all-pairs path
+    # be exactly the oracle's, lexicographic tie-break included, at every
+    # size up to 6x6 and every weight in [0, 1], the end points included
     t, n_a, n_b = g.shape
 
     def flat(i, j):
@@ -362,8 +377,8 @@ def test_batched_kernels_match_oracles(g, w):
 
 
 def test_exhaustive_falls_back_when_every_ser_underflows():
-    # every SER is 0, so every feasible pair ties and no cross-pair answer
-    # can be certified: the kernel must return the first feasible pair
+    # every SER is 0, so every feasible pair ties and every link's best
+    # score is the same: the kernel must return the first feasible pair
     n_a, n_b = 4, 5
     rng = np.random.default_rng(3)
     g = 1e4 + np.stack([rng.permutation(n_a * n_b) for _ in range(4)]).reshape(4, n_a, n_b)
@@ -405,14 +420,27 @@ def test_exhaustive_tie_at_the_top_k_boundary():
 
 @pytest.mark.parametrize("w", [0.7, 1.3, -0.2])
 def test_exhaustive_matches_all_pairs_off_the_physical_domain(w):
-    # a weight outside [0, 1] or a NaN entry voids the cross-pair argument; the
-    # kernel must still return what scoring every feasible pair returns
+    # a weight outside [0, 1] (a negative key or pick weight) or a NaN entry
+    # (NaN wins the argmax); the kernel must still return what scoring every
+    # feasible pair returns
     g = np.random.default_rng(1).exponential(1.0, (200, 5, 5))
     g[::2, 4, 4] = np.nan
     for metric, per_link, sign in (("rate", rate_map(g), 1.0), ("ser", ser_map(g, BPSK), -1.0)):
         ab, ba = _exhaustive_positions(g, w, metric, BPSK)
         ref_ab, ref_ba = _all_pairs_positions(per_link, w, sign)
         assert np.array_equal(ab, ref_ab) and np.array_equal(ba, ref_ba)
+
+
+@pytest.mark.parametrize("w", [1.3, -0.2])
+def test_exhaustive_with_one_infinite_rate_off_the_physical_domain(w):
+    # one infinite rate per trial: w*h and (1-w)*h are infinities of opposite
+    # signs, yet no feasible pair scores inf - inf, so the all-pairs pass is
+    # warning-free; so must the kernel be, though it adds the two at ab itself
+    rng = np.random.default_rng(2)
+    g = rng.exponential(1.0, (300, 4, 5))
+    g.reshape(300, 20)[np.arange(300), rng.integers(0, 20, 300)] = np.inf
+    ab, ba = _exhaustive_positions(g, w, "rate", None)
+    assert_same_positions((ab, ba), _all_pairs_positions(rate_map(g), w, 1.0))
 
 
 def cross_candidates(h):
@@ -456,13 +484,11 @@ def assert_same_positions(got, want):
 
 @pytest.mark.parametrize("n_a,n_b", [(2, n) for n in range(2, 8)] + [(n, 2) for n in range(3, 8)])
 def test_cross_kernel_on_two_row_and_two_column_shapes(n_a, n_b):
-    # 2 x n has no C2 and n x 2 no R2 (M's column or row holds just M and
-    # one more entry); 2 x 2 has no S2 either.  A missing runner-up (-inf)
-    # would give 0 * -inf at w = 0 or 1 and inf - inf next to an infinite
-    # rate: the kernel hands those weights and non-finite trials to the
-    # all-pairs pass, warning-free.  (The all-pairs pass itself meets
-    # 0 * inf when w is 0 or 1 and a rate is infinite, so those two never
-    # meet here.)
+    # 2 x n and n x 2: "the max without this entry" runs over two entries
+    # along one axis, and on 2 x 2 a link has one feasible partner.  The
+    # inf and NaN trials must pick what the all-pairs argmax picks, with no
+    # RuntimeWarning.  (The all-pairs pass itself meets 0 * inf when w is
+    # 0 or 1 and a rate is infinite, so those two never meet here.)
     rng = np.random.default_rng(n_a * 10 + n_b)
     g = np.concatenate([rng.exponential(10.0, (400, n_a, n_b)),
                         rng.integers(0, 3, (400, n_a, n_b)).astype(float)])
@@ -474,15 +500,15 @@ def test_cross_kernel_on_two_row_and_two_column_shapes(n_a, n_b):
         for per_link, sign in ((rate_map(stack), 1.0), (ser_map(stack, BPSK), -1.0)):
             for w in weights:
                 want = _all_pairs_positions(per_link, w, sign)
-                assert_same_positions(_cross_positions(per_link, w, sign), want)
+                assert_same_positions(_best_partner_positions(per_link, w, sign), want)
 
 
 @pytest.mark.parametrize("w", [0.7, 0.3])
 def test_cross_kernel_rounding_tie_with_an_earlier_pair(w):
     # M = (0, 0); S = (1, 2) and S' = (1, 1) lie outside M's cross, with
-    # h_S' one rounding below h_S.  (M, S') is no candidate, yet its score
-    # rounds to that of (M, S) and it comes first, so it is the answer;
-    # only the certificate (class 1, via S2 = S') sees this
+    # h_S' one rounding below h_S.  (M, S') scores what (M, S) scores once
+    # rounded, and it comes first, so it is the answer: the first pair to
+    # reach the top score, not the pair whose link has the larger value
     g = np.full((3, 4), 0.01)
     g[0, 0] = 1023.0
     g[0, 1:], g[1:, 0] = (0.1, 0.2, 0.3), (0.4, 0.5)
@@ -495,16 +521,17 @@ def test_cross_kernel_rounding_tie_with_an_earlier_pair(w):
     assert early == late
     want = ([0], [5]) if w >= 0.5 else ([5], [0])
     assert_same_positions(_all_pairs_positions(h[None], w, 1.0), want)
-    assert_same_positions(_cross_positions(h[None], w, 1.0), want)
+    assert_same_positions(_best_partner_positions(h[None], w, 1.0), want)
     assert_same_positions(_exhaustive_positions(g[None], w, "rate", None), want)
 
 
 @pytest.mark.parametrize("w", [0.7, 0.3, 0.5, 0.0, 1.0])
 def test_cross_kernel_matches_all_pairs_on_drawn_stacks(w):
-    # real draws; in the SER stacks w*h_M is often absorbed, so pairs tie
-    # and trials fall back (about 90 % of them at 6x6, 25 dB, eta = 0)
+    # real draws; in the eta = 0 SER stacks w*h_M is often absorbed, so
+    # several pairs reach the top score: in about 90 % of the w = 0.7 trials
+    # at 6x6, 25 dB, and in every trial at 30 and 40 dB
     for n_a, n_b, snr_db, eta in ((4, 4, 20.0, 0.05), (5, 5, 18.0, 0.02), (6, 6, 25.0, 0.0),
-                                  (4, 6, 10.0, 0.1)):
+                                  (6, 6, 30.0, 0.0), (6, 6, 40.0, 0.0), (4, 6, 10.0, 0.1)):
         cfg = validate_config(SystemConfig(n_a=n_a, n_b=n_b, lambda_s=10 ** (snr_db / 10),
                                            eta=eta, w=0.7))
         snr, _, _ = draw_trial_batch(1, 0, 2000, cfg, cfg.eta * cfg.lambda_s)
