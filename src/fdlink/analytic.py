@@ -7,7 +7,9 @@ F(x) = sum_c A_c e^(-c x/lambda_s) / (1 + c eta x) / D over c = 0..nn = n_a*n_b,
 with exact integer coefficients A_c over a shared denominator D, built
 once per array size with Python ints (_coefficients).  Every average,
 ceiling and floor integrates that sum term by term, so it is
-sum_c A_c K(c) / D with a kernel K that alone differs between them:
+sum_c A_c K(c) / D with a kernel K that alone differs between them.  K
+depends on c and the config, never on the link, so each call evaluates
+K(1..nn) once and sums both links' tables from that one kernel vector:
 
 - rate:    [S(u) - S(x0)] / (1 - c eta) / ln 2, with S(x) = e^x E1(x),
            u = 1/(eta lambda_s) and x0 = c/lambda_s; where 1 - c eta is
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -235,19 +238,30 @@ def quadrature_avg_ser(
 # closed-form averages
 
 
-def _table_sum(cfg: SystemConfig, link: str, kernel, constant=0) -> AnalyticValue:
-    """constant + sum_{c>=1} A_c K(c) / D.  Called inside mpmath.workdps(_DPS);
-    kernel(c) returns an mpf at that precision."""
-    denom, _, table = _coefficients(cfg.n_a, cfg.n_b, link)
-    terms = [mpmath.mpf(constant)]
-    terms += [a * kernel(c) / denom for c, a in enumerate(table) if c and a]
-    value = mpmath.fsum(terms)
-    max_term = max(abs(t) for t in terms)
-    return AnalyticValue(
-        value=float(value),
-        max_term_magnitude=float(max_term),
-        cancellation_flag=max_term > abs(value) * 10 ** (_DPS - _DOUBLE_DIGITS),
-    )
+def _link_sums(cfg: SystemConfig, kind: str, links=("ab", "ba")) -> list[AnalyticValue]:
+    """The rate, ceiling, SER or floor (kind) of each link: constant + sum_{c>=1}
+    A_c K(c) / D over the link's table, with K, constant = _KERNELS[kind](cfg)
+    built inside one mpmath.workdps(_DPS) block.  K(c) depends on c and cfg
+    alone, so K(1..nn) is evaluated once for every link."""
+    _check_closed_form_size(cfg)
+    if cfg.eta == 0.0:
+        # u = 1/(eta*lambda_s) is infinite; integrate the eta = 0 CDF instead
+        cdfs = [functools.partial(_cdf, cfg=cfg, link=link) for link in links]
+        values = [quadrature_avg_rate(f) if kind == "rate" else
+                  quadrature_avg_ser(f, cfg.modulation) for f in cdfs]
+        return [AnalyticValue(v, abs(v), False) for v in values]
+    sums = []
+    with mpmath.workdps(_DPS):
+        kernel, constant = _KERNELS[kind](cfg)
+        vector = [kernel(c) for c in range(1, cfg.nn + 1)]
+        for link in links:
+            denom, _, table = _coefficients(cfg.n_a, cfg.n_b, link)
+            terms = [mpmath.mpf(constant)] + [a * k / denom for a, k in zip(table[1:], vector) if a]
+            value = mpmath.fsum(terms)
+            max_term = max(abs(t) for t in terms)
+            flag = max_term > abs(value) * 10 ** (_DPS - _DOUBLE_DIGITS)
+            sums.append(AnalyticValue(float(value), float(max_term), flag))
+    return sums
 
 
 def _combine(cfg: SystemConfig, first: AnalyticValue, second: AnalyticValue) -> AnalyticValue:
@@ -271,44 +285,66 @@ def _vouched(result: AnalyticValue, what: str) -> float:
     return result.value
 
 
-def _s(x):
-    # S(x) = e^x E1(x)
-    return mpmath.exp(x) * mpmath.e1(x)
+def _rate_kernel(cfg: SystemConfig):
+    eta, lam = mpmath.mpf(cfg.eta), mpmath.mpf(cfg.lambda_s)
+    s = lambda x: mpmath.exp(x) * mpmath.e1(x)  # noqa: E731  S(x) = e^x E1(x)
+    s_u = s(1 / (eta * lam))
+
+    def kernel(c):
+        # at c*eta = 1 exactly, u = x0 and the quotient's limit is
+        # x0 S'(x0) = x0 S(x0) - 1
+        x0, d = c / lam, 1 - c * eta
+        s_x0 = s(x0)
+        return ((s_u - s_x0) / d if d else x0 * s_x0 - 1) / mpmath.ln2
+
+    return kernel, 0
 
 
-def _avg_rate(cfg: SystemConfig, link: str) -> AnalyticValue:
-    _check_closed_form_size(cfg)
-    if cfg.eta == 0.0:
-        # u = 1/(eta*lambda_s) is infinite; integrate the eta = 0 CDF instead
-        value = quadrature_avg_rate(lambda x: _cdf(x, cfg, link))
-        return AnalyticValue(value=value, max_term_magnitude=abs(value), cancellation_flag=False)
-    with mpmath.workdps(_DPS):
-        eta, lam = mpmath.mpf(cfg.eta), mpmath.mpf(cfg.lambda_s)
-        s_u = _s(1 / (eta * lam))
+def _ceiling_kernel(cfg: SystemConfig):
+    eta = mpmath.mpf(cfg.eta)
 
-        def kernel(c):
-            # at c*eta = 1 exactly, u = x0 and the quotient's limit is
-            # x0 S'(x0) = x0 S(x0) - 1
-            x0, d = c / lam, 1 - c * eta
-            s_x0 = _s(x0)
-            return ((s_u - s_x0) / d if d else x0 * s_x0 - 1) / mpmath.ln2
+    def kernel(c):
+        d = 1 - c * eta
+        return (mpmath.log(c * eta) / d if d else -1) / mpmath.ln2
 
-        return _table_sum(cfg, link, kernel)
+    return kernel, 0
+
+
+def _ser_kernel(cfg: SystemConfig, floor: bool = False):
+    mod = cfg.modulation
+    alpha, beta = mpmath.mpf(mod.alpha_mod), mpmath.mpf(mod.beta_mod)
+    eta = mpmath.mpf(cfg.eta)
+    a = 0 if floor else 1 / (eta * mpmath.mpf(cfg.lambda_s))
+    pre = alpha * mpmath.sqrt(beta * mpmath.pi / 2) / 2
+
+    def kernel(c):
+        # erfcx(z) = e^(z^2) erfc(z) with z^2 squared exactly, since a
+        # rounded square would cost log10(z^2) digits of the product
+        z = mpmath.sqrt(a + beta / (2 * c * eta))
+        erfcx_z = mpmath.exp(mpmath.fmul(z, z, exact=True)) * mpmath.erfc(z)
+        return pre * erfcx_z / mpmath.sqrt(c * eta)
+
+    # the c = 0 constant of the CDF integrates to alpha/2
+    return kernel, alpha / 2
+
+
+_KERNELS = {"rate": _rate_kernel, "ceiling": _ceiling_kernel, "ser": _ser_kernel,
+            "floor": functools.partial(_ser_kernel, floor=True)}
 
 
 def avg_rate_ab(cfg: SystemConfig) -> AnalyticValue:
     """Average rate of the first pick (the larger-weight direction)."""
-    return _avg_rate(cfg, "ab")
+    return _link_sums(cfg, "rate", ("ab",))[0]
 
 
 def avg_rate_ba(cfg: SystemConfig) -> AnalyticValue:
     """Average rate of the second pick (the smaller-weight direction)."""
-    return _avg_rate(cfg, "ba")
+    return _link_sums(cfg, "rate", ("ba",))[0]
 
 
 def avg_weighted_sum_rate(cfg: SystemConfig) -> AnalyticValue:
     """Average weighted sum rate of Serial-Max."""
-    return _combine(cfg, avg_rate_ab(cfg), avg_rate_ba(cfg))
+    return _combine(cfg, *_link_sums(cfg, "rate"))
 
 
 def rate_ceiling(cfg: SystemConfig) -> float:
@@ -316,85 +352,63 @@ def rate_ceiling(cfg: SystemConfig) -> float:
 
     Obtained from the closed forms via E1(eps) ~ -euler_gamma - ln eps:
     each bracket tends to ln(c*eta)."""
-    _check_closed_form_size(cfg)
     if cfg.eta == 0.0:
         raise DomainError("rate ceiling requires eta > 0 (no ceiling under perfect cancellation)")
-    with mpmath.workdps(_DPS):
-        eta = mpmath.mpf(cfg.eta)
-
-        def kernel(c):
-            d = 1 - c * eta
-            return (mpmath.log(c * eta) / d if d else -1) / mpmath.ln2
-
-        ab, ba = (_table_sum(cfg, link, kernel) for link in ("ab", "ba"))
-    return _vouched(_combine(cfg, ab, ba), "rate ceiling")
-
-
-def _avg_ser(cfg: SystemConfig, link: str, floor: bool = False) -> AnalyticValue:
-    """Average SER of one link, or its lambda_s -> inf floor (a = 0)."""
-    _check_closed_form_size(cfg)
-    if cfg.eta == 0.0:
-        value = quadrature_avg_ser(lambda x: _cdf(x, cfg, link), cfg.modulation)
-        return AnalyticValue(value=value, max_term_magnitude=abs(value), cancellation_flag=False)
-    mod = cfg.modulation
-    with mpmath.workdps(_DPS):
-        alpha, beta = mpmath.mpf(mod.alpha_mod), mpmath.mpf(mod.beta_mod)
-        eta = mpmath.mpf(cfg.eta)
-        a = 0 if floor else 1 / (eta * mpmath.mpf(cfg.lambda_s))
-        pre = alpha * mpmath.sqrt(beta * mpmath.pi / 2) / 2
-
-        def kernel(c):
-            # erfcx(z) = e^(z^2) erfc(z) with z^2 squared exactly, since a
-            # rounded square would cost log10(z^2) digits of the product
-            z = mpmath.sqrt(a + beta / (2 * c * eta))
-            erfcx_z = mpmath.exp(mpmath.fmul(z, z, exact=True)) * mpmath.erfc(z)
-            return pre * erfcx_z / mpmath.sqrt(c * eta)
-
-        # the c = 0 constant of the CDF integrates to alpha/2
-        return _table_sum(cfg, link, kernel, constant=alpha / 2)
+    return _vouched(_combine(cfg, *_link_sums(cfg, "ceiling")), "rate ceiling")
 
 
 def avg_ser_ab(cfg: SystemConfig) -> AnalyticValue:
     """Average SER of the first pick (the larger-weight direction)."""
-    return _avg_ser(cfg, "ab")
+    return _link_sums(cfg, "ser", ("ab",))[0]
 
 
 def avg_ser_ba(cfg: SystemConfig) -> AnalyticValue:
     """Average SER of the second pick (the smaller-weight direction)."""
-    return _avg_ser(cfg, "ba")
+    return _link_sums(cfg, "ser", ("ba",))[0]
 
 
 def avg_weighted_sum_ser(cfg: SystemConfig) -> AnalyticValue:
     """Average weighted sum SER of Serial-Max."""
-    return _combine(cfg, avg_ser_ab(cfg), avg_ser_ba(cfg))
+    return _combine(cfg, *_link_sums(cfg, "ser"))
 
 
 def ser_floor(cfg: SystemConfig) -> float:
     """Limit of the average weighted sum SER as lambda_s -> inf (a = 0)."""
-    _check_closed_form_size(cfg)
     if cfg.eta == 0.0:
         raise DomainError("SER floor requires eta > 0 (no floor under perfect cancellation)")
-    ab, ba = (_avg_ser(cfg, link, floor=True) for link in ("ab", "ba"))
-    return _vouched(_combine(cfg, ab, ba), "SER floor")
+    return _vouched(_combine(cfg, *_link_sums(cfg, "floor")), "SER floor")
 
 
 # ---------------------------------------------------------------------------
 # perfect-cancellation asymptotics
 
 
-def asymptotic_ser_generic(
-    n_order: int, zeta: float, lam: float, mod: ModulationParams
-) -> float:
+def _over_power(x, scale: float, base: float, n: int):
+    """x / (scale * base**n).  Where that denominator leaves the normal float
+    range the quotient may still fit, so it is scaled by base's binary
+    exponent instead: base = m * 2**e, x / (scale * m**n) * 2**(-e*n)."""
+    try:
+        if sys.float_info.min <= (denom := scale * base**n) < math.inf:
+            return x / denom
+    except OverflowError:
+        pass
+    m, e = math.frexp(base)
+    try:
+        return math.ldexp(x / (scale * m**n), -e * n)
+    except OverflowError:
+        return math.inf
+
+
+def asymptotic_ser_generic(n_order: int, zeta: float, lam: float, mod: ModulationParams) -> float:
     """High-SNR SER of a link whose SINR density opens as zeta*x^N/lam^(N+1)."""
     if n_order < 0 or lam <= 0:
         raise DomainError("need n_order >= 0 and lam > 0")
     n = n_order
-    return (
-        2.0**n
-        * mod.alpha_mod
-        * zeta
-        * gamma_fn(n + 1.5)
-        / (math.sqrt(math.pi) * (n + 1) * (mod.beta_mod * lam) ** (n + 1))
+    return _over_power(
+        2.0**n * mod.alpha_mod * zeta * gamma_fn(n + 1.5),
+        math.sqrt(math.pi) * (n + 1),
+        mod.beta_mod * lam,
+        n + 1,
     )
 
 
@@ -409,21 +423,13 @@ def asymptotic_ser_perfect_cancellation(
         raise RequiresPerfectCancellation(f"eta must be 0, got {cfg.eta}")
     nn, n_a, n_b = cfg.nn, cfg.n_a, cfg.n_b
     mod = cfg.modulation
-    u1 = (
-        2.0 ** (nn - 1)
-        * mod.alpha_mod
-        * gamma_fn(nn + 0.5)
-        / (mod.beta_mod**nn * math.sqrt(math.pi))
-    )
+    sqrt_pi = math.sqrt(math.pi)
+    u1 = 2.0 ** (nn - 1) * mod.alpha_mod * gamma_fn(nn + 0.5) / (mod.beta_mod**nn * sqrt_pi)
     m_div = (n_a - 1) * (n_b - 1)
-    u2 = (
-        2.0 ** (nn - n_a - n_b)
-        * mod.alpha_mod
-        * gamma_fn(m_div + 0.5)
-        * binom(nn, m_div)
-        / (mod.beta_mod**m_div * math.sqrt(math.pi) * binom(nn - 1, n_a + n_b - 2))
-    )
-    ser_ab = u1 / lambda_s**nn
-    ser_ba = u2 / lambda_s**m_div
-    weighted = by_weight(cfg.w, 1.0 - cfg.w, cfg.w)[1] * u2 / lambda_s**m_div  # smaller weight
+    u2 = (2.0 ** (nn - n_a - n_b) * mod.alpha_mod * gamma_fn(m_div + 0.5) * binom(nn, m_div)
+          / (mod.beta_mod**m_div * sqrt_pi * binom(nn - 1, n_a + n_b - 2)))
+    ser_ab = _over_power(u1, 1.0, lambda_s, nn)
+    ser_ba = _over_power(u2, 1.0, lambda_s, m_div)
+    small_w = by_weight(cfg.w, 1.0 - cfg.w, cfg.w)[1]
+    weighted = _over_power(small_w * u2, 1.0, lambda_s, m_div)
     return ser_ab, ser_ba, weighted

@@ -10,7 +10,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 
-from .errors import InvalidAntennaCount, InvalidRange
+from .errors import InvalidAntennaCount, InvalidRange, IoError
 
 # Draws are lambda * -log1p(-u) with u <= 1 - 2**-53, so at most
 # lambda * 53 ln 2; any larger lambda_s can overflow a draw to inf.
@@ -104,19 +104,23 @@ def load_config(path: str) -> SystemConfig:
     Lines look like ``key = value``; '#' starts a comment.  Either
     ``lambda_s`` (linear) or ``snr_db`` may be given for the average SNR.
     """
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise IoError(f"cannot read config {path}: {exc}") from exc
     values: dict[str, float] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidRange(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise InvalidRange(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = float(val)
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidRange(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise InvalidRange(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = float(val)
 
     if "snr_db" in values and "lambda_s" in values:
         raise InvalidRange("give either lambda_s or snr_db, not both")

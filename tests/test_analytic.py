@@ -1,6 +1,9 @@
+import collections
 import math
+import types
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -29,6 +32,8 @@ from fdlink import (
     validate_config,
     with_lambda_s,
 )
+from fdlink import analytic
+from fdlink.analytic import AnalyticValue
 from fdlink.errors import DomainError, RequiresPerfectCancellation
 
 
@@ -350,6 +355,137 @@ def test_limits_require_residual_interference():
 
 
 # ---------------------------------------------------------------------------
+# one kernel vector for both links, against one kernel call per c per link
+
+
+def per_link_sum(cfg, link, kernel, constant=0):
+    """constant + sum_{c>=1} A_c K(c) / D of one link, calling kernel(c) for
+    that link alone, term by term as the closed forms sum."""
+    denom, _, table = analytic._coefficients(cfg.n_a, cfg.n_b, link)
+    terms = [mpmath.mpf(constant)]
+    terms += [a * kernel(c) / denom for c, a in enumerate(table) if c and a]
+    value = mpmath.fsum(terms)
+    max_term = max(abs(t) for t in terms)
+    spare = analytic._DPS - analytic._DOUBLE_DIGITS
+    return AnalyticValue(float(value), float(max_term), max_term > abs(value) * 10**spare)
+
+
+def per_link_rate(cfg, link):
+    with mpmath.workdps(analytic._DPS):
+        eta, lam = mpmath.mpf(cfg.eta), mpmath.mpf(cfg.lambda_s)
+        s = lambda x: mpmath.exp(x) * mpmath.e1(x)  # noqa: E731
+        s_u = s(1 / (eta * lam))
+
+        def kernel(c):
+            x0, d = c / lam, 1 - c * eta
+            return ((s_u - s(x0)) / d if d else x0 * s(x0) - 1) / mpmath.ln2
+
+        return per_link_sum(cfg, link, kernel)
+
+
+def per_link_ceiling(cfg, link):
+    with mpmath.workdps(analytic._DPS):
+        eta = mpmath.mpf(cfg.eta)
+
+        def kernel(c):
+            d = 1 - c * eta
+            return (mpmath.log(c * eta) / d if d else -1) / mpmath.ln2
+
+        return per_link_sum(cfg, link, kernel)
+
+
+def per_link_ser(cfg, link, floor=False):
+    mod = cfg.modulation
+    with mpmath.workdps(analytic._DPS):
+        alpha, beta = mpmath.mpf(mod.alpha_mod), mpmath.mpf(mod.beta_mod)
+        eta = mpmath.mpf(cfg.eta)
+        a = 0 if floor else 1 / (eta * mpmath.mpf(cfg.lambda_s))
+        pre = alpha * mpmath.sqrt(beta * mpmath.pi / 2) / 2
+
+        def kernel(c):
+            z = mpmath.sqrt(a + beta / (2 * c * eta))
+            erfcx_z = mpmath.exp(mpmath.fmul(z, z, exact=True)) * mpmath.erfc(z)
+            return pre * erfcx_z / mpmath.sqrt(c * eta)
+
+        return per_link_sum(cfg, link, kernel, constant=alpha / 2)
+
+
+def bits(result):
+    return result.value.hex(), result.max_term_magnitude.hex(), result.cancellation_flag
+
+
+def vouched_result(limit, cfg, monkeypatch):
+    """The AnalyticValue a ceiling or floor vouches for, and its return value."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "_vouched", lambda result, what: seen.append(result) or result.value)
+        value = limit(cfg)
+    assert value == seen[0].value
+    return seen[0]
+
+
+KERNEL_SIZES = [(n_a, n_b) for n_a in range(2, 7) for n_b in range(2, 7)] + [(4, 9)]
+
+
+@pytest.mark.parametrize("n_a,n_b", KERNEL_SIZES, ids=[f"{a}x{b}" for a, b in KERNEL_SIZES])
+def test_shared_kernel_vector_matches_per_link_kernels_bitwise(n_a, n_b, monkeypatch):
+    # 0.25 = 1/4 exactly, so 1 - 4*eta vanishes and the rate takes its limit
+    links = ("ab", "ba")
+    for eta in (0.02, 0.05, 0.1, 0.11, 0.2, 0.25):
+        cfg = make_cfg(n_a=n_a, n_b=n_b, eta=eta)
+        limits = ((rate_ceiling, [per_link_ceiling(cfg, link) for link in links]),
+                  (ser_floor, [per_link_ser(cfg, link, floor=True) for link in links]))
+        for w in (0.3, 0.7):
+            cfg_w = make_cfg(n_a=n_a, n_b=n_b, eta=eta, w=w)
+            for limit, per_link in limits:
+                expected = analytic._combine(cfg_w, *per_link)
+                assert bits(vouched_result(limit, cfg_w, monkeypatch)) == bits(expected)
+        for lam in (10.0, 1e3, 1e8):
+            cfg = make_cfg(n_a=n_a, n_b=n_b, lambda_s=lam, eta=eta)
+            rates = [per_link_rate(cfg, link) for link in links]
+            sers = [per_link_ser(cfg, link) for link in links]
+            assert [bits(avg_rate_ab(cfg)), bits(avg_rate_ba(cfg))] == [bits(r) for r in rates]
+            assert [bits(avg_ser_ab(cfg)), bits(avg_ser_ba(cfg))] == [bits(r) for r in sers]
+            for w in (0.3, 0.7):
+                cfg_w = make_cfg(n_a=n_a, n_b=n_b, lambda_s=lam, eta=eta, w=w)
+                assert bits(avg_weighted_sum_rate(cfg_w)) == bits(analytic._combine(cfg_w, *rates))
+                assert bits(avg_weighted_sum_ser(cfg_w)) == bits(analytic._combine(cfg_w, *sers))
+
+
+def counting_mpmath(monkeypatch, names):
+    """Route analytic's mpmath calls through a copy of the module whose
+    named functions count their calls."""
+    counts = collections.Counter()
+    stand_in = types.ModuleType("mpmath")
+    stand_in.__dict__.update(mpmath.__dict__)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        setattr(stand_in, name, counted(name, getattr(mpmath, name)))
+    monkeypatch.setattr(analytic, "mpmath", stand_in)
+    return counts
+
+
+@pytest.mark.parametrize("closed_form,kernel_fn,most", [
+    (avg_weighted_sum_ser, "erfc", 36),
+    (ser_floor, "erfc", 36),
+    (avg_weighted_sum_rate, "e1", 37),  # S(u) and one S(c/lambda_s) per c
+    (rate_ceiling, "log", 36),
+])
+def test_each_kernel_is_evaluated_once_for_both_links(closed_form, kernel_fn, most, monkeypatch):
+    counts = counting_mpmath(monkeypatch, (kernel_fn, "workdps"))
+    closed_form(make_cfg(n_a=6, n_b=6, lambda_s=1e3, eta=0.1))
+    assert 0 < counts[kernel_fn] <= most
+    assert counts["workdps"] == 1
+
+
+# ---------------------------------------------------------------------------
 # perfect-cancellation asymptotics
 
 
@@ -389,3 +525,49 @@ def test_asymptotic_guards():
         asymptotic_ser_generic(-1, 1.0, 10.0, BPSK)
     with pytest.raises(DomainError):
         asymptotic_ser_generic(2, 1.0, 0.0, BPSK)
+
+
+def reference_asymptote(prefactor, lam, power):
+    with mpmath.workdps(40):
+        return float(mpmath.mpf(prefactor) / mpmath.mpf(lam) ** power)
+
+
+@pytest.mark.parametrize("n,lam", [(6, 1e10), (6, 1e9), (3, 1e35), (3, 1e36), (2, 1e79)])
+def test_asymptote_where_the_snr_power_overflows(n, lam):
+    # lam**nn overflows a float (6x6 from ~4e8, 3x3 from 1e35), the SER does not
+    cfg = make_cfg(n_a=n, n_b=n, eta=0.0)
+    nn, m_div = n * n, (n - 1) ** 2
+    u1, u2, _ = asymptotic_ser_perfect_cancellation(cfg, 1.0)
+    ser_ab, ser_ba, weighted = asymptotic_ser_perfect_cancellation(cfg, lam)
+    assert 0.0 < ser_ab < ser_ba
+    assert ser_ab == pytest.approx(reference_asymptote(u1, lam, nn), rel=1e-13, abs=1e-322)
+    assert ser_ba == pytest.approx(reference_asymptote(u2, lam, m_div), rel=1e-13, abs=1e-322)
+    assert weighted == pytest.approx(0.3 * ser_ba, rel=1e-13, abs=1e-322)
+
+
+def test_asymptote_keeps_its_value_where_the_power_fits():
+    cfg = make_cfg(n_a=6, n_b=6, eta=0.0)
+    u1, u2, _ = asymptotic_ser_perfect_cancellation(cfg, 1.0)
+    ser_ab, ser_ba, weighted = asymptotic_ser_perfect_cancellation(cfg, 1e8)
+    assert ser_ab == u1 / 1e8**36
+    assert ser_ba == u2 / 1e8**25
+    assert weighted == (1.0 - 0.7) * u2 / 1e8**25
+
+
+def test_asymptote_where_the_snr_power_underflows():
+    # at -100 dB the 6x6 first-link asymptote exceeds every float
+    cfg = make_cfg(n_a=6, n_b=6, eta=0.0)
+    ser_ab, ser_ba, weighted = asymptotic_ser_perfect_cancellation(cfg, 1e-10)
+    assert ser_ab == math.inf
+    assert math.isfinite(ser_ba) and weighted == pytest.approx(0.3 * ser_ba, rel=1e-13)
+
+
+@pytest.mark.parametrize("n_order,lam", [(35, 1e10), (8, 1e35), (3, 1e100)])
+def test_asymptotic_generic_where_the_snr_power_overflows(n_order, lam):
+    value = asymptotic_ser_generic(n_order, 2.0, lam, BPSK)
+    # 2^N alpha zeta Gamma(N + 3/2) / (sqrt(pi) (N + 1) (beta lam)^(N + 1))
+    with mpmath.workdps(40):
+        n = mpmath.mpf(n_order)
+        expected = (2**n * 2 * mpmath.gamma(n + 1.5)
+                    / (mpmath.sqrt(mpmath.pi) * (n + 1) * (2 * mpmath.mpf(lam)) ** (n + 1)))
+    assert value == pytest.approx(float(expected), rel=1e-13)

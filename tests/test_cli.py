@@ -216,6 +216,30 @@ def test_main_rejects_config_whose_snr_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("which", ["missing", "directory"])
+def test_main_rejects_unreadable_config(tmp_path, capsys, which):
+    path = tmp_path / "missing.cfg" if which == "missing" else tmp_path
+    out = tmp_path / "cfg.csv"
+    rc = main(["--metric", "wsr", "--config", str(path), "--trials", "50", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "validation error: cannot read config" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_main_perfect_cancellation_asymptote_at_high_snr(tmp_path):
+    # the row holds the weighted asymptote, but the call also forms the
+    # first link's, which divides by lambda_s**36 = 1e360 at 100 dB
+    out = tmp_path / "asym.csv"
+    rc = main(["--metric", "wser", "--eta", "0", "--na", "6", "--nb", "6",
+               "--snr-db", "100", "--trials", "10", "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert "e-227" in row["ceiling_or_floor"]
+
+
 @pytest.mark.parametrize("w", [0.3, 0.7])
 def test_cdf_sweep_pairs_each_link_with_its_closed_form(tmp_path, w):
     out = tmp_path / "cdf.csv"

@@ -13,7 +13,7 @@ from fdlink import (
     validate_config,
 )
 from fdlink import config
-from fdlink.errors import InvalidAntennaCount, InvalidRange
+from fdlink.errors import InvalidAntennaCount, InvalidRange, IoError
 
 
 def cfg(**kw):
@@ -136,3 +136,10 @@ def test_load_config_rejects_fractional_antenna_count(tmp_path):
     path.write_text("n_a = 2.7\nn_b = 3\nlambda_s = 10\neta = 0.1\nw = 0.7\n")
     with pytest.raises(InvalidRange):
         load_config(str(path))
+
+
+def test_load_config_unreadable_path_is_an_io_error(tmp_path):
+    with pytest.raises(IoError, match="cannot read config"):
+        load_config(str(tmp_path / "missing.cfg"))
+    with pytest.raises(IoError, match="cannot read config"):
+        load_config(str(tmp_path))
