@@ -384,12 +384,13 @@ def ser_floor(cfg: SystemConfig) -> float:
 
 
 def _over_power(x, scale: float, base: float, n: int):
-    """x / (scale * base**n).  Where that denominator leaves the normal float
-    range the quotient may still fit, so it is scaled by base's binary
-    exponent instead: base = m * 2**e, x / (scale * m**n) * 2**(-e*n)."""
+    """x / (scale * base**n) as a Python float.  Where that denominator leaves
+    the normal float range the quotient may still fit, so it is scaled by
+    base's binary exponent instead: base = m * 2**e, x / (scale * m**n) *
+    2**(-e*n)."""
     try:
         if sys.float_info.min <= (denom := scale * base**n) < math.inf:
-            return x / denom
+            return float(x / denom)
     except OverflowError:
         pass
     m, e = math.frexp(base)

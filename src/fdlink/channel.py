@@ -31,8 +31,12 @@ def _doubles_per_trial(n_a: int, n_b: int) -> int:
 
 
 def _exponential_from_uniform(u: np.ndarray, mean: float):
-    # u is in [0, 1); flip to (0, 1] so the log never sees zero
-    return -mean * np.log1p(-u)
+    # u is in [0, 1); flip to (0, 1] so the log never sees zero.  The same
+    # steps as -mean * log1p(-u), in one new array
+    x = np.negative(u)
+    np.log1p(x, out=x)
+    x *= -mean
+    return x
 
 
 def draw_trial_batch(
@@ -60,5 +64,8 @@ def to_obtainable_sinr(snr: np.ndarray, derived: DerivedParams) -> np.ndarray:
 
 def instantaneous_sinr(gamma_s, gamma_ri):
     """gamma_s / (gamma_ri + 1) with the actual residual-interference draw,
-    elementwise."""
-    return gamma_s / (gamma_ri + 1.0)
+    elementwise, in one new array (x[()] is a scalar for scalar input)."""
+    x = np.empty(np.broadcast_shapes(np.shape(gamma_s), np.shape(gamma_ri)))
+    np.add(gamma_ri, 1.0, out=x)
+    np.divide(gamma_s, x, out=x)
+    return x[()]

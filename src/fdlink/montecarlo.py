@@ -1,17 +1,22 @@
 """Monte Carlo estimators of average weighted sum rate, sum SER, empirical
 CDFs, and the Serial-Max optimality-gap frequency.
 
-Each chunk of trials is one draw_trial_batch call, addressed by its
-first trial index, so a run is reproducible bitwise for a fixed (seed,
-trials) and independent of chunking.  fdlink.selection.select picks
-each trial's A->B and B->A links for every policy, and the same module
-supplies the per-link rate and SER maps.  Per-trial metric values are
-reduced by _exact_sum, which returns the correctly rounded true sum, so
-any evaluation order gives the identical result.  It equals math.fsum
-bit for bit, since both round the same exact sum, but adds in numpy:
-each value splits exactly into two 26-bit pieces, pieces of one 8-wide
-exponent band sum exactly in floats, and math.fsum adds only the band
-sums and the rare subnormal pieces.
+Trials run in chunks of at most _CHUNK, each one draw_trial_batch call
+addressed by its first trial index.  Every estimator call opens one
+thread pool with one worker per CPU the process may use (_workers), and
+each chunk is one task that draws, selects and forms the per-trial
+metric; numpy and scipy release the interpreter lock in that work, so
+chunks run in parallel.  A task never submits to the pool.
+
+A task reduces its chunk to exact partials (_exact_parts): floats whose
+exact sum is the chunk's.  math.fsum of every chunk's partials rounds
+the exact total once, so it equals math.fsum of all the values bit for
+bit, whatever the chunking and the order tasks finish in, and no result
+depends on _CHUNK or the worker count.  The partials come from numpy:
+each value splits exactly into two 26-bit pieces, and pieces of one
+8-wide exponent band sum exactly in floats.  The standard error is a
+second exact pass, over (x - mean)**2.  Counts (empirical CDFs, P_not)
+are integers and merge exactly.
 
 The estimators take one SystemConfig or a sequence of them of one array
 size.  Draws at lambda_s and lambda_i = eta * lambda_s equal the draws
@@ -19,15 +24,16 @@ at unit means times lambda_s and lambda_i, bit for bit, since
 -lambda * log1p(-u) == lambda * (-log1p(-u)).  Serial-Max picks depend
 only on the order of the obtainable-SINR matrix g = (lambda_s * E) *
 scale of the unit draws E, so all points share one unit draw and one
-selection per chunk, made on E itself.  A float certificate, computed
-once per chunk, proves the picks are each point's own: each pick must
-exceed its runner-up in E by a factor of more than 1 + 2**-50, which the
-two roundings from E to g cannot close, and the point's g must stay
-normal and finite on the compared entries.  A point reselects the trials
-that fail it on its own g.  A lone point selects on its own g and needs
-no certificate, which would cost about as much as the selection.
+selection per chunk, made on E itself, one task per chunk; then one task
+per point forms its metric over the shared chunks.  A float certificate,
+computed once per chunk, proves the picks are each point's own: each
+pick must exceed its runner-up in E by a factor of more than 1 + 2**-50,
+which the two roundings from E to g cannot close, and the point's g must
+stay normal and finite on the compared entries.  A point reselects the
+trials that fail it on its own g.  A lone point selects on its own g and
+needs no certificate, which would cost about as much as the selection.
 Exhaustive picks depend on lambda_s, so those policies draw and select
-each point on its own.
+each point's chunks on their own.
 
 The SER estimator averages the conditional SER alpha*Q(sqrt(beta*gamma))
 over channel and interference draws; no symbol-level noise is simulated.
@@ -36,9 +42,14 @@ The residual-INR draws enter only the metric, never the selection.
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import itertools
 import math
+import os
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,11 +58,12 @@ from .channel import draw_trial_batch, instantaneous_sinr, to_obtainable_sinr
 from .config import SystemConfig, derived_params
 from .selection import POLICIES, _serial_max_positions, by_weight, rate_map, select, ser_map
 
-_CHUNK = 1 << 17
+# trials per task: two chunks in flight keep peak memory flat
+_CHUNK = 1 << 14
 # g is E after at most two roundings, each within a factor 1 +- 2**-53
 _MARGIN = 1.0 + 2.0**-50
 _TINY = np.finfo(float).tiny
-# _exact_sum: Veltkamp's splitter, the largest |x| it cannot overflow on,
+# _exact_parts: Veltkamp's splitter, the largest |x| it cannot overflow on,
 # and the most pieces one bucket may sum exactly (33 + 20 bits <= 53)
 _SPLIT = 2.0**27 + 1.0
 _HUGE = 2.0**996
@@ -70,6 +82,42 @@ class MetricEstimate:
 class EmpiricalCdf:
     grid: np.ndarray
     probabilities: np.ndarray
+
+
+def _workers() -> int:
+    """Worker threads per estimator call: one per CPU this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _pool():
+    """A thread pool for one estimator call; on an error, tasks not yet
+    started are cancelled and running ones finish before it propagates."""
+    pool = ThreadPoolExecutor(_workers())
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _submit(pool, fn, *args):
+    # each task runs in a copy of the caller's context, so np.errstate and
+    # warning filters that hold for the caller hold in the task
+    return pool.submit(contextvars.copy_context().run, fn, *args)
+
+
+def _spans(trials: int) -> list[tuple[int, int]]:
+    """(first trial, count) of each chunk of trials 0..trials-1."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return [(start, min(_CHUNK, trials - start)) for start in range(0, trials, _CHUNK)]
+
+
+def _draw(cfg: SystemConfig, seed: int, start: int, count: int):
+    return draw_trial_batch(seed, start, count, cfg, cfg.eta * cfg.lambda_s)
 
 
 def _trial_sinrs(
@@ -92,16 +140,6 @@ def _trial_sinrs(
             instantaneous_sinr(flat_snr[rows, ba], inr_a))
 
 
-def _chunks(cfg: SystemConfig, trials: int, seed: int):
-    """(snr, inr_a, inr_b) of trials 0..trials-1, one draw_trial_batch
-    call per chunk of at most _CHUNK trials."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    lambda_i = cfg.eta * cfg.lambda_s
-    for start in range(0, trials, _CHUNK):
-        yield draw_trial_batch(seed, start, min(_CHUNK, trials - start), cfg, lambda_i)
-
-
 def _scaled(x, cfg: SystemConfig):
     """g = (lambda_s * x) * scale, rounded as to_obtainable_sinr rounds it;
     scaled in place, so a matrix costs one new array, not two."""
@@ -110,90 +148,95 @@ def _scaled(x, cfg: SystemConfig):
     return g
 
 
-def _shared_serial_max(cfgs: list[SystemConfig], trials: int, seed: int) -> list:
-    """One draw and one Serial-Max selection per chunk for every point.
+def _serial_max_chunk(cfgs: list[SystemConfig], seed: int, start: int, count: int):
+    """One draw and one Serial-Max selection of a chunk for every point.
 
     A lone point selects on its own g.  Several points share one selection
     on the unit matrix E, which the certificate vouches for point by point.
-    Per chunk: (first, second, inr_a, inr_b, redo), the unit SNRs of the
-    first and second pick, the unit INRs, and redo[k] = (mask, first,
-    second) for the trials that point k reselects on its own g.
+    Returns (first, second, inr_a, inr_b, redo), the unit SNRs of the first
+    and second pick, the unit INRs, and redo[k] = (mask, first, second) for
+    the trials that point k reselects on its own g.
     """
+    alone = len(cfgs) == 1
+    # unit means: lambda_s = 1 and lambda_i = eta * lambda_s = 1
+    e, inr_a, inr_b = _draw(replace(cfgs[0], lambda_s=1.0, eta=1.0), seed, start, count)
+    idx1, idx2, pruned = _serial_max_positions(_scaled(e, cfgs[0]) if alone else e)
+    rows = np.arange(count)
+    flat = e.reshape(count, -1)
+    first, second = flat[rows, idx1], flat[rows, idx2]
+    redo = {}
+    if not alone:
+        # each pick's runner-up, found in place and then restored
+        flat[rows, idx1] = -np.inf
+        up1 = flat.max(axis=1)
+        flat[rows, idx1] = first
+        flat[rows, idx2] = -np.inf
+        up2 = np.max(flat, axis=1, where=~pruned.reshape(count, -1), initial=-np.inf)
+        flat[rows, idx2] = second
+        certified = (first > _MARGIN * up1) & (second > _MARGIN * up2)
+        # the smallest compared entry; step 2 compares none at 2x2
+        low = np.where(up2 > -np.inf, up2, up1)
+        low_min = np.min(low, where=certified, initial=np.inf)
+        for k, cfg in enumerate(cfgs):
+            # g is monotone in E, so the extremes decide for the whole chunk
+            bad = ~certified
+            if not (_scaled(low_min, cfg) >= _TINY and _scaled(first.max(), cfg) < np.inf):
+                bad |= ~((_scaled(low, cfg) >= _TINY) & (_scaled(first, cfg) < np.inf))
+            if bad.any():
+                own1, own2, _ = _serial_max_positions(_scaled(e[bad], cfg))
+                sub = flat[bad]
+                picks = np.arange(len(sub))
+                redo[k] = (bad, sub[picks, own1], sub[picks, own2])
+    return first, second, inr_a, inr_b, redo
+
+
+def _serial_max_chunks(pool, cfgs: list[SystemConfig], trials: int, seed: int) -> list:
+    """Every chunk's shared Serial-Max selection, one task per chunk."""
     if len({(c.n_a, c.n_b) for c in cfgs}) != 1:
         raise ValueError("Serial-Max points must share one array size")
-    alone = len(cfgs) == 1
-    chunks = []
-    # unit means: lambda_s = 1 and lambda_i = eta * lambda_s = 1
-    for e, inr_a, inr_b in _chunks(replace(cfgs[0], lambda_s=1.0, eta=1.0), trials, seed):
-        idx1, idx2, pruned = _serial_max_positions(_scaled(e, cfgs[0]) if alone else e)
-        t = e.shape[0]
-        rows = np.arange(t)
-        flat = e.reshape(t, -1)
-        first, second = flat[rows, idx1], flat[rows, idx2]
-        redo = {}
-        if not alone:
-            # each pick's runner-up, found in place and then restored
-            flat[rows, idx1] = -np.inf
-            up1 = flat.max(axis=1)
-            flat[rows, idx1] = first
-            flat[rows, idx2] = -np.inf
-            up2 = np.max(flat, axis=1, where=~pruned.reshape(t, -1), initial=-np.inf)
-            flat[rows, idx2] = second
-            certified = (first > _MARGIN * up1) & (second > _MARGIN * up2)
-            # the smallest compared entry; step 2 compares none at 2x2
-            low = np.where(up2 > -np.inf, up2, up1)
-            low_min = np.min(low, where=certified, initial=np.inf)
-            for k, cfg in enumerate(cfgs):
-                # g is monotone in E, so the extremes decide for the whole chunk
-                bad = ~certified
-                if not (_scaled(low_min, cfg) >= _TINY and _scaled(first.max(), cfg) < np.inf):
-                    bad |= ~((_scaled(low, cfg) >= _TINY) & (_scaled(first, cfg) < np.inf))
-                if bad.any():
-                    own1, own2, _ = _serial_max_positions(_scaled(e[bad], cfg))
-                    sub = flat[bad]
-                    picks = np.arange(len(sub))
-                    redo[k] = (bad, sub[picks, own1], sub[picks, own2])
-        chunks.append((first, second, inr_a, inr_b, redo))
-        del e, flat, pruned, rows, idx1, idx2  # not held through the next draw
-    return chunks
+    tasks = [_submit(pool, _serial_max_chunk, cfgs, seed, *span) for span in _spans(trials)]
+    return [task.result() for task in tasks]
 
 
-def _serial_max_sinrs(cfgs: list[SystemConfig], trials: int, seed: int) -> list:
-    """Per point, an iterable over chunks of its Serial-Max (gamma_ab, gamma_ba)."""
-    chunks = _shared_serial_max(cfgs, trials, seed)
-
-    def point(k: int, cfg: SystemConfig):
-        lambda_i = cfg.eta * cfg.lambda_s
-        for first, second, inr_a, inr_b, redo in chunks:
-            if k in redo:
-                bad, own1, own2 = redo[k]
-                first, second = first.copy(), second.copy()
-                first[bad], second[bad] = own1, own2
-            ab, ba = by_weight(first, second, cfg.w)
-            yield (instantaneous_sinr(cfg.lambda_s * ab, lambda_i * inr_b),
-                   instantaneous_sinr(cfg.lambda_s * ba, lambda_i * inr_a))
-
-    return [point(k, cfg) for k, cfg in enumerate(cfgs)]
+def _point_sinrs(chunk, k: int, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Point k's Serial-Max (gamma_ab, gamma_ba) in one shared chunk."""
+    first, second, inr_a, inr_b, redo = chunk
+    if k in redo:
+        bad, own1, own2 = redo[k]
+        first, second = first.copy(), second.copy()
+        first[bad], second[bad] = own1, own2
+    ab, ba = by_weight(first, second, cfg.w)
+    lambda_i = cfg.eta * cfg.lambda_s
+    return (instantaneous_sinr(cfg.lambda_s * ab, lambda_i * inr_b),
+            instantaneous_sinr(cfg.lambda_s * ba, lambda_i * inr_a))
 
 
-def _own_sinrs(cfg: SystemConfig, policy: str, trials: int, seed: int):
-    """(gamma_ab, gamma_ba) per chunk, drawn and selected for cfg alone."""
-    for snr, inr_a, inr_b in _chunks(cfg, trials, seed):
-        yield _trial_sinrs(snr, inr_a, inr_b, cfg, policy)
+def _metric(gammas: tuple[np.ndarray, np.ndarray], cfg: SystemConfig, metric: str) -> np.ndarray:
+    """Per-trial w*f(gamma_ab) + (1-w)*f(gamma_ba), weighted in place."""
+    link = rate_map if metric == "rate" else functools.partial(ser_map, mod=cfg.modulation)
+    values = link(gammas[0])
+    values *= cfg.w
+    second = link(gammas[1])
+    second *= 1.0 - cfg.w
+    values += second
+    return values
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """math.fsum(x), bit for bit, for a 1-D float64 array.
+def _exact_parts(x: np.ndarray) -> list[float]:
+    """Floats whose exact sum is the exact sum of the 1-D float64 array x.
 
     Each value splits exactly into two pieces of at most 26 significant
     bits (Veltkamp).  A normal piece with biased exponent in [8b, 8b+7] is
     a multiple of 2**(8b-1048) below 2**(8b-1015), so bincount sums up to
-    _BLOCK such pieces per bucket b exactly; math.fsum of the bucket sums
-    and the subnormal pieces, which break that bound, is the correctly
-    rounded sum.  Huge or non-finite input goes to math.fsum itself.
+    _BLOCK such pieces per bucket b exactly; the parts are the bucket sums
+    and the subnormal pieces, which break that bound.  Huge or non-finite
+    input is its own parts.  math.fsum of the parts is math.fsum(x), and of
+    the parts of consecutive pieces of x, concatenated, too, as long as no
+    running sum leaves the float range: math.fsum raises OverflowError on
+    the first one that does, which depends on the order of the terms.
     """
     if x.size == 0 or not (-_HUGE < x.min() and x.max() < _HUGE):
-        return math.fsum(x)
+        return x.tolist()
     parts = []
     for start in range(0, x.size, _BLOCK):
         block = x[start:start + _BLOCK]
@@ -212,34 +255,62 @@ def _exact_sum(x: np.ndarray) -> float:
             piece[low[subnormal]] = 0.0
             sums = np.bincount(bucket, weights=piece, minlength=256)
             parts.extend(sums[sums != 0].tolist())
-    return math.fsum(parts)
+    return parts
 
 
-def _estimate_from_values(values: np.ndarray, trials: int, seed: int) -> MetricEstimate:
-    total = _exact_sum(values)
-    mean = total / trials
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x), bit for bit, for a 1-D float64 array."""
+    return math.fsum(_exact_parts(x))
+
+
+def _squared_deviation_parts(values: np.ndarray, mean: float) -> list[float]:
+    dev = values - mean
+    dev *= dev
+    return _exact_parts(dev)
+
+
+def _estimate(chunks: list[tuple[np.ndarray, list[float]]], trials: int, seed: int) -> MetricEstimate:
+    """Mean and standard error of one point from its chunks' (values, parts)."""
+    mean = math.fsum(itertools.chain.from_iterable(parts for _, parts in chunks)) / trials
     if trials > 1:
-        dev = values - mean
-        dev *= dev
-        sq = _exact_sum(dev)
+        sq = math.fsum(itertools.chain.from_iterable(
+            _squared_deviation_parts(values, mean) for values, _ in chunks))
         std_error = math.sqrt(sq / (trials - 1)) / math.sqrt(trials)
     else:
         std_error = 0.0
     return MetricEstimate(value=mean, std_error=std_error, trials=trials, master_seed=seed)
 
 
+def _serial_max_point(chunks: list, k: int, cfg: SystemConfig, metric: str, trials: int,
+                      seed: int) -> MetricEstimate:
+    """Point k's estimate over the shared Serial-Max chunks."""
+    values = [_metric(_point_sinrs(chunk, k, cfg), cfg, metric) for chunk in chunks]
+    return _estimate([(v, _exact_parts(v)) for v in values], trials, seed)
+
+
+def _own_chunk(cfg: SystemConfig, policy: str, metric: str, seed: int, start: int,
+               count: int) -> tuple[np.ndarray, list[float]]:
+    """(values, parts) of one chunk of cfg, drawn and selected for cfg alone."""
+    snr, inr_a, inr_b = _draw(cfg, seed, start, count)
+    values = _metric(_trial_sinrs(snr, inr_a, inr_b, cfg, policy), cfg, metric)
+    return values, _exact_parts(values)
+
+
 def _mc_weighted_sum(cfg, policy: str, trials: int, seed: int, metric: str):
     single = isinstance(cfg, SystemConfig)
     cfgs = [cfg] if single else list(cfg)
-    if policy == "serial_max":
-        sinrs = _serial_max_sinrs(cfgs, trials, seed)
-    else:
-        sinrs = [_own_sinrs(c, policy, trials, seed) for c in cfgs]
-    estimates = []
-    for c, point in zip(cfgs, sinrs):
-        link = rate_map if metric == "rate" else functools.partial(ser_map, mod=c.modulation)
-        values = [c.w * link(ab) + (1.0 - c.w) * link(ba) for ab, ba in point]
-        estimates.append(_estimate_from_values(np.concatenate(values), trials, seed))
+    with _pool() as pool:
+        if policy == "serial_max":
+            chunks = _serial_max_chunks(pool, cfgs, trials, seed)
+            tasks = [_submit(pool, _serial_max_point, chunks, k, c, metric, trials, seed)
+                     for k, c in enumerate(cfgs)]
+            estimates = [task.result() for task in tasks]
+        else:
+            spans = _spans(trials)
+            tasks = [[_submit(pool, _own_chunk, c, policy, metric, seed, *span) for span in spans]
+                     for c in cfgs]
+            estimates = [_estimate([task.result() for task in point], trials, seed)
+                         for point in tasks]
     return estimates[0] if single else estimates
 
 
@@ -259,6 +330,18 @@ def mc_weighted_sum_ser(
     """Monte Carlo average of w*SER(gamma_AB) + (1-w)*SER(gamma_BA); one
     estimate per config, as in mc_weighted_sum_rate."""
     return _mc_weighted_sum(cfg, policy, trials, seed, "ser")
+
+
+def _cdf_counts(chunks: list, k: int, cfg: SystemConfig, which: tuple[str, ...],
+                grid: np.ndarray) -> np.ndarray:
+    """Point k's count of samples <= each grid value, per name in which."""
+    counts = np.zeros((len(which), grid.size), dtype=np.int64)
+    for chunk in chunks:
+        gamma_ab, gamma_ba = _point_sinrs(chunk, k, cfg)
+        for row, name in zip(counts, which):
+            samples = np.sort(gamma_ab if name == "gamma_ab" else gamma_ba)
+            row += np.searchsorted(samples, grid, side="right")
+    return counts
 
 
 def mc_empirical_cdfs(
@@ -286,14 +369,12 @@ def mc_empirical_cdfs(
     for name in which:
         if name not in ("gamma_ab", "gamma_ba"):
             raise ValueError(f"which must be 'gamma_ab' or 'gamma_ba', got {name!r}")
-    out = []
-    for x, point in zip(grids, _serial_max_sinrs(cfgs, trials, seed)):
-        counts = np.zeros((len(which), x.size), dtype=np.int64)
-        for gamma_ab, gamma_ba in point:
-            for row, name in zip(counts, which):
-                samples = np.sort(gamma_ab if name == "gamma_ab" else gamma_ba)
-                row += np.searchsorted(samples, x, side="right")
-        out.append([EmpiricalCdf(grid=x, probabilities=row / trials) for row in counts])
+    with _pool() as pool:
+        chunks = _serial_max_chunks(pool, cfgs, trials, seed)
+        tasks = [_submit(pool, _cdf_counts, chunks, k, c, which, x)
+                 for k, (c, x) in enumerate(zip(cfgs, grids))]
+        out = [[EmpiricalCdf(grid=x, probabilities=row / trials) for row in task.result()]
+               for x, task in zip(grids, tasks)]
     return out[0] if single else out
 
 
@@ -304,22 +385,28 @@ def mc_empirical_cdf(
     return mc_empirical_cdfs(cfg, (which,), trials, seed, grid)[0]
 
 
+def _p_not_misses(cfg: SystemConfig, seed: int, start: int, count: int) -> int:
+    """Trials of one chunk where exhaustive Max-WSR strictly beats Serial-Max."""
+    snr, _, _ = _draw(cfg, seed, start, count)
+    g = to_obtainable_sinr(snr, derived_params(cfg))
+    flat_r = rate_map(g).reshape(count, -1)
+    rows = np.arange(count)
+    exh, ser_obj = (
+        cfg.w * flat_r[rows, ab] + (1.0 - cfg.w) * flat_r[rows, ba]
+        for ab, ba in (select(g, cfg.w, p, None) for p in ("max_wsr", "serial_max"))
+    )
+    return int(np.count_nonzero(exh - ser_obj > 1e-12 * np.abs(exh)))
+
+
 def mc_p_not(cfg: SystemConfig, trials: int, seed: int) -> MetricEstimate:
     """Frequency of trials where exhaustive Max-WSR strictly beats Serial-Max.
 
     'Strictly' means the exhaustive weighted-rate objective exceeds the
     Serial-Max one by more than 1e-12 relative.
     """
-    misses = 0
-    for snr, _, _ in _chunks(cfg, trials, seed):
-        g = to_obtainable_sinr(snr, derived_params(cfg))
-        flat_r = rate_map(g).reshape(g.shape[0], -1)
-        rows = np.arange(g.shape[0])
-        exh, ser_obj = (
-            cfg.w * flat_r[rows, ab] + (1.0 - cfg.w) * flat_r[rows, ba]
-            for ab, ba in (select(g, cfg.w, p, None) for p in ("max_wsr", "serial_max"))
-        )
-        misses += int(np.count_nonzero(exh - ser_obj > 1e-12 * np.abs(exh)))
+    with _pool() as pool:
+        tasks = [_submit(pool, _p_not_misses, cfg, seed, *span) for span in _spans(trials)]
+        misses = sum(task.result() for task in tasks)
     p = misses / trials
     std_error = math.sqrt(p * (1.0 - p) / trials)
     return MetricEstimate(value=p, std_error=std_error, trials=trials, master_seed=seed)

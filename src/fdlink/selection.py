@@ -65,14 +65,25 @@ class SelectionOutcome:
     comparisons_used: int
 
 
+# rate_map and ser_map take the steps of their formulas in that order, in
+# one new array; x[()] is a scalar for scalar input and x itself otherwise
+
+
 def rate_map(gamma):
     """Per-link rate log2(1 + gamma), elementwise."""
-    return np.log2(1.0 + gamma)
+    x = np.add(1.0, gamma, out=np.empty(np.shape(gamma)))
+    np.log2(x, out=x)
+    return x[()]
 
 
 def ser_map(gamma, mod: ModulationParams):
     """Per-link conditional SER alpha * Q(sqrt(beta * gamma)), elementwise."""
-    return mod.alpha_mod * 0.5 * erfc(np.sqrt(mod.beta_mod * gamma / 2.0))
+    x = np.multiply(mod.beta_mod, gamma, out=np.empty(np.shape(gamma)))
+    x /= 2.0
+    np.sqrt(x, out=x)
+    erfc(x, out=x)
+    x *= mod.alpha_mod * 0.5
+    return x[()]
 
 
 def _serial_max_positions(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

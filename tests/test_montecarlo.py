@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -315,6 +317,54 @@ def test_shared_serial_max_reselects_where_the_snr_is_subnormal(monkeypatch):
     assert_shared_matches_oracle(cfgs, 1, 0, "cdf")
 
 
+def estimator_outputs(cfgs, trials, seed):
+    """The bits of every estimator's output: each policy and metric at
+    cfgs[0], Serial-Max over the list, P_not and both links' CDFs."""
+    out = []
+    for fn in (mc_weighted_sum_rate, mc_weighted_sum_ser):
+        out += [fn(cfgs[0], policy, trials, seed) for policy in montecarlo.POLICIES]
+        out += fn(cfgs, "serial_max", trials, seed)
+    out.append(mc_p_not(cfgs[0], trials, seed))
+    out = [(bits(est.value), bits(est.std_error)) for est in out]
+    grids = [np.geomspace(1e-3, 5.0 * cfg.lambda_s, 40) for cfg in cfgs]
+    for cdfs in montecarlo.mc_empirical_cdfs(cfgs, ("gamma_ab", "gamma_ba"), trials, seed, grids):
+        out += [[bits(p) for p in cdf.probabilities] for cdf in cdfs]
+    return out
+
+
+@pytest.mark.parametrize("trials", [1, 96, 97, 98, 199])
+def test_output_does_not_depend_on_the_worker_count(monkeypatch, trials):
+    monkeypatch.setattr(montecarlo, "_CHUNK", 97)
+    cfgs = [make_cfg(lambda_s=lam, eta=eta) for lam, eta in ((10.0, 0.1), (1.0, 0.0), (1e4, 0.02))]
+    outputs = []
+    for workers in (1, 8):
+        monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+        outputs.append(estimator_outputs(cfgs, trials, 11))
+    assert outputs[0] == outputs[1]
+
+
+def test_a_warning_inside_a_task_fails_the_call(monkeypatch):
+    draw = montecarlo.draw_trial_batch
+
+    def warning_draw(*args):
+        np.log(np.zeros(1))  # a divide-by-zero RuntimeWarning, an error under pytest
+        return draw(*args)
+
+    monkeypatch.setattr(montecarlo, "draw_trial_batch", warning_draw)
+    cfgs = [make_cfg(), make_cfg(lambda_s=100.0)]
+    calls = [
+        lambda: mc_weighted_sum_rate(cfgs[0], "max_wsr", 300, 0),
+        lambda: mc_weighted_sum_ser(cfgs, "serial_max", 300, 0),
+        lambda: mc_p_not(cfgs[0], 300, 0),
+        lambda: montecarlo.mc_empirical_cdfs(cfgs, ("gamma_ab",), 300, 0, [np.ones(2)] * 2),
+    ]
+    for call in calls:
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            call()
+        with np.errstate(divide="ignore"):  # the caller's error state holds in each task
+            call()
+
+
 def test_point_lists_return_one_estimate_per_point():
     cfgs = [make_cfg(lambda_s=lam) for lam in (1.0, 100.0)]
     for policy in montecarlo.POLICIES:
@@ -350,13 +400,33 @@ def sum_outcome(fsum, x):
         return type(exc)
 
 
+def rational_outcome(x):
+    """The bits of x's exact sum rounded once, or OverflowError."""
+    try:
+        return bits(sum(map(Fraction, x.tolist()), Fraction(0)))
+    except OverflowError:
+        return OverflowError
+
+
 @settings(max_examples=300, deadline=None)
 @given(x=hnp.arrays(np.float64, st.integers(0, 3000), elements=exact_sum_elements),
-       mirror=st.booleans())
-def test_exact_sum_matches_fsum(x, mirror):
+       mirror=st.booleans(), cuts=st.lists(st.integers(0, 6000), max_size=5))
+def test_exact_sum_matches_fsum(x, mirror, cuts):
     if mirror:  # all but x[:3] cancel exactly
         x = np.concatenate([x, -x[::-1][: len(x) - 3]])
-    assert sum_outcome(montecarlo._exact_sum, x) == sum_outcome(math.fsum, x)
+    expected = sum_outcome(math.fsum, x)
+    assert sum_outcome(montecarlo._exact_sum, x) == expected
+    # the parts of consecutive pieces, merged, as estimators merge chunks
+    pieces = np.split(x, sorted(cuts))
+    merged = sum_outcome(lambda _: math.fsum(itertools.chain.from_iterable(
+        montecarlo._exact_parts(piece) for piece in pieces)), x)
+    if merged != expected:
+        # math.fsum raises at the first running sum past the float range, and
+        # which running sums occur depends on the order of the terms: fsum of
+        # [-MAX, -1e292, 1e292] raises, though the exact sum is -MAX.  The
+        # other outcome is then the exact sum, rounded once.
+        assert OverflowError in (merged, expected)
+        assert {merged, expected} - {OverflowError} == {rational_outcome(x)}
 
 
 def bucket_fill_case():
