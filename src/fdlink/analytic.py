@@ -1,6 +1,6 @@
 """Closed-form distributions, averages, ceilings, floors, and asymptotics
 for the Serial-Max policy, plus quadrature oracles that evaluate the
-defining integrals independently.
+defining integrals independently, for tests; no closed form calls them.
 
 Numerical strategy: the CDF of either selected link is a sum
 F(x) = sum_c A_c e^(-c x/lambda_s) / (1 + c eta x) / D over c = 0..nn = n_a*n_b,
@@ -14,24 +14,25 @@ K(1..nn) once and sums both links' tables from that one kernel vector:
 - rate:    [S(u) - S(x0)] / (1 - c eta) / ln 2, with S(x) = e^x E1(x),
            u = 1/(eta lambda_s) and x0 = c/lambda_s; where 1 - c eta is
            exactly 0 the exact limit x0 S(x0) - 1 is used, because
-           S' = S - 1/x (A&S 5.1.26);
+           S' = S - 1/x (A&S 5.1.26); at eta = 0, S(u) = 0;
 - ceiling: ln(c eta) / (1 - c eta) / ln 2, the lambda_s -> inf limit,
            with limit -1 at c eta = 1;
 - SER and floor: Q(sqrt(2a+b)) e^(a+b/2) = erfcx(sqrt(a+b/2)) / 2 with
-           a = 1/(eta lambda_s) (0 for the floor), b = beta/(c eta).
+           a = 1/(eta lambda_s) (0 for the floor), b = beta/(c eta); at
+           eta = 0 its limit alpha sqrt(beta/8) / sqrt(c/lambda_s + beta/2).
 
-The alternating sum cancels up to ~10 digits for rates at 6x6, and up to
-~20 for SERs and floors at eta >= 0.02; a rate kernel next to a singular
-c = 1/eta loses up to ~18 more in its difference quotient.  So kernels
-and sum are all evaluated at 50 digits in mpmath, whatever the inputs,
-and the double result is accurate to its last digit.  Each result
-carries its largest term and is flagged when the sum cancels more digits
-than 50 can spare (SERs below ~1e-30, e.g. eta <= 1e-3 at 6x6).
+The alternating sum cancels up to ~10 digits for rates at 6x6, ~20 for
+SERs at eta >= 0.02, and ~300 for SERs at 6x6, eta = 0, 80 dB; a rate
+kernel next to a singular c = 1/eta loses up to ~18 more.  So sums are
+evaluated in mpmath at 50 digits, then at more while they cancel more than
+those spare (_link_sums), so the double result is accurate to its last
+digit.  Each result carries its largest term and is flagged only if its
+sum still cancels too much at _MAX_DPS; a flagged ceiling or floor raises.
 
 The perfect-cancellation CDF (eta = 0) is kept in its non-alternating
 form sum_l B_l f^l (1-f)^(nn-l) / D, f = 1 - e^(-x/lambda_s), with the
 per-l integers B_l from the same table, since the alternating form
-loses every digit at small x; its rate and SER averages are quadratures.
+loses every digit at small x in floating point.
 
 Closed forms are supported for n_a*n_b <= 36; larger systems are
 simulation-only.
@@ -46,7 +47,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.integrate import quad
 
 # exp_e1_scaled and erfcx are not called here; they stay bound because
 # perfbench/spans.py counts calls made through these module attributes
@@ -60,10 +60,12 @@ from .special import binom, exp_e1_scaled  # noqa: F401
 _LN2 = math.log(2.0)
 MAX_NN_CLOSED_FORM = 36
 _CDF_CLAMP = 1e-9
-# working precision of every closed-form sum, and the significant digits
-# a double result needs
+# mpmath digits of a closed-form sum: _DPS first, at most _MAX_DPS; a double
+# needs _DOUBLE_DIGITS past the cancellation, an escalation adds _GUARD_DIGITS
 _DPS = 50
+_MAX_DPS = 1000
 _DOUBLE_DIGITS = 17
+_GUARD_DIGITS = 8
 
 
 @dataclass(frozen=True)
@@ -197,6 +199,7 @@ def cdf_gamma_ba(x: float, cfg: SystemConfig) -> float:
 def quadrature_avg_rate(cdf_evaluator, tolerance: float = 1e-10) -> float:
     """(1/ln 2) * int_0^inf (1 - F(x)) / (1 + x) dx, via the compactifying
     substitution t = x/(1+x)."""
+    from scipy.integrate import quad
 
     def integrand(t: float) -> float:
         if t >= 1.0 - 1e-15:
@@ -217,6 +220,7 @@ def quadrature_avg_ser(
 ) -> float:
     """alpha*sqrt(beta)/(2*sqrt(2*pi)) * int_0^inf F(x) e^{-beta x/2}/sqrt(x) dx,
     with the endpoint singularity removed by x = t^2."""
+    from scipy.integrate import quad
     beta = mod.beta_mod
 
     def integrand(t: float) -> float:
@@ -240,28 +244,30 @@ def quadrature_avg_ser(
 
 def _link_sums(cfg: SystemConfig, kind: str, links=("ab", "ba")) -> list[AnalyticValue]:
     """The rate, ceiling, SER or floor (kind) of each link: constant + sum_{c>=1}
-    A_c K(c) / D over the link's table, with K, constant = _KERNELS[kind](cfg)
-    built inside one mpmath.workdps(_DPS) block.  K(c) depends on c and cfg
-    alone, so K(1..nn) is evaluated once for every link."""
+    A_c K(c) / D over the link's table, with K, constant = _KERNELS[kind](cfg).
+    K(c) depends on c and cfg alone, so K(1..nn) is evaluated once for every
+    link.  While a sum cancels more digits than its precision spares (a zero
+    sum too), K is evaluated again at twice the digits or more; this loops,
+    since a short sum returns noise that understates its cancellation.  A
+    sum still short at _MAX_DPS is flagged."""
     _check_closed_form_size(cfg)
-    if cfg.eta == 0.0:
-        # u = 1/(eta*lambda_s) is infinite; integrate the eta = 0 CDF instead
-        cdfs = [functools.partial(_cdf, cfg=cfg, link=link) for link in links]
-        values = [quadrature_avg_rate(f) if kind == "rate" else
-                  quadrature_avg_ser(f, cfg.modulation) for f in cdfs]
-        return [AnalyticValue(v, abs(v), False) for v in values]
-    sums = []
-    with mpmath.workdps(_DPS):
-        kernel, constant = _KERNELS[kind](cfg)
-        vector = [kernel(c) for c in range(1, cfg.nn + 1)]
-        for link in links:
-            denom, _, table = _coefficients(cfg.n_a, cfg.n_b, link)
-            terms = [mpmath.mpf(constant)] + [a * k / denom for a, k in zip(table[1:], vector) if a]
-            value = mpmath.fsum(terms)
-            max_term = max(abs(t) for t in terms)
-            flag = max_term > abs(value) * 10 ** (_DPS - _DOUBLE_DIGITS)
-            sums.append(AnalyticValue(float(value), float(max_term), flag))
-    return sums
+    dps = _DPS
+    while True:
+        sums = []
+        with mpmath.workdps(dps):
+            kernel, constant = _KERNELS[kind](cfg)
+            vector = [kernel(c) for c in range(1, cfg.nn + 1)]
+            for link in links:
+                denom, _, table = _coefficients(cfg.n_a, cfg.n_b, link)
+                terms = [mpmath.mpf(constant)] + [a * k / denom for a, k in zip(table[1:], vector) if a]
+                value = mpmath.fsum(terms)
+                max_term = max(abs(t) for t in terms)
+                flag = max_term > abs(value) * 10 ** (dps - _DOUBLE_DIGITS)
+                sums.append((value, max_term, flag))
+        if dps == _MAX_DPS or not any(flag for _, _, flag in sums):
+            return [AnalyticValue(float(v), float(m), flag) for v, m, flag in sums]
+        lost = max(mpmath.log10(m / abs(v)) if v else mpmath.inf for v, m, _ in sums)
+        dps = int(min(_MAX_DPS, max(2 * dps, mpmath.ceil(_DOUBLE_DIGITS + lost) + _GUARD_DIGITS)))
 
 
 def _combine(cfg: SystemConfig, first: AnalyticValue, second: AnalyticValue) -> AnalyticValue:
@@ -279,7 +285,7 @@ def _vouched(result: AnalyticValue, what: str) -> float:
     raises where the sum cancelled more digits than it can spare."""
     if result.cancellation_flag:
         raise DomainError(
-            f"{what} sum cancels more than {_DPS - _DOUBLE_DIGITS} digits "
+            f"{what} sum cancels more than {_MAX_DPS - _DOUBLE_DIGITS} digits "
             f"(largest term {result.max_term_magnitude:.3g}, value {result.value:.3g})"
         )
     return result.value
@@ -288,6 +294,8 @@ def _vouched(result: AnalyticValue, what: str) -> float:
 def _rate_kernel(cfg: SystemConfig):
     eta, lam = mpmath.mpf(cfg.eta), mpmath.mpf(cfg.lambda_s)
     s = lambda x: mpmath.exp(x) * mpmath.e1(x)  # noqa: E731  S(x) = e^x E1(x)
+    if not eta:
+        return (lambda c: -s(c / lam) / mpmath.ln2), 0
     s_u = s(1 / (eta * lam))
 
     def kernel(c):
@@ -313,9 +321,12 @@ def _ceiling_kernel(cfg: SystemConfig):
 def _ser_kernel(cfg: SystemConfig, floor: bool = False):
     mod = cfg.modulation
     alpha, beta = mpmath.mpf(mod.alpha_mod), mpmath.mpf(mod.beta_mod)
-    eta = mpmath.mpf(cfg.eta)
-    a = 0 if floor else 1 / (eta * mpmath.mpf(cfg.lambda_s))
+    eta, lam = mpmath.mpf(cfg.eta), mpmath.mpf(cfg.lambda_s)
     pre = alpha * mpmath.sqrt(beta * mpmath.pi / 2) / 2
+    if not eta:
+        # erfcx(z) ~ 1/(z sqrt(pi)) as z^2 = (c/lambda_s + beta/2) / (c eta) grows
+        return (lambda c: pre / mpmath.sqrt(mpmath.pi * (c / lam + beta / 2))), alpha / 2
+    a = 0 if floor else 1 / (eta * lam)
 
     def kernel(c):
         # erfcx(z) = e^(z^2) erfc(z) with z^2 squared exactly, since a
@@ -398,6 +409,15 @@ def _over_power(x, scale: float, base: float, n: int):
         return math.ldexp(x / (scale * m**n), -e * n)
     except OverflowError:
         return math.inf
+
+
+def __getattr__(name: str):
+    # only the oracles use slow-to-import scipy.integrate, but
+    # perfbench/spans.py reads analytic.quad when tracing
+    if name != "quad":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import quad
+    return quad
 
 
 def asymptotic_ser_generic(n_order: int, zeta: float, lam: float, mod: ModulationParams) -> float:

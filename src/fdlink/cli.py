@@ -204,23 +204,23 @@ def _rows_for_size(spec: SweepSpec, n_a: int, n_b: int):
     estimates = {policy: mc_fn(cfgs, policy, spec.trials, spec.seed)
                  for policy in spec.policies}
     closed_form_ok = n_a * n_b <= MAX_NN_CLOSED_FORM
+    average, limit_at = ((avg_weighted_sum_rate, rate_ceiling) if spec.metric == "wsr"
+                         else (avg_weighted_sum_ser, ser_floor))
+    limits = {}  # by eta: ceilings and floors do not depend on lambda_s
     for k, (cfg, common) in enumerate(zip(cfgs, commons)):
         for policy in spec.policies:
             est = estimates[policy][k]
             analytic_value = None
             limit = None
             if policy == "serial_max" and closed_form_ok:
-                if spec.metric == "wsr":
-                    analytic_value = avg_weighted_sum_rate(cfg).value
-                    if cfg.eta > 0:
-                        limit = rate_ceiling(cfg)
-                else:
-                    analytic_value = avg_weighted_sum_ser(cfg).value
-                    if cfg.eta > 0:
-                        limit = ser_floor(cfg)
-                    else:
-                        # perfect cancellation: overlay the high-SNR asymptote
-                        _, _, limit = asymptotic_ser_perfect_cancellation(cfg, cfg.lambda_s)
+                analytic_value = average(cfg).value
+                if cfg.eta > 0:
+                    if cfg.eta not in limits:
+                        limits[cfg.eta] = limit_at(cfg)
+                    limit = limits[cfg.eta]
+                elif spec.metric == "wser":
+                    # perfect cancellation: overlay the high-SNR asymptote
+                    _, _, limit = asymptotic_ser_perfect_cancellation(cfg, cfg.lambda_s)
             yield ResultRow(policy=policy, trials=spec.trials, seed=spec.seed,
                             mc_value=est.value, mc_stderr=est.std_error,
                             analytic_value=analytic_value, ceiling_or_floor=limit,

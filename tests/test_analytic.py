@@ -1,5 +1,9 @@
 import collections
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import types
 import warnings
 
@@ -32,6 +36,7 @@ from fdlink import (
     validate_config,
     with_lambda_s,
 )
+import fdlink
 from fdlink import analytic
 from fdlink.analytic import AnalyticValue
 from fdlink.errors import DomainError, RequiresPerfectCancellation
@@ -352,6 +357,38 @@ def test_limits_require_residual_interference():
         rate_ceiling(make_cfg(eta=0.0))
     with pytest.raises(DomainError):
         ser_floor(make_cfg(eta=0.0))
+
+
+def test_precision_escalates_until_the_sum_keeps_its_digits(monkeypatch):
+    # the 4x4 first-link SER at eta = 0 cancels ~86 digits; at 100 digits
+    # its noise understates that, so a single step from 50 is not enough
+    cfg = make_cfg(n_a=4, n_b=4, lambda_s=7.6e5, eta=0.0)
+    with mpmath.workdps(400):
+        lam, beta = mpmath.mpf(cfg.lambda_s), mpmath.mpf(BPSK.beta_mod)
+        # F = (1 - e^(-x/lam))^16 expanded binomially, integrated term by term
+        terms = [(-1) ** k * math.comb(16, k) * mpmath.sqrt(mpmath.pi / (k / lam + beta / 2))
+                 for k in range(17)]
+        exact = mpmath.fsum(terms) * mpmath.sqrt(beta) / (2 * mpmath.sqrt(2 * mpmath.pi))
+    counts = counting_mpmath(monkeypatch, ("workdps",))
+    ser = avg_ser_ab(cfg)
+    assert not ser.cancellation_flag
+    assert ser.value == pytest.approx(float(exact), rel=1e-14)
+    assert counts["workdps"] >= 3
+
+
+def test_scipy_integrate_stays_off_the_import_path():
+    code = (
+        "import math, sys\n"
+        "import fdlink, fdlink.cli\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        "assert callable(fdlink.analytic.quad)\n"
+        "print(fdlink.quadrature_avg_rate(lambda x: -math.expm1(-x)))\n"
+    )
+    src = str(pathlib.Path(fdlink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) == pytest.approx(exp_e1_scaled(1.0) / math.log(2.0), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 import mpmath
 import pytest
 
-from fdlink import SystemConfig, db_to_linear, montecarlo
+from fdlink import SystemConfig, cli, db_to_linear, montecarlo
 from fdlink.cli import FIELDS, SweepSpec, main, preset, run_sweep
 from fdlink.errors import InvalidRange, UnknownPreset
 
@@ -165,6 +165,21 @@ def test_serial_max_sweep_draws_each_chunk_once(tmp_path, monkeypatch):
         cfg = SystemConfig(n_a=3, n_b=3, lambda_s=db_to_linear(row.snr_db), eta=row.eta, w=row.w)
         est = montecarlo.mc_weighted_sum_rate(cfg, "serial_max", 1000, spec.seed)
         assert (row.mc_value, row.mc_stderr) == (est.value, est.std_error)
+
+
+@pytest.mark.parametrize("metric,limit", [("wsr", "rate_ceiling"), ("wser", "ser_floor")])
+def test_sweep_takes_each_limit_once_per_eta(tmp_path, monkeypatch, metric, limit):
+    # ceilings and floors do not depend on lambda_s
+    calls = []
+    original = getattr(cli, limit)
+    monkeypatch.setattr(cli, limit, lambda cfg: calls.append(cfg.eta) or original(cfg))
+    rows = run_sweep(tiny_spec(tmp_path, metric=metric, snr_db=[0.0, 20.0, 40.0],
+                               eta=[0.0, 0.02, 0.1], sizes=[(3, 3)], trials=100))
+    assert calls == [0.02, 0.1]
+    for row in rows:
+        if row.eta > 0:
+            cfg = SystemConfig(n_a=3, n_b=3, lambda_s=db_to_linear(row.snr_db), eta=row.eta, w=row.w)
+            assert row.ceiling_or_floor == original(cfg)
 
 
 def test_sweep_output_does_not_depend_on_its_directory(tmp_path):

@@ -1,12 +1,15 @@
-"""Serial-Max closed forms against a 60-digit reference over the whole
-supported domain: sizes up to n_a*n_b = 36, eta on and next to the
-singular values 1/c, and lambda_s from 1 to 1e8.
+"""Serial-Max closed forms against a reference of at least 60 digits over
+the whole supported domain: sizes up to n_a*n_b = 36, eta from 0 (perfect
+cancellation) through 1e-6 and on and next to the singular values 1/c,
+and lambda_s from 1 to 1e8.
 
 The reference does not use the package's coefficient table: it sums the
 (k, l, m) terms of the source derivation one by one, each with its exact
-math.comb numerator, in mpmath at 60 digits.  Where 1 - c*eta vanishes
-exactly for some c, it evaluates at eta * (1 + 1e-30) instead, whose
-effect is far below the tolerance.
+math.comb numerator, in mpmath.  It runs at twice the digits its sums
+need (17 plus the digits they cancel), and at 60 digits at least.  Where
+1 - c*eta vanishes exactly for some c, it evaluates at eta * (1 + 1e-30)
+instead, whose effect is far below the tolerance.  At eta = 0 it uses
+the eta -> 0 limits of the kernels.
 """
 
 import functools
@@ -28,13 +31,14 @@ from fdlink import (
     ser_floor,
     validate_config,
 )
+from fdlink import analytic
 from fdlink.errors import DomainError
 
 REF_DPS = 60
 REL_TOL = 1e-10
 W = 0.7
 SIZES = [(n_a, n_b) for n_a in range(2, 7) for n_b in range(2, 7)] + [(4, 9)]
-ETAS = (0.02, 0.05, 0.1, 0.2, 0.5, 0.1001)
+ETAS = (0.0, 1e-6, 1e-4, 1e-3, 0.02, 0.05, 0.1, 0.2, 0.5, 0.1001)
 LAMBDAS = (1.0, 10.0, 1e3, 1e8)
 SIZE_IDS = [f"{n_a}x{n_b}" for n_a, n_b in SIZES]
 
@@ -68,38 +72,60 @@ def reference_eta(cfg):
 
 
 def term_sum(cfg, link, kernel):
-    """sum over the derivation's terms of coef * kernel[c] / denominator;
-    kernel[0] is what the constant term of the CDF contributes."""
+    """(value, largest term) of the sum over the derivation's terms of
+    coef * kernel[c] / denominator; kernel[0] is what the constant term of
+    the CDF contributes."""
     denom, terms = derivation_terms(cfg.n_a, cfg.n_b, link)
-    return mpmath.fsum(coef * kernel[c] for coef, c in terms) / denom
+    products = [coef * kernel[c] for coef, c in terms]
+    return mpmath.fsum(products) / denom, max(abs(p) for p in products) / denom
+
+
+def at_twice_the_digits(build_kernel, cfg):
+    """Each link's term_sum over build_kernel(), which builds the kernel at
+    the working precision.  The sums are re-evaluated until the precision
+    is at least twice the 17 + cancelled digits of every one; a zero sum
+    doubles it."""
+    dps = REF_DPS
+    while True:
+        with mpmath.workdps(dps):
+            kernel = build_kernel()
+            sums = [term_sum(cfg, link, kernel) for link in ("ab", "ba")]
+            need = max(17 + (mpmath.log10(m / abs(v)) if v else dps) for v, m in sums)
+        if dps >= 2 * need:
+            return tuple(v for v, _ in sums)
+        dps = int(2 * need) + 1
 
 
 def weighted(a, b):
     return max(W, 1 - W) * a + min(W, 1 - W) * b
 
 
+def scaled_e1(x):
+    return mpmath.exp(x) * mpmath.e1(x)
+
+
 def rate_reference(cfg):
     """(rate_ab, rate_ba): (1/ln 2) int (1 - F(x)) / (1 + x) dx term by term."""
-    with mpmath.workdps(REF_DPS):
+
+    def kernel():
         eta, lam = reference_eta(cfg), mpmath.mpf(cfg.lambda_s)
-
-        def s(x):
-            return mpmath.exp(x) * mpmath.e1(x)
-
-        s_u = s(1 / (eta * lam))
-        kernel = [0] + [
-            (s_u - s(c / lam)) / (1 - c * eta) / mpmath.ln2 for c in range(1, cfg.nn + 1)
+        # S(1/(eta lambda_s)) -> 0 as eta -> 0
+        s_u = scaled_e1(1 / (eta * lam)) if eta else 0
+        return [0] + [
+            (s_u - scaled_e1(c / lam)) / (1 - c * eta) / mpmath.ln2 for c in range(1, cfg.nn + 1)
         ]
-        return tuple(term_sum(cfg, link, kernel) for link in ("ab", "ba"))
+
+    return at_twice_the_digits(kernel, cfg)
 
 
 def ceiling_reference(cfg):
-    with mpmath.workdps(REF_DPS):
+    def kernel():
         eta = reference_eta(cfg)
-        kernel = [0] + [
+        return [0] + [
             mpmath.log(c * eta) / (1 - c * eta) / mpmath.ln2 for c in range(1, cfg.nn + 1)
         ]
-        return weighted(*(term_sum(cfg, link, kernel) for link in ("ab", "ba")))
+
+    return weighted(*at_twice_the_digits(kernel, cfg))
 
 
 def ser_reference(cfg, a_zero=False):
@@ -107,20 +133,23 @@ def ser_reference(cfg, a_zero=False):
     int F(x) e^(-beta x/2) / sqrt(x) dx term by term; a_zero gives the
     lambda_s -> inf floor."""
     alpha, beta = cfg.modulation.alpha_mod, cfg.modulation.beta_mod
-    with mpmath.workdps(REF_DPS):
-        eta = reference_eta(cfg)
-        a = 0 if a_zero else 1 / (eta * mpmath.mpf(cfg.lambda_s))
+
+    def kernel():
+        eta, lam = reference_eta(cfg), mpmath.mpf(cfg.lambda_s)
         pre = alpha * mpmath.sqrt(beta) / (2 * mpmath.sqrt(2 * mpmath.pi))
 
         def integral(c):
             # int e^(-(c/lam + beta/2) x) / ((1 + c eta x) sqrt(x)) dx
-            s = a + beta / (2 * c * eta)
+            if not eta:
+                return mpmath.sqrt(mpmath.pi / (c / lam + beta / 2))
+            s = (0 if a_zero else 1 / (eta * lam)) + beta / (2 * c * eta)
             return mpmath.pi / mpmath.sqrt(c * eta) * mpmath.exp(s) * mpmath.erfc(mpmath.sqrt(s))
 
-        kernel = [pre * mpmath.sqrt(2 * mpmath.pi / beta)] + [
+        return [pre * mpmath.sqrt(2 * mpmath.pi / beta)] + [
             pre * integral(c) for c in range(1, cfg.nn + 1)
         ]
-        return tuple(term_sum(cfg, link, kernel) for link in ("ab", "ba"))
+
+    return at_twice_the_digits(kernel, cfg)
 
 
 def rel_err(value, exact):
@@ -142,8 +171,9 @@ def test_rates_and_ceiling_match_60_digit_reference(n_a, n_b):
     worst = []
     for eta in ETAS:
         cfg = make_cfg(n_a, n_b, 1.0, eta)
-        (ceiling,) = closed_forms_silently(lambda: rate_ceiling(cfg))
-        worst.append((rel_err(ceiling, ceiling_reference(cfg)), "ceiling", eta, None))
+        if eta:
+            (ceiling,) = closed_forms_silently(lambda: rate_ceiling(cfg))
+            worst.append((rel_err(ceiling, ceiling_reference(cfg)), "ceiling", eta, None))
         for lam in LAMBDAS:
             cfg = make_cfg(n_a, n_b, lam, eta)
             ab, ba = closed_forms_silently(lambda: avg_rate_ab(cfg), lambda: avg_rate_ba(cfg))
@@ -158,9 +188,10 @@ def test_sers_and_floor_match_60_digit_reference(n_a, n_b):
     worst = []
     for eta in ETAS:
         cfg = make_cfg(n_a, n_b, 1.0, eta)
-        (floor,) = closed_forms_silently(lambda: ser_floor(cfg))
-        worst.append((rel_err(floor, weighted(*ser_reference(cfg, a_zero=True))),
-                      "floor", eta, None))
+        if eta:
+            (floor,) = closed_forms_silently(lambda: ser_floor(cfg))
+            worst.append((rel_err(floor, weighted(*ser_reference(cfg, a_zero=True))),
+                          "floor", eta, None))
         for lam in LAMBDAS:
             cfg = make_cfg(n_a, n_b, lam, eta)
             ab, ba = closed_forms_silently(lambda: avg_ser_ab(cfg), lambda: avg_ser_ba(cfg))
@@ -170,16 +201,23 @@ def test_sers_and_floor_match_60_digit_reference(n_a, n_b):
     assert max(worst)[0] <= REL_TOL, max(worst)
 
 
-def test_floor_refuses_a_sum_it_cannot_vouch_for():
-    # at 6x6 the first-link floor's largest term is 3e42 x its value at
-    # eta = 1e-3 and 6e50 x at 1e-4, more than 50 digits can spare
-    for eta in (1e-3, 1e-4):
-        with pytest.raises(DomainError, match="SER floor sum cancels"):
-            ser_floor(make_cfg(6, 6, 1.0, eta))
-    for eta in (0.01, 0.02, 0.05):
-        cfg = make_cfg(6, 6, 1.0, eta)
+# floors whose sums cancel more digits than the first 50 can spare: at 6x6
+# the first-link floor's largest term is 3e42 x its value at eta = 1e-3 and
+# 6e50 x at 1e-4
+DEEP_FLOORS = [(6, 6, 2e-3), (6, 6, 1e-3), (6, 6, 1e-4), (5, 5, 1e-3), (4, 4, 1e-4),
+               (3, 3, 1e-5)]
+
+
+def test_floor_refuses_a_sum_it_cannot_vouch_for(monkeypatch):
+    for n_a, n_b, eta in DEEP_FLOORS + [(6, 6, 0.01), (6, 6, 0.02), (6, 6, 0.05)]:
+        cfg = make_cfg(n_a, n_b, 100.0, eta)
         (floor,) = closed_forms_silently(lambda: ser_floor(cfg))
         assert rel_err(floor, weighted(*ser_reference(cfg, a_zero=True))) <= REL_TOL
+    # with no escalation left, the same sums are refused
+    monkeypatch.setattr(analytic, "_MAX_DPS", analytic._DPS)
+    for eta in (1e-3, 1e-4):
+        with pytest.raises(DomainError, match="SER floor sum cancels more than 33 digits"):
+            ser_floor(make_cfg(6, 6, 100.0, eta))
 
 
 def test_singular_point_agrees_with_monte_carlo():
