@@ -178,6 +178,7 @@ def _rows_for_size(spec: SweepSpec, n_a: int, n_b: int):
         return
 
     cfgs = [_cfg(n_a, n_b, snr_db, eta, spec.w) for eta, snr_db in points]
+    closed_form_ok = n_a * n_b <= MAX_NN_CLOSED_FORM
     if spec.metric == "p_not":
         for cfg, common in zip(cfgs, commons):
             est = mc_p_not(cfg, spec.trials, spec.seed)
@@ -195,15 +196,15 @@ def _rows_for_size(spec: SweepSpec, n_a: int, n_b: int):
         for cfg, common, emps in zip(cfgs, commons, all_emps):
             for which, emp, analytic_fn in zip(links, emps, analytic_fns):
                 for x, p in zip(emp.grid, emp.probabilities):
+                    analytic_value = analytic_fn(float(x), cfg) if closed_form_ok else None
                     yield ResultRow(policy=which, x=float(x), trials=spec.trials,
                                     seed=spec.seed, mc_value=float(p),
-                                    analytic_value=analytic_fn(float(x), cfg), **common)
+                                    analytic_value=analytic_value, **common)
         return
 
     mc_fn = mc_weighted_sum_rate if spec.metric == "wsr" else mc_weighted_sum_ser
     estimates = {policy: mc_fn(cfgs, policy, spec.trials, spec.seed)
                  for policy in spec.policies}
-    closed_form_ok = n_a * n_b <= MAX_NN_CLOSED_FORM
     average, limit_at = ((avg_weighted_sum_rate, rate_ceiling) if spec.metric == "wsr"
                          else (avg_weighted_sum_ser, ser_floor))
     limits = {}  # by eta: ceilings and floors do not depend on lambda_s

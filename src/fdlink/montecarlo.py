@@ -19,21 +19,17 @@ second exact pass, over (x - mean)**2.  Counts (empirical CDFs, P_not)
 are integers and merge exactly.
 
 The estimators take one SystemConfig or a sequence of them of one array
-size.  Draws at lambda_s and lambda_i = eta * lambda_s equal the draws
-at unit means times lambda_s and lambda_i, bit for bit, since
--lambda * log1p(-u) == lambda * (-log1p(-u)).  Serial-Max picks depend
-only on the order of the obtainable-SINR matrix g = (lambda_s * E) *
-scale of the unit draws E, so all points share one unit draw and one
-selection per chunk, made on E itself, one task per chunk; then one task
-per point forms its metric over the shared chunks.  A float certificate,
-computed once per chunk, proves the picks are each point's own: each
-pick must exceed its runner-up in E by a factor of more than 1 + 2**-50,
-which the two roundings from E to g cannot close, and the point's g must
-stay normal and finite on the compared entries.  A point reselects the
-trials that fail it on its own g.  A lone point selects on its own g and
-needs no certificate, which would cost about as much as the selection.
-Exhaustive picks depend on lambda_s, so those policies draw and select
-each point's chunks on their own.
+size.  Every policy draws its chunks at unit means, through _draw: the
+SNR matrices E and the INRs.  A point's draws at lambda_s and lambda_i =
+eta * lambda_s are those times lambda_s and lambda_i, bit for bit, since
+-lambda * log1p(-u) == lambda * (-log1p(-u)).  Serial-Max is defined on
+E: it picks the largest entries of E, whose order the obtainable-SINR
+matrix g = (lambda_s * E) * scale, a positive multiple of E, keeps up to
+rounding.  So all points share one draw and one selection per chunk, one
+task per chunk, and then one task per point forms its metric over the
+shared chunks.  Exhaustive picks depend on lambda_s, so those policies select
+each point's chunks on its own g.  Either way a link's SINR is lambda_s
+times its pick in E over one plus lambda_i times its INR (_sinrs).
 
 The SER estimator averages the conditional SER alpha*Q(sqrt(beta*gamma))
 over channel and interference draws; no symbol-level noise is simulated.
@@ -54,14 +50,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import draw_trial_batch, instantaneous_sinr, to_obtainable_sinr
+from .channel import draw_trial_batch, instantaneous_sinr
 from .config import SystemConfig, derived_params
 from .selection import POLICIES, _serial_max_positions, by_weight, rate_map, select, ser_map
 
 # trials per task: two chunks in flight keep peak memory flat
 _CHUNK = 1 << 14
-# g is E after at most two roundings, each within a factor 1 +- 2**-53
-_MARGIN = 1.0 + 2.0**-50
 _TINY = np.finfo(float).tiny
 # _exact_parts: Veltkamp's splitter, the largest |x| it cannot overflow on,
 # and the most pieces one bucket may sum exactly (33 + 20 bits <= 53)
@@ -117,27 +111,8 @@ def _spans(trials: int) -> list[tuple[int, int]]:
 
 
 def _draw(cfg: SystemConfig, seed: int, start: int, count: int):
-    return draw_trial_batch(seed, start, count, cfg, cfg.eta * cfg.lambda_s)
-
-
-def _trial_sinrs(
-    snr: np.ndarray,
-    inr_a: np.ndarray,
-    inr_b: np.ndarray,
-    cfg: SystemConfig,
-    policy: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Instantaneous SINRs (gamma_ab, gamma_ba) of the selected links.
-
-    Selection sees only the obtainable-SINR matrix; the residual-INR
-    draws are applied afterwards, to the SNR of the chosen entries.
-    """
-    g = to_obtainable_sinr(snr, derived_params(cfg))
-    flat_snr = snr.reshape(snr.shape[0], -1)
-    ab, ba = select(g, cfg.w, policy, cfg.modulation)
-    rows = np.arange(snr.shape[0])
-    return (instantaneous_sinr(flat_snr[rows, ab], inr_b),
-            instantaneous_sinr(flat_snr[rows, ba], inr_a))
+    """(E, inr_a, inr_b): the unit-mean SNRs and INRs of one chunk at cfg's size."""
+    return draw_trial_batch(seed, start, count, replace(cfg, lambda_s=1.0), 1.0)
 
 
 def _scaled(x, cfg: SystemConfig):
@@ -148,67 +123,35 @@ def _scaled(x, cfg: SystemConfig):
     return g
 
 
-def _serial_max_chunk(cfgs: list[SystemConfig], seed: int, start: int, count: int):
-    """One draw and one Serial-Max selection of a chunk for every point.
+def _sinrs(ab, ba, inr_a, inr_b, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(gamma_ab, gamma_ba) from the unit SNRs of the A->B and B->A links
+    and the unit INRs, each scaled to cfg's means."""
+    lambda_i = cfg.eta * cfg.lambda_s
+    return (instantaneous_sinr(cfg.lambda_s * ab, lambda_i * inr_b),
+            instantaneous_sinr(cfg.lambda_s * ba, lambda_i * inr_a))
 
-    A lone point selects on its own g.  Several points share one selection
-    on the unit matrix E, which the certificate vouches for point by point.
-    Returns (first, second, inr_a, inr_b, redo), the unit SNRs of the first
-    and second pick, the unit INRs, and redo[k] = (mask, first, second) for
-    the trials that point k reselects on its own g.
-    """
-    alone = len(cfgs) == 1
-    # unit means: lambda_s = 1 and lambda_i = eta * lambda_s = 1
-    e, inr_a, inr_b = _draw(replace(cfgs[0], lambda_s=1.0, eta=1.0), seed, start, count)
-    idx1, idx2, pruned = _serial_max_positions(_scaled(e, cfgs[0]) if alone else e)
-    rows = np.arange(count)
-    flat = e.reshape(count, -1)
-    first, second = flat[rows, idx1], flat[rows, idx2]
-    redo = {}
-    if not alone:
-        # each pick's runner-up, found in place and then restored
-        flat[rows, idx1] = -np.inf
-        up1 = flat.max(axis=1)
-        flat[rows, idx1] = first
-        flat[rows, idx2] = -np.inf
-        up2 = np.max(flat, axis=1, where=~pruned.reshape(count, -1), initial=-np.inf)
-        flat[rows, idx2] = second
-        certified = (first > _MARGIN * up1) & (second > _MARGIN * up2)
-        # the smallest compared entry; step 2 compares none at 2x2
-        low = np.where(up2 > -np.inf, up2, up1)
-        low_min = np.min(low, where=certified, initial=np.inf)
-        for k, cfg in enumerate(cfgs):
-            # g is monotone in E, so the extremes decide for the whole chunk
-            bad = ~certified
-            if not (_scaled(low_min, cfg) >= _TINY and _scaled(first.max(), cfg) < np.inf):
-                bad |= ~((_scaled(low, cfg) >= _TINY) & (_scaled(first, cfg) < np.inf))
-            if bad.any():
-                own1, own2, _ = _serial_max_positions(_scaled(e[bad], cfg))
-                sub = flat[bad]
-                picks = np.arange(len(sub))
-                redo[k] = (bad, sub[picks, own1], sub[picks, own2])
-    return first, second, inr_a, inr_b, redo
+
+def _serial_max_chunk(cfg: SystemConfig, seed: int, start: int, count: int):
+    """One chunk's draw at cfg's size and its Serial-Max picks on E: (first,
+    second, inr_a, inr_b), the unit SNRs of the two picks and the unit INRs."""
+    e, inr_a, inr_b = _draw(cfg, seed, start, count)
+    idx1, idx2 = _serial_max_positions(e)
+    rows, flat = np.arange(count), e.reshape(count, -1)
+    return flat[rows, idx1], flat[rows, idx2], inr_a, inr_b
 
 
 def _serial_max_chunks(pool, cfgs: list[SystemConfig], trials: int, seed: int) -> list:
     """Every chunk's shared Serial-Max selection, one task per chunk."""
     if len({(c.n_a, c.n_b) for c in cfgs}) != 1:
         raise ValueError("Serial-Max points must share one array size")
-    tasks = [_submit(pool, _serial_max_chunk, cfgs, seed, *span) for span in _spans(trials)]
+    tasks = [_submit(pool, _serial_max_chunk, cfgs[0], seed, *span) for span in _spans(trials)]
     return [task.result() for task in tasks]
 
 
-def _point_sinrs(chunk, k: int, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Point k's Serial-Max (gamma_ab, gamma_ba) in one shared chunk."""
-    first, second, inr_a, inr_b, redo = chunk
-    if k in redo:
-        bad, own1, own2 = redo[k]
-        first, second = first.copy(), second.copy()
-        first[bad], second[bad] = own1, own2
-    ab, ba = by_weight(first, second, cfg.w)
-    lambda_i = cfg.eta * cfg.lambda_s
-    return (instantaneous_sinr(cfg.lambda_s * ab, lambda_i * inr_b),
-            instantaneous_sinr(cfg.lambda_s * ba, lambda_i * inr_a))
+def _point_sinrs(chunk, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """cfg's Serial-Max (gamma_ab, gamma_ba) in one shared chunk."""
+    first, second, inr_a, inr_b = chunk
+    return _sinrs(*by_weight(first, second, cfg.w), inr_a, inr_b, cfg)
 
 
 def _metric(gammas: tuple[np.ndarray, np.ndarray], cfg: SystemConfig, metric: str) -> np.ndarray:
@@ -281,18 +224,20 @@ def _estimate(chunks: list[tuple[np.ndarray, list[float]]], trials: int, seed: i
     return MetricEstimate(value=mean, std_error=std_error, trials=trials, master_seed=seed)
 
 
-def _serial_max_point(chunks: list, k: int, cfg: SystemConfig, metric: str, trials: int,
+def _serial_max_point(chunks: list, cfg: SystemConfig, metric: str, trials: int,
                       seed: int) -> MetricEstimate:
-    """Point k's estimate over the shared Serial-Max chunks."""
-    values = [_metric(_point_sinrs(chunk, k, cfg), cfg, metric) for chunk in chunks]
+    """cfg's estimate over the shared Serial-Max chunks."""
+    values = [_metric(_point_sinrs(chunk, cfg), cfg, metric) for chunk in chunks]
     return _estimate([(v, _exact_parts(v)) for v in values], trials, seed)
 
 
 def _own_chunk(cfg: SystemConfig, policy: str, metric: str, seed: int, start: int,
                count: int) -> tuple[np.ndarray, list[float]]:
-    """(values, parts) of one chunk of cfg, drawn and selected for cfg alone."""
-    snr, inr_a, inr_b = _draw(cfg, seed, start, count)
-    values = _metric(_trial_sinrs(snr, inr_a, inr_b, cfg, policy), cfg, metric)
+    """(values, parts) of one chunk of cfg, selected on cfg's own g."""
+    e, inr_a, inr_b = _draw(cfg, seed, start, count)
+    ab, ba = select(_scaled(e, cfg), cfg.w, policy, cfg.modulation)
+    rows, flat = np.arange(count), e.reshape(count, -1)
+    values = _metric(_sinrs(flat[rows, ab], flat[rows, ba], inr_a, inr_b, cfg), cfg, metric)
     return values, _exact_parts(values)
 
 
@@ -302,8 +247,8 @@ def _mc_weighted_sum(cfg, policy: str, trials: int, seed: int, metric: str):
     with _pool() as pool:
         if policy == "serial_max":
             chunks = _serial_max_chunks(pool, cfgs, trials, seed)
-            tasks = [_submit(pool, _serial_max_point, chunks, k, c, metric, trials, seed)
-                     for k, c in enumerate(cfgs)]
+            tasks = [_submit(pool, _serial_max_point, chunks, c, metric, trials, seed)
+                     for c in cfgs]
             estimates = [task.result() for task in tasks]
         else:
             spans = _spans(trials)
@@ -332,12 +277,12 @@ def mc_weighted_sum_ser(
     return _mc_weighted_sum(cfg, policy, trials, seed, "ser")
 
 
-def _cdf_counts(chunks: list, k: int, cfg: SystemConfig, which: tuple[str, ...],
+def _cdf_counts(chunks: list, cfg: SystemConfig, which: tuple[str, ...],
                 grid: np.ndarray) -> np.ndarray:
-    """Point k's count of samples <= each grid value, per name in which."""
+    """cfg's count of samples <= each grid value, per name in which."""
     counts = np.zeros((len(which), grid.size), dtype=np.int64)
     for chunk in chunks:
-        gamma_ab, gamma_ba = _point_sinrs(chunk, k, cfg)
+        gamma_ab, gamma_ba = _point_sinrs(chunk, cfg)
         for row, name in zip(counts, which):
             samples = np.sort(gamma_ab if name == "gamma_ab" else gamma_ba)
             row += np.searchsorted(samples, grid, side="right")
@@ -371,8 +316,7 @@ def mc_empirical_cdfs(
             raise ValueError(f"which must be 'gamma_ab' or 'gamma_ba', got {name!r}")
     with _pool() as pool:
         chunks = _serial_max_chunks(pool, cfgs, trials, seed)
-        tasks = [_submit(pool, _cdf_counts, chunks, k, c, which, x)
-                 for k, (c, x) in enumerate(zip(cfgs, grids))]
+        tasks = [_submit(pool, _cdf_counts, chunks, c, which, x) for c, x in zip(cfgs, grids)]
         out = [[EmpiricalCdf(grid=x, probabilities=row / trials) for row in task.result()]
                for x, task in zip(grids, tasks)]
     return out[0] if single else out
@@ -387,13 +331,13 @@ def mc_empirical_cdf(
 
 def _p_not_misses(cfg: SystemConfig, seed: int, start: int, count: int) -> int:
     """Trials of one chunk where exhaustive Max-WSR strictly beats Serial-Max."""
-    snr, _, _ = _draw(cfg, seed, start, count)
-    g = to_obtainable_sinr(snr, derived_params(cfg))
+    e, _, _ = _draw(cfg, seed, start, count)
+    g = _scaled(e, cfg)
     flat_r = rate_map(g).reshape(count, -1)
     rows = np.arange(count)
     exh, ser_obj = (
         cfg.w * flat_r[rows, ab] + (1.0 - cfg.w) * flat_r[rows, ba]
-        for ab, ba in (select(g, cfg.w, p, None) for p in ("max_wsr", "serial_max"))
+        for ab, ba in (select(g, cfg.w, "max_wsr", None), select(e, cfg.w, "serial_max", None))
     )
     return int(np.count_nonzero(exh - ser_obj > 1e-12 * np.abs(exh)))
 

@@ -21,10 +21,13 @@ are infinities of opposite signs; finite values with w in [0, 1] never
 give it.  comparison_count("exhaustive", ...) is the paper's count for
 exhaustive search, not this kernel's work.
 
-Because the obtainable-SINR matrix is a positive scaling of the SNR
-matrix, the selected antenna pairs are identical either way.  Ties are
-broken lexicographically on antenna indices so tests are deterministic
-(ties are measure-zero under continuous fading).
+Serial-Max looks only at the order of the entries; the Monte Carlo
+estimators run it on the unit-mean SNR matrices E, whose order the
+obtainable-SINR matrix, a positive multiple of E, keeps up to rounding.
+Both kernels take trials _BLOCK at a time, so their temporaries do not
+grow with the trial count.  Ties are broken lexicographically on antenna
+indices so tests are deterministic (ties are measure-zero under
+continuous fading).
 
 Index convention: matrix rows are antennas at node A, columns antennas
 at node B, all 0-based.  A LinkSelection stores the A->B link as
@@ -86,17 +89,27 @@ def ser_map(gamma, mod: ModulationParams):
     return x[()]
 
 
-def _serial_max_positions(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# trials per kernel call: its temporaries stay in cache, and memory does
+# not grow with the trial count
+_BLOCK = 4096
+
+
+def _serial_max_positions(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (first, second) flat argmax positions of (T, n_a, n_b)
-    matrices, and the (T, n_a, n_b) mask of entries pruned before step 2."""
+    matrices; step 2 masks the first pick's row and column, _BLOCK trials
+    at a time."""
     t, n_a, n_b = g.shape
     idx1 = np.argmax(g.reshape(t, n_a * n_b), axis=1)
     i1, j1 = np.divmod(idx1, n_b)
+    idx2 = np.empty(t, np.intp)
     rows = np.arange(n_a)[None, :, None]
     cols = np.arange(n_b)[None, None, :]
-    pruned = (rows == i1[:, None, None]) | (cols == j1[:, None, None])
-    idx2 = np.argmax(np.where(pruned, -np.inf, g).reshape(t, n_a * n_b), axis=1)
-    return idx1, idx2, pruned
+    for lo in range(0, t, _BLOCK):
+        hi = lo + _BLOCK
+        pruned = (rows == i1[lo:hi, None, None]) | (cols == j1[lo:hi, None, None])
+        kept = np.where(pruned, -np.inf, g[lo:hi])
+        idx2[lo:hi] = np.argmax(kept.reshape(-1, n_a * n_b), axis=1)
+    return idx1, idx2
 
 
 def _max_but_one(x: np.ndarray) -> np.ndarray:
@@ -142,11 +155,6 @@ def _best_partner_positions(
     return ab, ba
 
 
-# trials per kernel call: its temporaries stay in cache, and memory does
-# not grow with the trial count
-_BLOCK = 4096
-
-
 def _exhaustive_positions(
     g: np.ndarray, w: float, metric: str, mod: ModulationParams | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -177,8 +185,7 @@ def select(
     """Per-trial (A->B, B->A) flat positions that policy picks in a
     (T, n_a, n_b) stack; w weights A->B, and mod is used by min_wser only."""
     if policy == "serial_max":
-        idx1, idx2, _ = _serial_max_positions(g)
-        return by_weight(idx1, idx2, w)
+        return by_weight(*_serial_max_positions(g), w)
     if policy == "max_wsr":
         return _exhaustive_positions(g, w, "rate", None)
     if policy == "min_wser":

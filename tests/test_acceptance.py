@@ -47,9 +47,8 @@ from fdlink import (
 )
 from fdlink import montecarlo
 from fdlink.analytic import cdf_gamma_ab, cdf_gamma_ba
-from fdlink.channel import draw_trial_batch
 from fdlink.cli import preset, run_sweep
-from fdlink.montecarlo import _trial_sinrs
+from fdlink.montecarlo import _point_sinrs, _serial_max_chunk
 from fdlink.selection import _exhaustive_positions, _serial_max_positions
 
 
@@ -141,7 +140,7 @@ def test_criterion_01_two_step_selection_equivalence():
     flat = g.reshape(trials, -1)
     rows = np.arange(trials)
 
-    idx1, idx2, _ = _serial_max_positions(g)
+    idx1, idx2 = _serial_max_positions(g)
     g1, g2 = flat[rows, idx1], flat[rows, idx2]
     rank = 1 + (flat > g2[:, None]).sum(axis=1)
     sel = (rank >= 2) & (rank <= 3)
@@ -199,9 +198,7 @@ def test_criterion_03_sinr_cdfs_match_sampling():
     trials = 100_000
     worst = 0.0
     for cfg in (make_cfg(3, 3, 10.0, 0.1), make_cfg(2, 2, 100.0, 0.02)):
-        lam_i = cfg.eta * cfg.lambda_s
-        snr, inr_a, inr_b = draw_trial_batch(314, 0, trials, cfg, lam_i)
-        gamma_ab, gamma_ba = _trial_sinrs(snr, inr_a, inr_b, cfg, "serial_max")
+        gamma_ab, gamma_ba = _point_sinrs(_serial_max_chunk(cfg, 314, 0, trials), cfg)
         for samples, vec_cdf in ((gamma_ab, vec_cdf_ab), (gamma_ba, vec_cdf_ba)):
             s = np.sort(samples)
             model = vec_cdf(cfg, s)
@@ -222,7 +219,7 @@ def test_criterion_04_second_link_rank_mixture():
     rng = np.random.default_rng(404)
     g = rng.exponential(1.0, (trials, 3, 3))
     flat = g.reshape(trials, -1)
-    idx1, idx2, _ = _serial_max_positions(g)
+    idx1, idx2 = _serial_max_positions(g)
     second = flat[np.arange(trials), idx2]
     exceed = (flat > second[:, None]).sum(axis=1)
     p33 = mixture_weights(3, 3).p

@@ -203,6 +203,19 @@ def test_main_happy_path(tmp_path, capsys):
         assert len(list(csv.reader(fh))) == 4  # header + 3 snr points
 
 
+@pytest.mark.parametrize("metric", ["cdf", "wsr", "wser"])
+def test_main_sweep_past_the_closed_form_size_leaves_analytic_cells_empty(tmp_path, metric):
+    # 7 x 6 = 42 > MAX_NN_CLOSED_FORM: Monte Carlo rows without closed forms
+    out = tmp_path / "big.csv"
+    rc = main(["--metric", metric, "--na", "7", "--nb", "6", "--trials", "100",
+               "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    assert all(r["analytic_value"] == "" and r["mc_value"] != "" for r in rows)
+
+
 def test_main_config_file_defaults(tmp_path):
     cfg_file = tmp_path / "sys.cfg"
     cfg_file.write_text("n_a = 2\nn_b = 3\nsnr_db = 10\neta = 0.1\nw = 0.6\n")

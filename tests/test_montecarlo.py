@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -24,7 +25,7 @@ from fdlink import (
 )
 from fdlink import derived_params, instantaneous_sinr, montecarlo, to_obtainable_sinr
 from fdlink.analytic import cdf_gamma_ab
-from fdlink.selection import rate_map, select, ser_map
+from fdlink.selection import _serial_max_positions, rate_map, select, ser_map
 
 
 def make_cfg(**kw):
@@ -193,18 +194,19 @@ def test_p_not_decreases_with_array_size():
 
 
 def per_point_sinrs(cfg, trials, seed):
-    """Per chunk, the Serial-Max (gamma_ab, gamma_ba) of one point drawn and
-    selected on its own: draws at its own lambda_s through
-    montecarlo.draw_trial_batch, selection on its own g."""
+    """Per chunk, the Serial-Max (gamma_ab, gamma_ba) of one point drawn on
+    its own: SNRs and INRs drawn at its own means through
+    montecarlo.draw_trial_batch, picks made on the same trials' unit draw."""
     chunk = montecarlo._CHUNK
-    lambda_i = cfg.eta * cfg.lambda_s
+    unit = replace(cfg, lambda_s=1.0)
     for start in range(0, trials, chunk):
+        count = min(chunk, trials - start)
         snr, inr_a, inr_b = montecarlo.draw_trial_batch(
-            seed, start, min(chunk, trials - start), cfg, lambda_i)
-        g = to_obtainable_sinr(snr, derived_params(cfg))
-        ab, ba = select(g, cfg.w, "serial_max", cfg.modulation)
-        rows = np.arange(snr.shape[0])
-        flat = snr.reshape(snr.shape[0], -1)
+            seed, start, count, cfg, cfg.eta * cfg.lambda_s)
+        e, _, _ = montecarlo.draw_trial_batch(seed, start, count, unit, 1.0)
+        ab, ba = select(e, cfg.w, "serial_max", cfg.modulation)
+        rows = np.arange(count)
+        flat = snr.reshape(count, -1)
         yield (instantaneous_sinr(flat[rows, ab], inr_b),
                instantaneous_sinr(flat[rows, ba], inr_a))
 
@@ -279,16 +281,35 @@ def crafted_draws(unit_snr):
     return draw
 
 
+def assert_picks_follow_the_unit_draw(cfg, unit):
+    """A shared chunk's picks are those made on the unit stack E, and picks
+    made on cfg's own g would differ, so a selection on g fails here."""
+    e = np.asarray(unit, dtype=float)
+    rows, flat = np.arange(len(e)), e.reshape(len(e), -1)
+    first, second, _, _ = montecarlo._serial_max_chunk(cfg, 0, 0, len(e))
+
+    def picked(basis):
+        idx1, idx2 = _serial_max_positions(basis)
+        return flat[rows, idx1], flat[rows, idx2]
+
+    def same(picks):
+        return np.array_equal(first, picks[0]) and np.array_equal(second, picks[1])
+
+    assert same(picked(e))
+    assert not same(picked(to_obtainable_sinr(cfg.lambda_s * e, derived_params(cfg))))
+
+
 # b is a's next double.  lambda_s = 1.1 rounds a and b to one SNR; at
 # lambda_s = 1, eta = 0.4 the SNRs differ but the obtainable SINRs tie.
-# A point whose g ties them picks a, the lower index, where the unit
-# matrix picks b.
+# Selected on g, that point would pick a, the lower index; Serial-Max
+# picks b, the larger entry of E.
 A = 1.9999
 B = math.nextafter(A, 2.0)
 TIES = {
-    # step 1 ties: the point prunes another column, so its second link moves
+    # step 1 ties: on g the point would prune another column and move its
+    # second link
     "step1": ([[[A, B], [0.5, 0.25]], [[0.3, 1.2], [0.9, 0.1]]], 1.1, 0.0),
-    # step 2 ties: the second link's SNR moves by one ulp
+    # step 2 ties: on g the second link's SNR would move by one ulp
     "step2": ([[[5.0, 0.1, 0.2], [0.3, A, B], [0.4, 0.05, 0.15]]] * 8, 1.0, 0.4),
 }
 
@@ -296,11 +317,13 @@ TIES = {
 @pytest.mark.parametrize("metric", ["rate", "ser"])
 @pytest.mark.parametrize("step", sorted(TIES))
 def test_shared_serial_max_reselects_where_rounding_ties_the_picks(monkeypatch, step, metric):
+    # where rounding ties two entries of a point's g, its picks still follow E
     unit, lambda_s, eta = TIES[step]
     cfg = make_cfg(n_a=len(unit[0]), n_b=len(unit[0][0]), lambda_s=lambda_s, eta=eta)
     g = to_obtainable_sinr(cfg.lambda_s * np.array([A, B]), derived_params(cfg))
     assert g[0] == g[1]
     monkeypatch.setattr(montecarlo, "draw_trial_batch", crafted_draws(unit))
+    assert_picks_follow_the_unit_draw(cfg, unit)
     other = make_cfg(n_a=cfg.n_a, n_b=cfg.n_b, lambda_s=1.0, eta=0.0)
     for cfgs in ([other, cfg], [cfg, other], [cfg]):
         assert_shared_matches_oracle(cfgs, len(unit), 0, metric)
@@ -308,12 +331,14 @@ def test_shared_serial_max_reselects_where_rounding_ties_the_picks(monkeypatch, 
 
 def test_shared_serial_max_reselects_where_the_snr_is_subnormal(monkeypatch):
     # a and b are far apart in E, but 1e-318 * a and 1e-318 * b are one
-    # subnormal, so that point picks a and prunes another column
+    # subnormal; that point's picks still follow E, on g it would pick a
+    # and prune another column
     a, b = 1.0, 1.0 + 1e-9
     assert 1e-318 * a == 1e-318 * b
     unit = [[[a, b, 0.1], [0.5, 0.25, 0.2], [0.05, 0.3, 0.4]]]
     monkeypatch.setattr(montecarlo, "draw_trial_batch", crafted_draws(unit))
     cfgs = [make_cfg(lambda_s=10.0, eta=0.0), make_cfg(lambda_s=1e-318, eta=0.0)]
+    assert_picks_follow_the_unit_draw(cfgs[1], unit)
     assert_shared_matches_oracle(cfgs, 1, 0, "cdf")
 
 

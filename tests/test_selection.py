@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fdlink import (
     exhaustive_min_wser,
     p_not_upper_bound,
     second_link_rank,
+    selection,
     serial_max,
     weighted_combine_rate,
     weighted_combine_ser,
@@ -330,39 +332,34 @@ def test_comparison_tally_matches_formula():
 
 
 def brute_force_serial_max(g):
-    """Independent oracle: plain loops, first maximum in row-major order,
-    and the entries step 2 examines."""
+    """Independent oracle: plain loops, first maximum in row-major order."""
     n_a, n_b = g.shape
     pos1 = max(itertools.product(range(n_a), range(n_b)), key=lambda p: (g[p], -p[0], -p[1]))
     kept = [(i, j) for i in range(n_a) for j in range(n_b) if i != pos1[0] and j != pos1[1]]
     pos2 = max(kept, key=lambda p: (g[p], -p[0], -p[1]))
-    return pos1, pos2, len(kept)
+    return pos1, pos2
 
 
-def integer_stacks(hi):
+def integer_stacks(hi, trials=(2, 6)):
     return arrays(
         np.float64,
-        st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
+        st.tuples(st.integers(*trials), st.integers(2, 6), st.integers(2, 6)),
         elements=st.integers(0, hi).map(float),
     )
 
 
-@settings(max_examples=150, deadline=None)
-@given(g=st.one_of(integer_stacks(3), integer_stacks(10**6)), w=st.floats(0.0, 1.0))
-def test_batched_kernels_match_oracles(g, w):
-    # random and tie-heavy small-integer stacks; each trial's positions must
-    # be exactly the oracle's, lexicographic tie-break included, at every
-    # size up to 6x6 and every weight in [0, 1], the end points included
+def assert_kernels_match_oracles(g, w):
+    """Each trial's positions from both selection kernels are exactly the
+    brute-force oracles', lexicographic tie-break included."""
     t, n_a, n_b = g.shape
 
     def flat(i, j):
         return i * n_b + j
 
-    idx1, idx2, pruned = _serial_max_positions(g)
+    idx1, idx2 = _serial_max_positions(g)
     for k in range(t):
-        pos1, pos2, kept = brute_force_serial_max(g[k])
+        pos1, pos2 = brute_force_serial_max(g[k])
         assert (idx1[k], idx2[k]) == (flat(*pos1), flat(*pos2))
-        assert np.count_nonzero(~pruned[k]) == kept
 
     # the oracle scores the kernel's own per-link values, so both sides
     # compute the same objective bit for bit and only the search differs
@@ -374,6 +371,24 @@ def test_batched_kernels_match_oracles(g, w):
         for k in range(t):
             _, (i_t, j_r, i_r, j_t) = brute_force_best(per_link[k], w, lambda v: v, maximize)
             assert (ab[k], ba[k]) == (flat(i_t, j_r), flat(i_r, j_t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.one_of(integer_stacks(3), integer_stacks(10**6)), w=st.floats(0.0, 1.0))
+def test_batched_kernels_match_oracles(g, w):
+    # random and tie-heavy small-integer stacks, at every size up to 6x6 and
+    # every weight in [0, 1], the end points included
+    assert_kernels_match_oracles(g, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.one_of(integer_stacks(3, trials=(7, 24)), integer_stacks(10**6, trials=(7, 24))),
+       w=st.floats(0.0, 1.0), block=st.integers(1, 5))
+def test_blocked_kernels_match_oracles_across_block_edges(g, w, block):
+    # both kernels take _BLOCK trials at a time; a small _BLOCK puts several
+    # block edges, and a partial last block, inside every stack
+    with mock.patch.object(selection, "_BLOCK", block):
+        assert_kernels_match_oracles(g, w)
 
 
 def test_exhaustive_falls_back_when_every_ser_underflows():
