@@ -66,6 +66,8 @@ _DPS = 50
 _MAX_DPS = 1000
 _DOUBLE_DIGITS = 17
 _GUARD_DIGITS = 8
+# z^2 past which the SER kernel sums erfcx's asymptotic series (least term e^-(z^2) < 10^-_MAX_DPS)
+_ERFCX_SERIES = mpmath.mpf(10**4)
 
 
 @dataclass(frozen=True)
@@ -318,6 +320,18 @@ def _ceiling_kernel(cfg: SystemConfig):
     return kernel, 0
 
 
+def _erfcx_asymptotic(z, z2):
+    """erfcx(z) = (z sqrt(pi))^-1 sum_k (-1)^k (2k-1)!! / (2 z^2)^k, to the
+    first term below the working precision, which bounds the rest."""
+    total = term = mpmath.mpf(1)
+    k = 0
+    while abs(term) >= mpmath.eps:
+        k += 1
+        term *= (1 - 2 * k) / (2 * z2)
+        total += term
+    return total / (z * mpmath.sqrt(mpmath.pi))
+
+
 def _ser_kernel(cfg: SystemConfig, floor: bool = False):
     mod = cfg.modulation
     alpha, beta = mpmath.mpf(mod.alpha_mod), mpmath.mpf(mod.beta_mod)
@@ -332,7 +346,9 @@ def _ser_kernel(cfg: SystemConfig, floor: bool = False):
         # erfcx(z) = e^(z^2) erfc(z) with z^2 squared exactly, since a
         # rounded square would cost log10(z^2) digits of the product
         z = mpmath.sqrt(a + beta / (2 * c * eta))
-        erfcx_z = mpmath.exp(mpmath.fmul(z, z, exact=True)) * mpmath.erfc(z)
+        z2 = mpmath.fmul(z, z, exact=True)
+        erfcx_z = (_erfcx_asymptotic(z, z2) if z2 > _ERFCX_SERIES
+                   else mpmath.exp(z2) * mpmath.erfc(z))
         return pre * erfcx_z / mpmath.sqrt(c * eta)
 
     # the c = 0 constant of the CDF integrates to alpha/2

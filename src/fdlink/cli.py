@@ -45,6 +45,7 @@ from .config import (
 )
 from .errors import FdlinkError, InvalidRange, IoError, UnknownPreset
 from .montecarlo import (
+    MAX_TRIALS,
     POLICIES,
     mc_empirical_cdfs,
     mc_p_not,
@@ -91,8 +92,9 @@ class SweepSpec:
                     f"choose from {', '.join(allowed)}"
                 )
         if self.metric in ("wsr", "wser", "p_not", "cdf"):
-            if self.trials < 1:
-                raise InvalidRange("trials must be >= 1 for Monte Carlo columns")
+            if not 1 <= self.trials <= MAX_TRIALS:
+                raise InvalidRange(f"Monte Carlo columns need 1 <= trials <= {MAX_TRIALS:,}, "
+                                   f"got {self.trials:,}")
             if not 0 <= self.seed < 2**128:  # the Philox key's range
                 raise InvalidRange(f"seed must lie in [0, 2**128), got {self.seed}")
         if self.fmt not in ("csv", "json"):
@@ -345,11 +347,11 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
         )
     if args.metric:
         spec.metric = args.metric
-    if args.policy:
+    if args.policy is not None:
         spec.policies = args.policy.split(",")
-    if args.snr_db:
+    if args.snr_db is not None:
         spec.snr_db = _parse_range(args.snr_db)
-    if args.eta:
+    if args.eta is not None:
         spec.eta = [float(p) for p in args.eta.split(",")]
     if args.na is not None or args.nb is not None:
         n_a = args.na if args.na is not None else spec.sizes[0][0]

@@ -1,39 +1,31 @@
 """Monte Carlo estimators of average weighted sum rate, sum SER, empirical
 CDFs, and the Serial-Max optimality-gap frequency.
 
-Trials run in chunks of at most _CHUNK, each one draw_trial_batch call
-addressed by its first trial index.  Every estimator call opens one
-thread pool with one worker per CPU the process may use (_workers), and
-each chunk is one task that draws, selects and forms the per-trial
-metric; numpy and scipy release the interpreter lock in that work, so
-chunks run in parallel.  A task never submits to the pool.
+Work has two grains.  Draws come in chunks of at most _CHUNK trials, one
+draw_trial_batch call each, addressed by the first trial, so draw memory
+stays flat.  Each estimator call runs tasks on a thread pool with one
+worker per CPU the process may use (_workers); numpy and scipy release the
+interpreter lock in the heavy steps.  Serial-Max picks depend on the trial
+alone: one task per chunk draws and selects into shared arrays of all
+picks, then one task per point forms and reduces its metric over spans of
+_SPAN trials.  Exhaustive tasks each draw, select and reduce one chunk.
 
-A task reduces its chunk to exact partials (_exact_parts): floats whose
-exact sum is the chunk's.  math.fsum of every chunk's partials rounds
-the exact total once, so it equals math.fsum of all the values bit for
-bit, whatever the chunking and the order tasks finish in, and no result
-depends on _CHUNK or the worker count.  The partials come from numpy:
-each value splits exactly into two 26-bit pieces, and pieces of one
-8-wide exponent band sum exactly in floats.  The standard error is a
-second exact pass, over (x - mean)**2.  Counts (empirical CDFs, P_not)
-are integers and merge exactly.
+Reductions are exact (_exact_parts): each value splits exactly into two
+26-bit pieces, and one bincount sums the pieces of each 8-wide exponent
+band exactly in floats.  math.fsum of a point's parts rounds its exact
+total once, so it equals math.fsum of its values bit for bit, whatever
+the chunks, spans, worker count or order tasks finish in.  The standard
+error is a second exact pass, over (x - mean)**2.  Counts (empirical
+CDFs, P_not) are integers and merge exactly.
 
 The estimators take one SystemConfig or a sequence of them of one array
-size.  Every policy draws its chunks at unit means, through _draw: the
-SNR matrices E and the INRs.  A point's draws at lambda_s and lambda_i =
-eta * lambda_s are those times lambda_s and lambda_i, bit for bit, since
--lambda * log1p(-u) == lambda * (-log1p(-u)).  Serial-Max is defined on
-E: it picks the largest entries of E, whose order the obtainable-SINR
-matrix g = (lambda_s * E) * scale, a positive multiple of E, keeps up to
-rounding.  So all points share one draw and one selection per chunk, one
-task per chunk, and then one task per point forms its metric over the
-shared chunks.  Exhaustive picks depend on lambda_s, so those policies select
-each point's chunks on its own g.  Either way a link's SINR is lambda_s
-times its pick in E over one plus lambda_i times its INR (_sinrs).
-
-The SER estimator averages the conditional SER alpha*Q(sqrt(beta*gamma))
-over channel and interference draws; no symbol-level noise is simulated.
-The residual-INR draws enter only the metric, never the selection.
+size.  Every policy draws at unit means, through _draw: the SNR matrices E
+and the INRs, which a point scales by lambda_s and lambda_i = eta *
+lambda_s, bit for bit as a draw at its means.  Serial-Max picks the
+largest entries of E, whose order g = (lambda_s * E) * scale keeps up to
+rounding; exhaustive policies select on each point's own g.  The SER
+estimator averages alpha*Q(sqrt(beta*gamma)) over the draws; the INRs
+enter only the metric, never the selection.
 """
 
 from __future__ import annotations
@@ -56,12 +48,16 @@ from .selection import POLICIES, _serial_max_positions, by_weight, rate_map, sel
 
 # trials per task: two chunks in flight keep peak memory flat
 _CHUNK = 1 << 14
+# trials per step of a Serial-Max point: fewer, longer numpy calls
+_SPAN = 1 << 16
+# the most trials per point: the largest run the ROADMAP plans for
+MAX_TRIALS = 10**8
 _TINY = np.finfo(float).tiny
 # _exact_parts: Veltkamp's splitter, the largest |x| it cannot overflow on,
-# and the most pieces one bucket may sum exactly (33 + 20 bits <= 53)
+# and values per bincount: cache-sized, under the 2**20 a bucket sums exactly
 _SPLIT = 2.0**27 + 1.0
 _HUGE = 2.0**996
-_BLOCK = 1 << 20
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -105,8 +101,8 @@ def _submit(pool, fn, *args):
 
 def _spans(trials: int) -> list[tuple[int, int]]:
     """(first trial, count) of each chunk of trials 0..trials-1."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be >= 1 and at most MAX_TRIALS = {MAX_TRIALS:,}, got {trials:,}")
     return [(start, min(_CHUNK, trials - start)) for start in range(0, trials, _CHUNK)]
 
 
@@ -140,16 +136,21 @@ def _serial_max_chunk(cfg: SystemConfig, seed: int, start: int, count: int):
     return flat[rows, idx1], flat[rows, idx2], inr_a, inr_b
 
 
-def _serial_max_chunks(pool, cfgs: list[SystemConfig], trials: int, seed: int) -> list:
-    """Every chunk's shared Serial-Max selection, one task per chunk."""
+def _serial_max_picks(pool, cfgs: list[SystemConfig], trials: int, seed: int) -> np.ndarray:
+    """The shared Serial-Max selection of every trial, rows (first, second,
+    inr_a, inr_b) as _serial_max_chunk gives them, one task per chunk."""
     if len({(c.n_a, c.n_b) for c in cfgs}) != 1:
         raise ValueError("Serial-Max points must share one array size")
-    tasks = [_submit(pool, _serial_max_chunk, cfgs[0], seed, *span) for span in _spans(trials)]
-    return [task.result() for task in tasks]
+    spans = _spans(trials)
+    picks = np.empty((4, trials))
+    tasks = [_submit(pool, _serial_max_chunk, cfgs[0], seed, *span) for span in spans]
+    for (start, count), task in zip(spans, tasks):
+        picks[:, start:start + count] = task.result()
+    return picks
 
 
 def _point_sinrs(chunk, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """cfg's Serial-Max (gamma_ab, gamma_ba) in one shared chunk."""
+    """cfg's Serial-Max (gamma_ab, gamma_ba) in a chunk or span of shared picks."""
     first, second, inr_a, inr_b = chunk
     return _sinrs(*by_weight(first, second, cfg.w), inr_a, inr_b, cfg)
 
@@ -169,65 +170,63 @@ def _exact_parts(x: np.ndarray) -> list[float]:
     """Floats whose exact sum is the exact sum of the 1-D float64 array x.
 
     Each value splits exactly into two pieces of at most 26 significant
-    bits (Veltkamp).  A normal piece with biased exponent in [8b, 8b+7] is
-    a multiple of 2**(8b-1048) below 2**(8b-1015), so bincount sums up to
-    _BLOCK such pieces per bucket b exactly; the parts are the bucket sums
-    and the subnormal pieces, which break that bound.  Huge or non-finite
-    input is its own parts.  math.fsum of the parts is math.fsum(x), and of
-    the parts of consecutive pieces of x, concatenated, too, as long as no
-    running sum leaves the float range: math.fsum raises OverflowError on
-    the first one that does, which depends on the order of the terms.
+    bits (Veltkamp), in one buffer [hi | lo].  A normal piece with biased
+    exponent in [8b, 8b+7] is a multiple of 2**(8b-1048) below 2**(8b-1015),
+    so 2**20 such pieces sum exactly in floats.  One bincount per block of
+    at most _BLOCK values sums hi pieces into bucket b and lo pieces into
+    256 + b; the parts are the bucket sums and the subnormal pieces, which
+    break that bound.  Huge or non-finite input is its own parts.
+    math.fsum of the parts is math.fsum(x), and of the parts of consecutive
+    pieces of x, concatenated, too, as long as no running sum leaves the
+    float range: math.fsum raises OverflowError on the first one that does,
+    which depends on the order of the terms.
     """
     if x.size == 0 or not (-_HUGE < x.min() and x.max() < _HUGE):
         return x.tolist()
     parts = []
     for start in range(0, x.size, _BLOCK):
         block = x[start:start + _BLOCK]
-        hi = block * _SPLIT
-        lo = hi - block
+        n = block.size
+        pieces = np.empty(2 * n)
+        hi, lo = pieces[:n], pieces[n:]
+        np.multiply(block, _SPLIT, out=hi)
+        np.subtract(hi, block, out=lo)
         hi -= lo
         np.subtract(block, hi, out=lo)
-        bucket = np.empty(block.size, dtype=np.int64)
-        for piece in hi, lo:
-            np.right_shift(piece.view(np.int64), 55, out=bucket)
-            bucket &= 0xFF
+        bucket = pieces.view(np.int64) >> 55
+        bucket &= 0xFF
+        if bucket.min() == 0:
             low = np.flatnonzero(bucket == 0)
-            sub = piece[low]
+            sub = pieces[low]
             subnormal = (sub != 0) & (np.abs(sub) < _TINY)
             parts.extend(sub[subnormal].tolist())
-            piece[low[subnormal]] = 0.0
-            sums = np.bincount(bucket, weights=piece, minlength=256)
-            parts.extend(sums[sums != 0].tolist())
+            pieces[low[subnormal]] = 0.0
+        bucket[n:] += 256
+        sums = np.bincount(bucket, weights=pieces, minlength=512)
+        parts.extend(sums[sums != 0].tolist())
     return parts
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """math.fsum(x), bit for bit, for a 1-D float64 array."""
-    return math.fsum(_exact_parts(x))
-
-
-def _squared_deviation_parts(values: np.ndarray, mean: float) -> list[float]:
-    dev = values - mean
-    dev *= dev
-    return _exact_parts(dev)
-
-
 def _estimate(chunks: list[tuple[np.ndarray, list[float]]], trials: int, seed: int) -> MetricEstimate:
-    """Mean and standard error of one point from its chunks' (values, parts)."""
+    """Mean and standard error of one point from its chunks' (values, parts);
+    the values are spent, squared deviations in place."""
     mean = math.fsum(itertools.chain.from_iterable(parts for _, parts in chunks)) / trials
     if trials > 1:
-        sq = math.fsum(itertools.chain.from_iterable(
-            _squared_deviation_parts(values, mean) for values, _ in chunks))
+        for values, _ in chunks:
+            values -= mean
+            values *= values
+        sq = math.fsum(itertools.chain.from_iterable(_exact_parts(v) for v, _ in chunks))
         std_error = math.sqrt(sq / (trials - 1)) / math.sqrt(trials)
     else:
         std_error = 0.0
     return MetricEstimate(value=mean, std_error=std_error, trials=trials, master_seed=seed)
 
 
-def _serial_max_point(chunks: list, cfg: SystemConfig, metric: str, trials: int,
+def _serial_max_point(picks: np.ndarray, cfg: SystemConfig, metric: str, trials: int,
                       seed: int) -> MetricEstimate:
-    """cfg's estimate over the shared Serial-Max chunks."""
-    values = [_metric(_point_sinrs(chunk, cfg), cfg, metric) for chunk in chunks]
+    """cfg's estimate over the shared Serial-Max picks, one span at a time."""
+    values = [_metric(_point_sinrs(picks[:, start:start + _SPAN], cfg), cfg, metric)
+              for start in range(0, trials, _SPAN)]
     return _estimate([(v, _exact_parts(v)) for v in values], trials, seed)
 
 
@@ -246,8 +245,8 @@ def _mc_weighted_sum(cfg, policy: str, trials: int, seed: int, metric: str):
     cfgs = [cfg] if single else list(cfg)
     with _pool() as pool:
         if policy == "serial_max":
-            chunks = _serial_max_chunks(pool, cfgs, trials, seed)
-            tasks = [_submit(pool, _serial_max_point, chunks, c, metric, trials, seed)
+            picks = _serial_max_picks(pool, cfgs, trials, seed)
+            tasks = [_submit(pool, _serial_max_point, picks, c, metric, trials, seed)
                      for c in cfgs]
             estimates = [task.result() for task in tasks]
         else:
@@ -277,12 +276,12 @@ def mc_weighted_sum_ser(
     return _mc_weighted_sum(cfg, policy, trials, seed, "ser")
 
 
-def _cdf_counts(chunks: list, cfg: SystemConfig, which: tuple[str, ...],
+def _cdf_counts(picks: np.ndarray, cfg: SystemConfig, which: tuple[str, ...],
                 grid: np.ndarray) -> np.ndarray:
     """cfg's count of samples <= each grid value, per name in which."""
     counts = np.zeros((len(which), grid.size), dtype=np.int64)
-    for chunk in chunks:
-        gamma_ab, gamma_ba = _point_sinrs(chunk, cfg)
+    for start in range(0, picks.shape[1], _SPAN):
+        gamma_ab, gamma_ba = _point_sinrs(picks[:, start:start + _SPAN], cfg)
         for row, name in zip(counts, which):
             samples = np.sort(gamma_ab if name == "gamma_ab" else gamma_ba)
             row += np.searchsorted(samples, grid, side="right")
@@ -315,8 +314,8 @@ def mc_empirical_cdfs(
         if name not in ("gamma_ab", "gamma_ba"):
             raise ValueError(f"which must be 'gamma_ab' or 'gamma_ba', got {name!r}")
     with _pool() as pool:
-        chunks = _serial_max_chunks(pool, cfgs, trials, seed)
-        tasks = [_submit(pool, _cdf_counts, chunks, c, which, x) for c, x in zip(cfgs, grids)]
+        picks = _serial_max_picks(pool, cfgs, trials, seed)
+        tasks = [_submit(pool, _cdf_counts, picks, c, which, x) for c, x in zip(cfgs, grids)]
         out = [[EmpiricalCdf(grid=x, probabilities=row / trials) for row in task.result()]
                for x, task in zip(grids, tasks)]
     return out[0] if single else out

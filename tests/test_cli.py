@@ -7,6 +7,7 @@ import pytest
 from fdlink import SystemConfig, cli, db_to_linear, montecarlo
 from fdlink.cli import FIELDS, SweepSpec, main, preset, run_sweep
 from fdlink.errors import InvalidRange, UnknownPreset
+from fdlink.montecarlo import MAX_TRIALS
 
 
 def tiny_spec(tmp_path, **kw):
@@ -319,6 +320,14 @@ def test_main_rejects_policy_that_does_not_fit_the_metric(tmp_path, capsys):
     assert "policy 'max_wsr'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**20])
+def test_main_rejects_trials_past_the_cap(tmp_path, capsys, trials):
+    out = tmp_path / "x.csv"
+    assert main(["--metric", "wsr", "--trials", str(trials), "--out", str(out)]) == 2
+    assert f"1 <= trials <= {MAX_TRIALS:,}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_numerical_failure_exit_code(tmp_path, capsys):
     # closed forms refuse n_a*n_b > 36 only for serial_max analytic columns;
     # an unwritable output path is the reliable io/numerical failure path
@@ -343,8 +352,12 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     ["--metric", "wsr", "--snr-db", "0:100:0.001"],
     ["--metric", "wsr", "--seed", "-1"],
     ["--metric", "wsr", "--seed", str(2**128)],
+    ["--metric", "wsr", "--policy="],
+    ["--metric", "wsr", "--snr-db="],
+    ["--metric", "wsr", "--eta="],
 ], ids=["eta", "w", "na", "snr-nan", "snr-inf", "snr-overflow", "snr-db-overflow", "preset-na-0",
-        "range-inf", "range-long", "seed-neg", "seed-2**128"])
+        "range-inf", "range-long", "seed-neg", "seed-2**128", "policy-empty", "snr-empty",
+        "eta-empty"])
 def test_main_rejects_bad_grid_input(tmp_path, capsys, args):
     out = tmp_path / "x.csv"
     rc = main(args + ["--trials", "10", "--out", str(out)])

@@ -26,6 +26,7 @@ from fdlink import (
     avg_ser_ab,
     avg_ser_ba,
     avg_weighted_sum_rate,
+    avg_weighted_sum_ser,
     mc_weighted_sum_rate,
     rate_ceiling,
     ser_floor,
@@ -142,8 +143,11 @@ def ser_reference(cfg, a_zero=False):
             # int e^(-(c/lam + beta/2) x) / ((1 + c eta x) sqrt(x)) dx
             if not eta:
                 return mpmath.sqrt(mpmath.pi / (c / lam + beta / 2))
-            s = (0 if a_zero else 1 / (eta * lam)) + beta / (2 * c * eta)
-            return mpmath.pi / mpmath.sqrt(c * eta) * mpmath.exp(s) * mpmath.erfc(mpmath.sqrt(s))
+            # e^s erfc(sqrt(s)) with sqrt(s) squared exactly: e^s of a
+            # rounded s would be off by a factor e^(s * 10^-dps)
+            z = mpmath.sqrt((0 if a_zero else 1 / (eta * lam)) + beta / (2 * c * eta))
+            erfcx_z = mpmath.exp(mpmath.fmul(z, z, exact=True)) * mpmath.erfc(z)
+            return mpmath.pi / mpmath.sqrt(c * eta) * erfcx_z
 
         return [pre * mpmath.sqrt(2 * mpmath.pi / beta)] + [
             pre * integral(c) for c in range(1, cfg.nn + 1)
@@ -218,6 +222,21 @@ def test_floor_refuses_a_sum_it_cannot_vouch_for(monkeypatch):
     for eta in (1e-3, 1e-4):
         with pytest.raises(DomainError, match="SER floor sum cancels more than 33 digits"):
             ser_floor(make_cfg(6, 6, 100.0, eta))
+
+
+@pytest.mark.parametrize("eta", [1e-30, 1e-100, 1e-300])
+def test_tiny_eta_ser_matches_reference_and_the_eta_zero_value(eta):
+    # z^2 ~ 1/eta: the kernel sums erfcx's asymptotic series, mpmath's erfc
+    # serves the reference; at 6x6, lambda_s = 1 the eta = 0 SER is
+    # 0.005701363267606306, and a floor near 0 cancels every digit
+    cfg = make_cfg(6, 6, 1.0, eta)
+    ab, ba, wser = closed_forms_silently(lambda: avg_ser_ab(cfg), lambda: avg_ser_ba(cfg),
+                                         lambda: avg_weighted_sum_ser(cfg))
+    ref_ab, ref_ba = ser_reference(cfg)
+    assert max(rel_err(ab, ref_ab), rel_err(ba, ref_ba)) <= REL_TOL
+    assert rel_err(wser, 0.005701363267606306) <= REL_TOL
+    with pytest.raises(DomainError, match="SER floor sum cancels"):
+        ser_floor(cfg)
 
 
 def test_singular_point_agrees_with_monte_carlo():

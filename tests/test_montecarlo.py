@@ -368,6 +368,27 @@ def test_output_does_not_depend_on_the_worker_count(monkeypatch, trials):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("span,trials", [(1, 250), (150, 400), (10_000, 10_300)])
+def test_output_does_not_depend_on_the_span(monkeypatch, span, trials):
+    # Serial-Max points reduce over spans of _SPAN trials of the shared picks,
+    # which chunks of _CHUNK trials fill; spans that cut across chunks give
+    # the unpatched run's bits at any worker count
+    cfgs = [make_cfg(lambda_s=lam, eta=eta) for lam, eta in ((10.0, 0.1), (1.0, 0.0), (1e4, 0.02))]
+    expected = estimator_outputs(cfgs, trials, 11)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 97)
+    monkeypatch.setattr(montecarlo, "_SPAN", span)
+    for workers in (1, 8):
+        monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+        assert estimator_outputs(cfgs, trials, 11) == expected
+
+
+def test_trial_counts_past_the_cap_are_refused():
+    cap = montecarlo.MAX_TRIALS
+    for trials in (cap + 1, 10**20):
+        with pytest.raises(ValueError, match=f"at most MAX_TRIALS = {cap:,}, got"):
+            montecarlo._spans(trials)
+
+
 def test_a_warning_inside_a_task_fails_the_call(monkeypatch):
     draw = montecarlo.draw_trial_batch
 
@@ -417,6 +438,10 @@ exact_sum_elements = st.one_of(
 )
 
 
+def exact_sum(x):
+    return math.fsum(montecarlo._exact_parts(x))
+
+
 def sum_outcome(fsum, x):
     """The sum's bits, or the type of error it raises."""
     try:
@@ -440,7 +465,7 @@ def test_exact_sum_matches_fsum(x, mirror, cuts):
     if mirror:  # all but x[:3] cancel exactly
         x = np.concatenate([x, -x[::-1][: len(x) - 3]])
     expected = sum_outcome(math.fsum, x)
-    assert sum_outcome(montecarlo._exact_sum, x) == expected
+    assert sum_outcome(exact_sum, x) == expected
     # the parts of consecutive pieces, merged, as estimators merge chunks
     pieces = np.split(x, sorted(cuts))
     merged = sum_outcome(lambda _: math.fsum(itertools.chain.from_iterable(
@@ -455,8 +480,8 @@ def test_exact_sum_matches_fsum(x, mirror, cuts):
 
 
 def bucket_fill_case():
-    """Values that fill one exponent bucket to its bound of 2**20 pieces,
-    across two blocks.  A normal piece in bucket b has biased exponent in
+    """Values that fill one exponent bucket to its bound of 2**20 pieces
+    when _BLOCK is 2**20, across two blocks.  A normal piece in bucket b has biased exponent in
     [8b, 8b + 7]; big, a 26-bit value at biased exponent 1039, tops bucket
     129 and tiny_a at 1032 floors it, while tiny_b at 1024 floors the
     16-exponent bucket 64.  The cancel term leaves tiny_a + tiny_b, so any
@@ -480,10 +505,52 @@ def bucket_zero_mix():
     return x
 
 
+def veltkamp(x):
+    """The (hi, lo) pieces _exact_parts splits x into."""
+    hi = x * (2.0**27 + 1.0)
+    hi -= hi - x
+    return hi, x - hi
+
+
+def odd_mantissas(rng, k):
+    """k odd 53-bit integers, as floats: their lo pieces are never 0."""
+    return (2**52 + rng.integers(0, 2**51, k) * 2 + 1).astype(float)
+
+
+def lo_only_in_bucket_0():
+    """Values whose hi pieces all lie above bucket 0 while their lo pieces
+    reach it: a's lo pieces are subnormal multiples of 2**-1066, b's normal
+    multiples of 2**-1041 of either sign, whose running sum in one bucket
+    would round a's low bits away.  The negated hi pieces leave the exact
+    sum of the lo pieces."""
+    rng = np.random.default_rng(1)
+    a = odd_mantissas(rng, 1000) * 2.0**-1066
+    b = odd_mantissas(rng, 1000) * 2.0**-1041 * rng.choice([-1.0, 1.0], 1000)
+    hi, lo = veltkamp(np.concatenate([a, b]))
+    assert np.all(np.abs(hi) >= 2.0**-1015) and np.all(np.abs(lo) < 2.0**-1015)
+    assert np.all((lo[:1000] != 0) & (np.abs(lo[:1000]) < 2.0**-1022))
+    x = np.concatenate([a, b, -hi])
+    rng.shuffle(x)
+    return x
+
+
+def nothing_in_bucket_0():
+    """Values in [1, 2) and most of their negations: no piece is zero or
+    below 2**-1015, so the subnormal filter is skipped."""
+    rng = np.random.default_rng(2)
+    x = odd_mantissas(rng, 1000) * 2.0**-52
+    x = np.concatenate([x, -x[:-7]])
+    rng.shuffle(x)
+    assert all(np.all(np.abs(piece) >= 2.0**-1015) for piece in veltkamp(x))
+    return x
+
+
 HUGE_BELOW, HUGE_ABOVE = (math.nextafter(2.0**996, t) for t in (0.0, math.inf))
 EXACT_SUM_CASES = {
     "bucket-fill": bucket_fill_case,
     "bucket-0-mix": bucket_zero_mix,
+    "lo-only-in-bucket-0": lo_only_in_bucket_0,
+    "nothing-in-bucket-0": nothing_in_bucket_0,
     "huge-1ulp-below": lambda: np.array([HUGE_BELOW, 1.0, -HUGE_BELOW, 2.0**-1074]),
     "huge": lambda: np.array([2.0**996, 1.0, -(2.0**996), 2.0**-1074]),
     "huge-1ulp-above": lambda: np.array([-HUGE_ABOVE, 1.0, HUGE_ABOVE, -(2.0**-1074)]),
@@ -498,4 +565,7 @@ EXACT_SUM_CASES = {
 @pytest.mark.parametrize("case", sorted(EXACT_SUM_CASES))
 def test_exact_sum_matches_fsum_on_edge_cases(case):
     x = EXACT_SUM_CASES[case]()
-    assert sum_outcome(montecarlo._exact_sum, x) == sum_outcome(math.fsum, x)
+    # at the default block and at 2**20 values, where a bucket can fill
+    for block in (montecarlo._BLOCK, 1 << 20):
+        with mock.patch.object(montecarlo, "_BLOCK", block):
+            assert sum_outcome(exact_sum, x) == sum_outcome(math.fsum, x)
