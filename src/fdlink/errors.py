@@ -38,7 +38,7 @@ class UnknownPreset(FdlinkError):
 
 
 class IoError(FdlinkError):
-    """Result file could not be written."""
+    """A config file could not be read, or a result file could not be written."""
 
 
 class SingularTermWarning(UserWarning):

@@ -5,10 +5,10 @@ Work has two grains.  Draws come in chunks of at most _CHUNK trials, one
 draw_trial_batch call each, addressed by the first trial, so draw memory
 stays flat.  Each estimator call runs tasks on a thread pool with one
 worker per CPU the process may use (_workers); numpy and scipy release the
-interpreter lock in the heavy steps.  Serial-Max picks depend on the trial
-alone: one task per chunk draws and selects into shared arrays of all
-picks, then one task per point forms and reduces its metric over spans of
-_SPAN trials.  Exhaustive tasks each draw, select and reduce one chunk.
+interpreter lock in the heavy steps.  Every policy runs one flow: one
+task per chunk draws once and selects into one shared array of every
+trial's picks (_chunk_picks), then one task per point forms and reduces
+its metric over spans of _SPAN trials of that array (_point_estimate).
 
 Reductions are exact (_exact_parts): each value splits exactly into two
 26-bit pieces, and one bincount sums the pieces of each 8-wide exponent
@@ -23,7 +23,8 @@ size.  Every policy draws at unit means, through _draw: the SNR matrices E
 and the INRs, which a point scales by lambda_s and lambda_i = eta *
 lambda_s, bit for bit as a draw at its means.  Serial-Max picks the
 largest entries of E, whose order g = (lambda_s * E) * scale keeps up to
-rounding; exhaustive policies select on each point's own g.  The SER
+rounding, so it selects once for every point; exhaustive policies select
+once per point, on its own g.  The SER
 estimator averages alpha*Q(sqrt(beta*gamma)) over the draws; the INRs
 enter only the metric, never the selection.
 """
@@ -44,11 +45,11 @@ import numpy as np
 
 from .channel import draw_trial_batch, instantaneous_sinr
 from .config import SystemConfig, derived_params
-from .selection import POLICIES, _serial_max_positions, by_weight, rate_map, select, ser_map
+from .selection import POLICIES, by_weight, rate_map, select, ser_map
 
 # trials per task: two chunks in flight keep peak memory flat
 _CHUNK = 1 << 14
-# trials per step of a Serial-Max point: fewer, longer numpy calls
+# trials per step of a point's reduction: fewer, longer numpy calls
 _SPAN = 1 << 16
 # the most trials per point: the largest run the ROADMAP plans for
 MAX_TRIALS = 10**8
@@ -119,40 +120,43 @@ def _scaled(x, cfg: SystemConfig):
     return g
 
 
-def _sinrs(ab, ba, inr_a, inr_b, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(gamma_ab, gamma_ba) from the unit SNRs of the A->B and B->A links
-    and the unit INRs, each scaled to cfg's means."""
-    lambda_i = cfg.eta * cfg.lambda_s
-    return (instantaneous_sinr(cfg.lambda_s * ab, lambda_i * inr_b),
-            instantaneous_sinr(cfg.lambda_s * ba, lambda_i * inr_a))
-
-
-def _serial_max_chunk(cfg: SystemConfig, seed: int, start: int, count: int):
-    """One chunk's draw at cfg's size and its Serial-Max picks on E: (first,
-    second, inr_a, inr_b), the unit SNRs of the two picks and the unit INRs."""
-    e, inr_a, inr_b = _draw(cfg, seed, start, count)
-    idx1, idx2 = _serial_max_positions(e)
+def _chunk_picks(cfgs: list[SystemConfig], policy: str, seed: int, start: int,
+                 count: int) -> list[np.ndarray]:
+    """One chunk's draw at the points' size and its picks: rows (first,
+    second) of unit SNRs per selection, then inr_a and inr_b.  Serial-Max
+    selects once, on E, for every point; exhaustive policies select once
+    per point, on its own g."""
+    e, inr_a, inr_b = _draw(cfgs[0], seed, start, count)
     rows, flat = np.arange(count), e.reshape(count, -1)
-    return flat[rows, idx1], flat[rows, idx2], inr_a, inr_b
+    shared = policy == "serial_max"
+    out = []
+    for cfg in cfgs[:1] if shared else cfgs:
+        ab, ba = select(e if shared else _scaled(e, cfg), cfg.w, policy, cfg.modulation)
+        out += by_weight(flat[rows, ab], flat[rows, ba], cfg.w)
+    return out + [inr_a, inr_b]
 
 
-def _serial_max_picks(pool, cfgs: list[SystemConfig], trials: int, seed: int) -> np.ndarray:
-    """The shared Serial-Max selection of every trial, rows (first, second,
-    inr_a, inr_b) as _serial_max_chunk gives them, one task per chunk."""
+def _picks(pool, cfgs: list[SystemConfig], policy: str, trials: int, seed: int) -> np.ndarray:
+    """Every trial's picks under policy, rows as _chunk_picks gives them,
+    one task per chunk."""
     if len({(c.n_a, c.n_b) for c in cfgs}) != 1:
-        raise ValueError("Serial-Max points must share one array size")
+        raise ValueError("the points of one call must share one array size")
     spans = _spans(trials)
-    picks = np.empty((4, trials))
-    tasks = [_submit(pool, _serial_max_chunk, cfgs[0], seed, *span) for span in spans]
+    tasks = [_submit(pool, _chunk_picks, cfgs, policy, seed, *span) for span in spans]
+    picks = np.empty((len(tasks[0].result()), trials))
     for (start, count), task in zip(spans, tasks):
         picks[:, start:start + count] = task.result()
     return picks
 
 
-def _point_sinrs(chunk, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """cfg's Serial-Max (gamma_ab, gamma_ba) in a chunk or span of shared picks."""
-    first, second, inr_a, inr_b = chunk
-    return _sinrs(*by_weight(first, second, cfg.w), inr_a, inr_b, cfg)
+def _point_sinrs(picks, k: int, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """cfg's (gamma_ab, gamma_ba) from selection k of a chunk or span of
+    picks: the unit SNRs of its A->B and B->A picks over the unit INRs
+    (inr_a, inr_b are the last two rows), each scaled to cfg's means."""
+    ab, ba = by_weight(picks[2 * k], picks[2 * k + 1], cfg.w)
+    lambda_i = cfg.eta * cfg.lambda_s
+    return (instantaneous_sinr(cfg.lambda_s * ab, lambda_i * picks[-1]),
+            instantaneous_sinr(cfg.lambda_s * ba, lambda_i * picks[-2]))
 
 
 def _metric(gammas: tuple[np.ndarray, np.ndarray], cfg: SystemConfig, metric: str) -> np.ndarray:
@@ -207,54 +211,35 @@ def _exact_parts(x: np.ndarray) -> list[float]:
     return parts
 
 
-def _estimate(chunks: list[tuple[np.ndarray, list[float]]], trials: int, seed: int) -> MetricEstimate:
-    """Mean and standard error of one point from its chunks' (values, parts);
-    the values are spent, squared deviations in place."""
-    mean = math.fsum(itertools.chain.from_iterable(parts for _, parts in chunks)) / trials
+def _point_estimate(picks: np.ndarray, k: int, cfg: SystemConfig, metric: str, trials: int,
+                    seed: int) -> MetricEstimate:
+    """cfg's estimate from selection k of the picks, one span at a time:
+    the mean by one exact pass, the standard error by a second over the
+    squared deviations, formed in place."""
+    values = [_metric(_point_sinrs(picks[:, start:start + _SPAN], k, cfg), cfg, metric)
+              for start in range(0, trials, _SPAN)]
+    mean = math.fsum(itertools.chain.from_iterable(map(_exact_parts, values))) / trials
     if trials > 1:
-        for values, _ in chunks:
-            values -= mean
-            values *= values
-        sq = math.fsum(itertools.chain.from_iterable(_exact_parts(v) for v, _ in chunks))
+        for v in values:
+            v -= mean
+            v *= v
+        sq = math.fsum(itertools.chain.from_iterable(map(_exact_parts, values)))
         std_error = math.sqrt(sq / (trials - 1)) / math.sqrt(trials)
     else:
         std_error = 0.0
     return MetricEstimate(value=mean, std_error=std_error, trials=trials, master_seed=seed)
 
 
-def _serial_max_point(picks: np.ndarray, cfg: SystemConfig, metric: str, trials: int,
-                      seed: int) -> MetricEstimate:
-    """cfg's estimate over the shared Serial-Max picks, one span at a time."""
-    values = [_metric(_point_sinrs(picks[:, start:start + _SPAN], cfg), cfg, metric)
-              for start in range(0, trials, _SPAN)]
-    return _estimate([(v, _exact_parts(v)) for v in values], trials, seed)
-
-
-def _own_chunk(cfg: SystemConfig, policy: str, metric: str, seed: int, start: int,
-               count: int) -> tuple[np.ndarray, list[float]]:
-    """(values, parts) of one chunk of cfg, selected on cfg's own g."""
-    e, inr_a, inr_b = _draw(cfg, seed, start, count)
-    ab, ba = select(_scaled(e, cfg), cfg.w, policy, cfg.modulation)
-    rows, flat = np.arange(count), e.reshape(count, -1)
-    values = _metric(_sinrs(flat[rows, ab], flat[rows, ba], inr_a, inr_b, cfg), cfg, metric)
-    return values, _exact_parts(values)
-
-
 def _mc_weighted_sum(cfg, policy: str, trials: int, seed: int, metric: str):
     single = isinstance(cfg, SystemConfig)
     cfgs = [cfg] if single else list(cfg)
     with _pool() as pool:
-        if policy == "serial_max":
-            picks = _serial_max_picks(pool, cfgs, trials, seed)
-            tasks = [_submit(pool, _serial_max_point, picks, c, metric, trials, seed)
-                     for c in cfgs]
-            estimates = [task.result() for task in tasks]
-        else:
-            spans = _spans(trials)
-            tasks = [[_submit(pool, _own_chunk, c, policy, metric, seed, *span) for span in spans]
-                     for c in cfgs]
-            estimates = [_estimate([task.result() for task in point], trials, seed)
-                         for point in tasks]
+        picks = _picks(pool, cfgs, policy, trials, seed)
+        # point i reads selection i, or selection 0 where all points share it
+        selections = len(picks) // 2 - 1
+        tasks = [_submit(pool, _point_estimate, picks, i % selections, c, metric, trials, seed)
+                 for i, c in enumerate(cfgs)]
+        estimates = [task.result() for task in tasks]
     return estimates[0] if single else estimates
 
 
@@ -281,7 +266,7 @@ def _cdf_counts(picks: np.ndarray, cfg: SystemConfig, which: tuple[str, ...],
     """cfg's count of samples <= each grid value, per name in which."""
     counts = np.zeros((len(which), grid.size), dtype=np.int64)
     for start in range(0, picks.shape[1], _SPAN):
-        gamma_ab, gamma_ba = _point_sinrs(picks[:, start:start + _SPAN], cfg)
+        gamma_ab, gamma_ba = _point_sinrs(picks[:, start:start + _SPAN], 0, cfg)
         for row, name in zip(counts, which):
             samples = np.sort(gamma_ab if name == "gamma_ab" else gamma_ba)
             row += np.searchsorted(samples, grid, side="right")
@@ -308,13 +293,13 @@ def mc_empirical_cdfs(
     if len(grids) != len(cfgs):
         raise ValueError("give one grid per config")
     for x in grids:
-        if x.ndim != 1 or np.any(np.diff(x) < 0):
+        if x.ndim != 1 or np.isnan(x).any() or np.any(np.diff(x) < 0):
             raise ValueError("grid must be one-dimensional and ascending")
     for name in which:
         if name not in ("gamma_ab", "gamma_ba"):
             raise ValueError(f"which must be 'gamma_ab' or 'gamma_ba', got {name!r}")
     with _pool() as pool:
-        picks = _serial_max_picks(pool, cfgs, trials, seed)
+        picks = _picks(pool, cfgs, "serial_max", trials, seed)
         tasks = [_submit(pool, _cdf_counts, picks, c, which, x) for c, x in zip(cfgs, grids)]
         out = [[EmpiricalCdf(grid=x, probabilities=row / trials) for row in task.result()]
                for x, task in zip(grids, tasks)]

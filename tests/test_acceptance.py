@@ -48,7 +48,7 @@ from fdlink import (
 from fdlink import montecarlo
 from fdlink.analytic import cdf_gamma_ab, cdf_gamma_ba
 from fdlink.cli import preset, run_sweep
-from fdlink.montecarlo import _point_sinrs, _serial_max_chunk
+from fdlink.montecarlo import _chunk_picks, _point_sinrs
 from fdlink.selection import _exhaustive_positions, _serial_max_positions
 
 
@@ -198,7 +198,7 @@ def test_criterion_03_sinr_cdfs_match_sampling():
     trials = 100_000
     worst = 0.0
     for cfg in (make_cfg(3, 3, 10.0, 0.1), make_cfg(2, 2, 100.0, 0.02)):
-        gamma_ab, gamma_ba = _point_sinrs(_serial_max_chunk(cfg, 314, 0, trials), cfg)
+        gamma_ab, gamma_ba = _point_sinrs(_chunk_picks([cfg], "serial_max", 314, 0, trials), 0, cfg)
         for samples, vec_cdf in ((gamma_ab, vec_cdf_ab), (gamma_ba, vec_cdf_ba)):
             s = np.sort(samples)
             model = vec_cdf(cfg, s)

@@ -152,11 +152,13 @@ def test_cdf_sweep_draws_each_trial_once(tmp_path, monkeypatch):
     assert calls == [(0, 1000)]
 
 
-def test_serial_max_sweep_draws_each_chunk_once(tmp_path, monkeypatch):
-    # 9 SNR x 3 eta points share each chunk's draw and selection
+@pytest.mark.parametrize("policy", montecarlo.POLICIES)
+def test_serial_max_sweep_draws_each_chunk_once(tmp_path, monkeypatch, policy):
+    # 9 SNR x 3 eta points share each chunk's draw, and under Serial-Max its
+    # selection too
     monkeypatch.setattr(montecarlo, "_CHUNK", 400)
     calls = record_draws(monkeypatch)
-    spec = tiny_spec(tmp_path, snr_db=[float(s) for s in range(0, 41, 5)],
+    spec = tiny_spec(tmp_path, policies=[policy], snr_db=[float(s) for s in range(0, 41, 5)],
                      eta=[0.0, 0.02, 0.1], sizes=[(3, 3)], trials=1000)
     rows = run_sweep(spec)
     # chunks run concurrently, so they may be drawn in any order
@@ -164,7 +166,7 @@ def test_serial_max_sweep_draws_each_chunk_once(tmp_path, monkeypatch):
     assert len(rows) == 27
     for row in rows:
         cfg = SystemConfig(n_a=3, n_b=3, lambda_s=db_to_linear(row.snr_db), eta=row.eta, w=row.w)
-        est = montecarlo.mc_weighted_sum_rate(cfg, "serial_max", 1000, spec.seed)
+        est = montecarlo.mc_weighted_sum_rate(cfg, policy, 1000, spec.seed)
         assert (row.mc_value, row.mc_stderr) == (est.value, est.std_error)
 
 

@@ -173,6 +173,13 @@ def test_empirical_cdf_validation():
         mc_empirical_cdf(cfg, "gamma_xx", 10, 0, np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0, 50.0], [1.0, math.nan, 0.5], [math.nan]])
+def test_empirical_cdf_rejects_nan_grids(grid):
+    # np.diff(grid) < 0 is False at a NaN, so a NaN grid needs its own check
+    with pytest.raises(ValueError, match="grid must be one-dimensional and ascending"):
+        mc_empirical_cdf(make_cfg(), "gamma_ab", 10, 0, np.array(grid))
+
+
 def test_empirical_cdf_rejects_zero_trials():
     with pytest.raises(ValueError, match="trials must be >= 1"):
         mc_empirical_cdf(make_cfg(), "gamma_ab", 0, 0, np.array([1.0, 2.0]))
@@ -193,28 +200,32 @@ def test_p_not_decreases_with_array_size():
     assert vals[0] > vals[1] > vals[2]
 
 
-def per_point_sinrs(cfg, trials, seed):
-    """Per chunk, the Serial-Max (gamma_ab, gamma_ba) of one point drawn on
-    its own: SNRs and INRs drawn at its own means through
-    montecarlo.draw_trial_batch, picks made on the same trials' unit draw."""
+def per_point_sinrs(cfg, trials, seed, policy="serial_max"):
+    """Per chunk, the (gamma_ab, gamma_ba) of one point drawn on its own:
+    SNRs and INRs drawn at its own means through montecarlo.draw_trial_batch;
+    Serial-Max picks made on the same trials' unit draw, exhaustive picks on
+    the point's obtainable SINRs."""
     chunk = montecarlo._CHUNK
     unit = replace(cfg, lambda_s=1.0)
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
         snr, inr_a, inr_b = montecarlo.draw_trial_batch(
             seed, start, count, cfg, cfg.eta * cfg.lambda_s)
-        e, _, _ = montecarlo.draw_trial_batch(seed, start, count, unit, 1.0)
-        ab, ba = select(e, cfg.w, "serial_max", cfg.modulation)
+        if policy == "serial_max":
+            basis, _, _ = montecarlo.draw_trial_batch(seed, start, count, unit, 1.0)
+        else:
+            basis = to_obtainable_sinr(snr, derived_params(cfg))
+        ab, ba = select(basis, cfg.w, policy, cfg.modulation)
         rows = np.arange(count)
         flat = snr.reshape(count, -1)
         yield (instantaneous_sinr(flat[rows, ab], inr_b),
                instantaneous_sinr(flat[rows, ba], inr_a))
 
 
-def per_point_estimate(cfg, trials, seed, metric):
+def per_point_estimate(cfg, trials, seed, metric, policy="serial_max"):
     """(mean, stderr) of one point on its own, by the same two fsum passes."""
     parts = []
-    for gammas in per_point_sinrs(cfg, trials, seed):
+    for gammas in per_point_sinrs(cfg, trials, seed, policy):
         f_ab, f_ba = (rate_map(x) if metric == "rate" else ser_map(x, cfg.modulation)
                       for x in gammas)
         parts.append(cfg.w * f_ab + (1.0 - cfg.w) * f_ba)
@@ -268,6 +279,22 @@ def test_shared_serial_max_matches_per_point_oracle(n_a, n_b, grid, trials, seed
         assert_shared_matches_oracle(cfgs, trials, seed, metric)
 
 
+@settings(max_examples=100, deadline=None)
+@given(n_a=st.integers(2, 6), n_b=st.integers(2, 6), grid=st.lists(points, min_size=1, max_size=4),
+       trials=st.integers(1, 300), seed=st.integers(0, 2**64 - 1),
+       policy=st.sampled_from(["max_wsr", "min_wser"]), metric=st.sampled_from(["rate", "ser"]))
+def test_shared_exhaustive_matches_per_point_oracle(n_a, n_b, grid, trials, seed, policy, metric):
+    # the points share each chunk's draw, and each selects on its own g
+    cfgs = [make_cfg(n_a=n_a, n_b=n_b, lambda_s=lam, eta=eta, w=w) for lam, eta, w in grid]
+    fn = mc_weighted_sum_rate if metric == "rate" else mc_weighted_sum_ser
+    with mock.patch.object(montecarlo, "_CHUNK", 97), mock.patch.object(montecarlo, "_SPAN", 40):
+        shared = fn(cfgs, policy, trials, seed)
+        assert len(shared) == len(cfgs)
+        for cfg, est in zip(cfgs, shared):
+            mean, std_error = per_point_estimate(cfg, trials, seed, metric, policy)
+            assert (bits(est.value), bits(est.std_error)) == (bits(mean), bits(std_error)), cfg
+
+
 def crafted_draws(unit_snr):
     """A stand-in for draw_trial_batch that scales a fixed unit stack as the
     real draws scale, lambda_s * E and lambda_i * E bit for bit."""
@@ -286,7 +313,7 @@ def assert_picks_follow_the_unit_draw(cfg, unit):
     made on cfg's own g would differ, so a selection on g fails here."""
     e = np.asarray(unit, dtype=float)
     rows, flat = np.arange(len(e)), e.reshape(len(e), -1)
-    first, second, _, _ = montecarlo._serial_max_chunk(cfg, 0, 0, len(e))
+    first, second, _, _ = montecarlo._chunk_picks([cfg], "serial_max", 0, 0, len(e))
 
     def picked(basis):
         idx1, idx2 = _serial_max_positions(basis)
@@ -344,11 +371,11 @@ def test_shared_serial_max_reselects_where_the_snr_is_subnormal(monkeypatch):
 
 def estimator_outputs(cfgs, trials, seed):
     """The bits of every estimator's output: each policy and metric at
-    cfgs[0], Serial-Max over the list, P_not and both links' CDFs."""
+    cfgs[0] and over the list, P_not and both links' CDFs."""
     out = []
     for fn in (mc_weighted_sum_rate, mc_weighted_sum_ser):
-        out += [fn(cfgs[0], policy, trials, seed) for policy in montecarlo.POLICIES]
-        out += fn(cfgs, "serial_max", trials, seed)
+        for policy in montecarlo.POLICIES:
+            out += [fn(cfgs[0], policy, trials, seed), *fn(cfgs, policy, trials, seed)]
     out.append(mc_p_not(cfgs[0], trials, seed))
     out = [(bits(est.value), bits(est.std_error)) for est in out]
     grids = [np.geomspace(1e-3, 5.0 * cfg.lambda_s, 40) for cfg in cfgs]
@@ -370,7 +397,7 @@ def test_output_does_not_depend_on_the_worker_count(monkeypatch, trials):
 
 @pytest.mark.parametrize("span,trials", [(1, 250), (150, 400), (10_000, 10_300)])
 def test_output_does_not_depend_on_the_span(monkeypatch, span, trials):
-    # Serial-Max points reduce over spans of _SPAN trials of the shared picks,
+    # every point reduces over spans of _SPAN trials of the shared picks,
     # which chunks of _CHUNK trials fill; spans that cut across chunks give
     # the unpatched run's bits at any worker count
     cfgs = [make_cfg(lambda_s=lam, eta=eta) for lam, eta in ((10.0, 0.1), (1.0, 0.0), (1e4, 0.02))]
@@ -416,8 +443,8 @@ def test_point_lists_return_one_estimate_per_point():
     for policy in montecarlo.POLICIES:
         many = mc_weighted_sum_rate(cfgs, policy, 200, 4)
         assert many == [mc_weighted_sum_rate(cfg, policy, 200, 4) for cfg in cfgs]
-    with pytest.raises(ValueError, match="one array size"):
-        mc_weighted_sum_rate([make_cfg(), make_cfg(n_a=2)], "serial_max", 10, 0)
+        with pytest.raises(ValueError, match="one array size"):
+            mc_weighted_sum_rate([make_cfg(), make_cfg(n_a=2, n_b=4)], policy, 10, 0)
     with pytest.raises(ValueError, match="one grid per config"):
         montecarlo.mc_empirical_cdfs(cfgs, ("gamma_ab",), 10, 0, [np.ones(3)])
 
