@@ -256,8 +256,11 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                         [_format_cell(getattr(row, name)) for name in FIELDS]
                     )
         else:
+            # JSON has no token for a non-finite float: such cells are null
+            records = [{k: v if not isinstance(v, float) or math.isfinite(v) else None
+                        for k, v in dataclasses.asdict(r).items()} for r in rows]
             with open(spec.out, "w") as fh:
-                json.dump([dataclasses.asdict(r) for r in rows], fh, indent=1)
+                json.dump(records, fh, indent=1, allow_nan=False)
                 fh.write("\n")
         # the sidecar sits at out + ".meta.json"; leaving out itself out
         # keeps a sweep's sidecar the same wherever it is written

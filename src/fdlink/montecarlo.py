@@ -6,9 +6,10 @@ draw_trial_batch call each, addressed by the first trial, so draw memory
 stays flat.  Each estimator call runs tasks on a thread pool with one
 worker per CPU the process may use (_workers); numpy and scipy release the
 interpreter lock in the heavy steps.  Every policy runs one flow: one
-task per chunk draws once and selects into one shared array of every
-trial's picks (_chunk_picks), then one task per point forms and reduces
-its metric over spans of _SPAN trials of that array (_point_estimate).
+task per chunk draws once and finds the candidate links its policy reads
+(_chunk_picks), into one shared array of every trial's picks; then one
+task per point forms and reduces its metric over spans of _SPAN trials
+of that array (_point_estimate).
 
 Reductions are exact (_exact_parts): each value splits exactly into two
 26-bit pieces, and one bincount sums the pieces of each 8-wide exponent
@@ -19,14 +20,15 @@ error is a second exact pass, over (x - mean)**2.  Counts (empirical
 CDFs, P_not) are integers and merge exactly.
 
 The estimators take one SystemConfig or a sequence of them of one array
-size.  Every policy draws at unit means, through _draw: the SNR matrices E
-and the INRs, which a point scales by lambda_s and lambda_i = eta *
-lambda_s, bit for bit as a draw at its means.  Serial-Max picks the
-largest entries of E, whose order g = (lambda_s * E) * scale keeps up to
-rounding, so it selects once for every point; exhaustive policies select
-once per point, on its own g.  The SER
-estimator averages alpha*Q(sqrt(beta*gamma)) over the draws; the INRs
-enter only the metric, never the selection.
+size.  Every policy draws at unit means: the SNR matrices E and the
+INRs, which a point scales by lambda_s and lambda_i = eta * lambda_s,
+bit for bit as a draw at its means.  g = (lambda_s * E) * scale keeps the
+order of E up to rounding, so each chunk takes its candidates on E once
+for every point: Serial-Max's (M, S), and R and C for exhaustive
+policies, whose points each score the four candidate pairs on their own
+g (see fdlink.selection).  The SER estimator averages
+alpha*Q(sqrt(beta*gamma)) over the draws; the INRs enter only the
+metric, never the selection.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from .channel import draw_trial_batch, instantaneous_sinr
 from .config import SystemConfig, derived_params
-from .selection import POLICIES, by_weight, rate_map, select, ser_map
+from .selection import POLICIES, best_pairs, by_weight, candidates, rate_map, ser_map
 
 # trials per task: two chunks in flight keep peak memory flat
 _CHUNK = 1 << 14
@@ -107,33 +109,22 @@ def _spans(trials: int) -> list[tuple[int, int]]:
     return [(start, min(_CHUNK, trials - start)) for start in range(0, trials, _CHUNK)]
 
 
-def _draw(cfg: SystemConfig, seed: int, start: int, count: int):
-    """(E, inr_a, inr_b): the unit-mean SNRs and INRs of one chunk at cfg's size."""
-    return draw_trial_batch(seed, start, count, replace(cfg, lambda_s=1.0), 1.0)
-
-
 def _scaled(x, cfg: SystemConfig):
     """g = (lambda_s * x) * scale, rounded as to_obtainable_sinr rounds it;
-    scaled in place, so a matrix costs one new array, not two."""
+    scaled in place, so it costs one new array, not two."""
     g = cfg.lambda_s * x
     g *= derived_params(cfg).scale
     return g
 
 
-def _chunk_picks(cfgs: list[SystemConfig], policy: str, seed: int, start: int,
+def _chunk_picks(cfg: SystemConfig, policy: str, seed: int, start: int,
                  count: int) -> list[np.ndarray]:
-    """One chunk's draw at the points' size and its picks: rows (first,
-    second) of unit SNRs per selection, then inr_a and inr_b.  Serial-Max
-    selects once, on E, for every point; exhaustive policies select once
-    per point, on its own g."""
-    e, inr_a, inr_b = _draw(cfgs[0], seed, start, count)
-    rows, flat = np.arange(count), e.reshape(count, -1)
-    shared = policy == "serial_max"
-    out = []
-    for cfg in cfgs[:1] if shared else cfgs:
-        ab, ba = select(e if shared else _scaled(e, cfg), cfg.w, policy, cfg.modulation)
-        out += by_weight(flat[rows, ab], flat[rows, ba], cfg.w)
-    return out + [inr_a, inr_b]
+    """One chunk's draw at unit means and cfg's size, and its picks: rows
+    of the unit SNRs at the candidates policy reads, (M, S) or (M, S, R, C),
+    then inr_a and inr_b."""
+    e, inr_a, inr_b = draw_trial_batch(seed, start, count, replace(cfg, lambda_s=1.0), 1.0)
+    unit = e.reshape(count, -1)[np.arange(count), candidates(e, policy)]
+    return [*unit, inr_a, inr_b]
 
 
 def _picks(pool, cfgs: list[SystemConfig], policy: str, trials: int, seed: int) -> np.ndarray:
@@ -142,18 +133,24 @@ def _picks(pool, cfgs: list[SystemConfig], policy: str, trials: int, seed: int) 
     if len({(c.n_a, c.n_b) for c in cfgs}) != 1:
         raise ValueError("the points of one call must share one array size")
     spans = _spans(trials)
-    tasks = [_submit(pool, _chunk_picks, cfgs, policy, seed, *span) for span in spans]
+    tasks = [_submit(pool, _chunk_picks, cfgs[0], policy, seed, *span) for span in spans]
     picks = np.empty((len(tasks[0].result()), trials))
     for (start, count), task in zip(spans, tasks):
         picks[:, start:start + count] = task.result()
     return picks
 
 
-def _point_sinrs(picks, k: int, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """cfg's (gamma_ab, gamma_ba) from selection k of a chunk or span of
-    picks: the unit SNRs of its A->B and B->A picks over the unit INRs
+def _point_sinrs(picks, cfg: SystemConfig,
+                 policy: str = "serial_max") -> tuple[np.ndarray, np.ndarray]:
+    """cfg's (gamma_ab, gamma_ba) from a chunk or span of picks: the unit
+    SNRs of policy's (first, second) pick, the best of the four candidate
+    pairs on cfg's own g for exhaustive policies, over the unit INRs
     (inr_a, inr_b are the last two rows), each scaled to cfg's means."""
-    ab, ba = by_weight(picks[2 * k], picks[2 * k + 1], cfg.w)
+    first, second = picks[0], picks[1]
+    if policy != "serial_max":
+        unit = picks[:4]
+        first, second = best_pairs(unit, _scaled(unit, cfg), cfg.w, policy, cfg.modulation)
+    ab, ba = by_weight(first, second, cfg.w)
     lambda_i = cfg.eta * cfg.lambda_s
     return (instantaneous_sinr(cfg.lambda_s * ab, lambda_i * picks[-1]),
             instantaneous_sinr(cfg.lambda_s * ba, lambda_i * picks[-2]))
@@ -211,12 +208,12 @@ def _exact_parts(x: np.ndarray) -> list[float]:
     return parts
 
 
-def _point_estimate(picks: np.ndarray, k: int, cfg: SystemConfig, metric: str, trials: int,
+def _point_estimate(picks: np.ndarray, cfg: SystemConfig, policy: str, metric: str, trials: int,
                     seed: int) -> MetricEstimate:
-    """cfg's estimate from selection k of the picks, one span at a time:
-    the mean by one exact pass, the standard error by a second over the
-    squared deviations, formed in place."""
-    values = [_metric(_point_sinrs(picks[:, start:start + _SPAN], k, cfg), cfg, metric)
+    """cfg's estimate from policy's picks, one span at a time: the mean by
+    one exact pass, the standard error by a second over the squared
+    deviations, formed in place."""
+    values = [_metric(_point_sinrs(picks[:, start:start + _SPAN], cfg, policy), cfg, metric)
               for start in range(0, trials, _SPAN)]
     mean = math.fsum(itertools.chain.from_iterable(map(_exact_parts, values))) / trials
     if trials > 1:
@@ -235,10 +232,8 @@ def _mc_weighted_sum(cfg, policy: str, trials: int, seed: int, metric: str):
     cfgs = [cfg] if single else list(cfg)
     with _pool() as pool:
         picks = _picks(pool, cfgs, policy, trials, seed)
-        # point i reads selection i, or selection 0 where all points share it
-        selections = len(picks) // 2 - 1
-        tasks = [_submit(pool, _point_estimate, picks, i % selections, c, metric, trials, seed)
-                 for i, c in enumerate(cfgs)]
+        tasks = [_submit(pool, _point_estimate, picks, c, policy, metric, trials, seed)
+                 for c in cfgs]
         estimates = [task.result() for task in tasks]
     return estimates[0] if single else estimates
 
@@ -266,7 +261,7 @@ def _cdf_counts(picks: np.ndarray, cfg: SystemConfig, which: tuple[str, ...],
     """cfg's count of samples <= each grid value, per name in which."""
     counts = np.zeros((len(which), grid.size), dtype=np.int64)
     for start in range(0, picks.shape[1], _SPAN):
-        gamma_ab, gamma_ba = _point_sinrs(picks[:, start:start + _SPAN], 0, cfg)
+        gamma_ab, gamma_ba = _point_sinrs(picks[:, start:start + _SPAN], cfg)
         for row, name in zip(counts, which):
             samples = np.sort(gamma_ab if name == "gamma_ab" else gamma_ba)
             row += np.searchsorted(samples, grid, side="right")
@@ -313,28 +308,21 @@ def mc_empirical_cdf(
     return mc_empirical_cdfs(cfg, (which,), trials, seed, grid)[0]
 
 
-def _p_not_misses(cfg: SystemConfig, seed: int, start: int, count: int) -> int:
-    """Trials of one chunk where exhaustive Max-WSR strictly beats Serial-Max."""
-    e, _, _ = _draw(cfg, seed, start, count)
-    g = _scaled(e, cfg)
-    flat_r = rate_map(g).reshape(count, -1)
-    rows = np.arange(count)
-    exh, ser_obj = (
-        cfg.w * flat_r[rows, ab] + (1.0 - cfg.w) * flat_r[rows, ba]
-        for ab, ba in (select(g, cfg.w, "max_wsr", None), select(e, cfg.w, "serial_max", None))
-    )
-    return int(np.count_nonzero(exh - ser_obj > 1e-12 * np.abs(exh)))
-
-
 def mc_p_not(cfg: SystemConfig, trials: int, seed: int) -> MetricEstimate:
     """Frequency of trials where exhaustive Max-WSR strictly beats Serial-Max.
 
-    'Strictly' means the exhaustive weighted-rate objective exceeds the
-    Serial-Max one by more than 1e-12 relative.
+    'Strictly' means the exhaustive weighted-rate objective, the best of
+    the four candidate pairs, exceeds the Serial-Max one, that of its own
+    pair (M, S), by more than 1e-12 relative.
     """
     with _pool() as pool:
-        tasks = [_submit(pool, _p_not_misses, cfg, seed, *span) for span in _spans(trials)]
-        misses = sum(task.result() for task in tasks)
+        picks = _picks(pool, [cfg], "max_wsr", trials, seed)
+    misses = 0
+    for start in range(0, trials, _SPAN):
+        g = _scaled(picks[:4, start:start + _SPAN], cfg)
+        exh, ser = (_metric(by_weight(*pair, cfg.w), cfg, "rate")
+                    for pair in (best_pairs(g, g, cfg.w, "max_wsr", None), g[:2]))
+        misses += int(np.count_nonzero(exh - ser > 1e-12 * np.abs(exh)))
     p = misses / trials
     std_error = math.sqrt(p * (1.0 - p) / trials)
     return MetricEstimate(value=p, std_error=std_error, trials=trials, master_seed=seed)

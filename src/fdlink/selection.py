@@ -1,33 +1,30 @@
 """The three bidirectional link-selection policies.
 
-Each policy has one batched kernel over a (T, n_a, n_b) stack of
-obtainable-SINR matrices, behind one switch on the policy's name,
-select().  w weights A->B, and the first pick serves the larger-weight
+select() is the one switch on a policy's name: per trial of a (T, n_a,
+n_b) stack of obtainable-SINR matrices it returns the A->B and B->A
+positions.  w weights A->B, and the first pick serves the larger-weight
 direction, a rule written only in by_weight().  The scalar functions are
 T = 1 wrappers that build a SelectionOutcome.
 
-Exhaustive search finds each link's best partner.  Let h be the per-link
-value signed so that larger is better, and k = (1-w)*h each link's key.
-The pair (p, q) scores fl(w*h_p + k_q), and rounding is monotone, so p
-scores best with the largest key B(p) outside p's row and column: p's
-best score is fl(w*h_p + B(p)), for every w.  B is two passes of "the
-max without this entry", along each row and then down each column.  ab is
-the first link whose best score is the top one, and ba the first link
-outside ab's row and column that reaches it with ab, so the positions are
-those of scoring every feasible pair in lexicographic order.  np.max and
-np.argmax carry NaN as an argmax over every pair's score would.  The one
-case left out is a pair scored inf - inf, which needs w*h and a key that
-are infinities of opposite signs; finite values with w in [0, 1] never
-give it.  comparison_count("exhaustive", ...) is the paper's count for
-exhaustive search, not this kernel's work.
+Serial-Max picks (M, S): M is the largest entry, S the largest outside
+M's row and column.  Exhaustive search scores, as (first, second) pick,
+(M, S), (S, M), (R, C) and (C, R), with R and C the largest entries in
+M's row and in M's column, and takes the first best in that order, so
+it keeps Serial-Max's pair on a tie.  Where a pair's score is monotone in
+both links, as for w in [0, 1], the optimum is among them: a pair with M
+is no better than M with S; a pair with a link outside M's row and
+column is no better than that link with M; any other pair is no better
+than R with C.  Rounding keeps rate scores monotone, so max_wsr's pick
+scores the all-pairs optimum bit for bit.  min_wser scores the log of
+the weighted sum SER, from per-link log SERs log alpha +
+log_ndtr(-sqrt(beta * gamma)), which do not underflow where the SERs do
+and are monotone up to rounding.  comparison_count("exhaustive", ...) is
+the paper's count for exhaustive search, not this kernel's work.
 
-Serial-Max looks only at the order of the entries; the Monte Carlo
-estimators run it on the unit-mean SNR matrices E, whose order the
-obtainable-SINR matrix, a positive multiple of E, keeps up to rounding.
-Both kernels take trials _BLOCK at a time, so their temporaries do not
-grow with the trial count.  Ties are broken lexicographically on antenna
-indices so tests are deterministic (ties are measure-zero under
-continuous fading).
+The candidates depend only on the order of the entries, so the Monte
+Carlo estimators take them on the unit-mean SNR matrices E, whose order
+g, a positive multiple of E, keeps up to rounding.  Maxima are the first
+in row-major order, so ties break lexicographically on antenna indices.
 
 Index convention: matrix rows are antennas at node A, columns antennas
 at node B, all 0-based.  A LinkSelection stores the A->B link as
@@ -40,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, log_ndtr
 
 from .config import ModulationParams
 from .errors import DegenerateSize, MatrixTooSmall
@@ -89,85 +86,9 @@ def ser_map(gamma, mod: ModulationParams):
     return x[()]
 
 
-# trials per kernel call: its temporaries stay in cache, and memory does
-# not grow with the trial count
+# trials per step of finding and of scoring the candidates: temporaries
+# stay in cache, and memory does not grow with the trial count
 _BLOCK = 4096
-
-
-def _serial_max_positions(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (first, second) flat argmax positions of (T, n_a, n_b)
-    matrices; step 2 masks the first pick's row and column, _BLOCK trials
-    at a time."""
-    t, n_a, n_b = g.shape
-    idx1 = np.argmax(g.reshape(t, n_a * n_b), axis=1)
-    i1, j1 = np.divmod(idx1, n_b)
-    idx2 = np.empty(t, np.intp)
-    rows = np.arange(n_a)[None, :, None]
-    cols = np.arange(n_b)[None, None, :]
-    for lo in range(0, t, _BLOCK):
-        hi = lo + _BLOCK
-        pruned = (rows == i1[lo:hi, None, None]) | (cols == j1[lo:hi, None, None])
-        kept = np.where(pruned, -np.inf, g[lo:hi])
-        idx2[lo:hi] = np.argmax(kept.reshape(-1, n_a * n_b), axis=1)
-    return idx1, idx2
-
-
-def _max_but_one(x: np.ndarray) -> np.ndarray:
-    """Entry i is the max over axis 0 of x without x[i], NaN-propagating
-    as np.max is; len(x) >= 2."""
-    out = np.empty_like(x)
-    out[1] = x[0]
-    for i in range(2, len(x)):  # prefix maxima
-        np.maximum(out[i - 1], x[i - 1], out=out[i])
-    suffix = out[0]  # gathers the suffix maxima, ending as max(x[1:])
-    suffix[...] = x[-1]
-    for i in range(len(x) - 2, 0, -1):
-        np.maximum(out[i], suffix, out=out[i])
-        np.maximum(suffix, x[i], out=suffix)
-    return out
-
-
-def _best_partner_positions(
-    per_link: np.ndarray, w: float, sign: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """First maximum of sign * (w*a + (1-w)*b) over every feasible pair of
-    (T, n_a, n_b) per-link values: flat positions (ab, ba) in different rows
-    and columns, the tie-break on (i_t, j_r, i_r, j_t); see the module docstring."""
-    t, n_a, n_b = per_link.shape
-    n, trials = n_a * n_b, np.arange(t)
-    # trials last, so every step is elementwise over the trials; negation
-    # is exact, so a_p + k_q is sign times the score of the pair (p, q)
-    a = per_link.transpose(1, 2, 0).copy()
-    k = (sign * (1.0 - w)) * a
-    a *= sign * w
-    # the largest key outside each link's row and column
-    best_key = _max_but_one(_max_but_one(k.swapaxes(0, 1)).swapaxes(0, 1))
-    score = np.add(a, best_key, out=best_key).reshape(n, t)
-    ab = score.argmax(axis=0)
-    top = score[ab, trials]
-    with np.errstate(invalid="ignore"):  # an infeasible q may meet inf - inf
-        s = np.add(k, a.reshape(n, t)[ab, trials], out=k)
-    # ba: the first feasible partner that reaches the top score with ab, or
-    # a NaN score where the top score is NaN, as argmax takes the first NaN
-    i, j = np.divmod(ab, n_b)
-    feasible = (np.arange(n_a)[:, None, None] != i) & (np.arange(n_b)[:, None] != j)
-    ba = (((s >= top) | (s != s)) & feasible).reshape(n, t).argmax(axis=0)
-    return ab, ba
-
-
-def _exhaustive_positions(
-    g: np.ndarray, w: float, metric: str, mod: ModulationParams | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (ab, ba) flat positions of the best feasible pair of
-    (T, n_a, n_b) matrices: the largest weighted sum rate for metric
-    "rate", the smallest weighted sum SER for "ser"."""
-    ab, ba = np.empty(len(g), np.intp), np.empty(len(g), np.intp)
-    for lo in range(0, len(g), _BLOCK):
-        block = g[lo:lo + _BLOCK]
-        # for SER, the argmax of the negated objective is the argmin
-        per_link, sign = (rate_map(block), 1.0) if metric == "rate" else (ser_map(block, mod), -1.0)
-        ab[lo:lo + _BLOCK], ba[lo:lo + _BLOCK] = _best_partner_positions(per_link, w, sign)
-    return ab, ba
 
 
 POLICIES = ("max_wsr", "min_wser", "serial_max")
@@ -179,18 +100,73 @@ def by_weight(ab, ba, w: float):
     return (ab, ba) if w >= 0.5 else (ba, ab)
 
 
+# pair k is (candidate k, candidate _PARTNER[k]) as (first, second) pick
+# of the candidates (M, S, R, C), and ties go to the first k: Serial-Max's
+# own pair (M, S) first
+_PARTNER = np.array([1, 0, 3, 2])
+
+
+def best_pairs(x: np.ndarray, g: np.ndarray, w: float, policy: str,
+               mod: ModulationParams | None) -> np.ndarray:
+    """(first, second) rows of the (4, T) stack x of values at M, S, R and
+    C: each trial's pair that scores best under an exhaustive policy on the
+    obtainable SINRs g there, the first on a tie; _BLOCK trials at a time.
+    max_wsr scores the weighted sum rate, min_wser minus the log of the
+    weighted sum SER."""
+    w_first, w_second = by_weight(w, 1.0 - w, w)
+    out = np.empty((2, x.shape[1]), x.dtype)
+    for lo in range(0, x.shape[1], _BLOCK):
+        if policy == "max_wsr":
+            h = rate_map(g[:, lo:lo + _BLOCK])
+            score = w_first * h + w_second * h[_PARTNER]
+        else:
+            h = np.log(mod.alpha_mod) + log_ndtr(-np.sqrt(mod.beta_mod * g[:, lo:lo + _BLOCK]))
+            with np.errstate(divide="ignore"):  # log 0 = -inf where w is 0 or 1
+                score = -np.logaddexp(np.log(w_first) + h, np.log(w_second) + h[_PARTNER])
+        k = score.argmax(axis=0)
+        trials = np.arange(lo, lo + len(k))
+        out[:, lo:lo + _BLOCK] = x[k, trials], x[_PARTNER[k], trials]
+    return out
+
+
+def candidates(g: np.ndarray, policy: str) -> np.ndarray:
+    """(k, T) flat positions of the links policy reads in a (T, n_a, n_b)
+    stack: M, then S for serial_max, or S, R and C for exhaustive search;
+    each the first maximum outside its pruned links, _BLOCK trials at a
+    time."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    t, n_a, n_b = g.shape
+    flat = g.reshape(t, n_a * n_b)
+    i, j = np.divmod(np.arange(n_a * n_b), n_b)
+    row, col = i[:, None] == i, j[:, None] == j  # [p, q]: q in p's row, in p's column
+    # S lies outside M's row and column, R in M's row outside its column, C
+    # in M's column outside its row; each mask prunes the rest
+    pruned = [row | col] if policy == "serial_max" else [row | col, ~row | col, ~col | row]
+    out = np.empty((1 + len(pruned), t), np.intp)
+    out[0] = flat.argmax(axis=1)
+    for lo in range(0, t, _BLOCK):
+        for k, mask in enumerate(pruned, start=1):
+            kept = np.where(mask[out[0, lo:lo + _BLOCK]], -np.inf, flat[lo:lo + _BLOCK])
+            out[k, lo:lo + _BLOCK] = kept.argmax(axis=1)
+    return out
+
+
 def select(
     g: np.ndarray, w: float, policy: str, mod: ModulationParams | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (A->B, B->A) flat positions that policy picks in a
-    (T, n_a, n_b) stack; w weights A->B, and mod is used by min_wser only."""
-    if policy == "serial_max":
-        return by_weight(*_serial_max_positions(g), w)
-    if policy == "max_wsr":
-        return _exhaustive_positions(g, w, "rate", None)
-    if policy == "min_wser":
-        return _exhaustive_positions(g, w, "ser", mod)
-    raise ValueError(f"unknown policy {policy!r}")
+    (T, n_a, n_b) stack; w in [0, 1] weights A->B, and mod is used by
+    min_wser only.  A w outside [0, 1] or a NaN entry raises ValueError."""
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"w must lie in [0, 1], got {w}")
+    if np.isnan(g).any():
+        raise ValueError("the SINR matrices hold a NaN entry")
+    picks = candidates(g, policy)
+    if policy != "serial_max":
+        picks = best_pairs(picks, g.reshape(len(g), -1)[np.arange(len(g)), picks], w, policy, mod)
+    first, second = picks
+    return by_weight(first, second, w)
 
 
 def _outcome(
@@ -212,12 +188,12 @@ def _outcome(
 
 
 def exhaustive_max_wsr(sinr: np.ndarray, w: float) -> SelectionOutcome:
-    """Brute-force maximizer of w*R(gamma_ab) + (1-w)*R(gamma_ba)."""
+    """Maximizer of w*R(gamma_ab) + (1-w)*R(gamma_ba) over every pair."""
     return _outcome(sinr, w, "max_wsr")
 
 
 def exhaustive_min_wser(sinr: np.ndarray, w: float, mod: ModulationParams) -> SelectionOutcome:
-    """Brute-force minimizer of w*SER(gamma_ab) + (1-w)*SER(gamma_ba)."""
+    """Minimizer of w*SER(gamma_ab) + (1-w)*SER(gamma_ba) over every pair."""
     return _outcome(sinr, w, "min_wser", mod)
 
 

@@ -49,7 +49,7 @@ from fdlink import montecarlo
 from fdlink.analytic import cdf_gamma_ab, cdf_gamma_ba
 from fdlink.cli import preset, run_sweep
 from fdlink.montecarlo import _chunk_picks, _point_sinrs
-from fdlink.selection import _exhaustive_positions, _serial_max_positions
+from fdlink.selection import candidates, select
 
 
 def _report(num: int, title: str, ok: bool, detail: str) -> None:
@@ -140,7 +140,7 @@ def test_criterion_01_two_step_selection_equivalence():
     flat = g.reshape(trials, -1)
     rows = np.arange(trials)
 
-    idx1, idx2 = _serial_max_positions(g)
+    idx1, idx2 = candidates(g, "serial_max")
     g1, g2 = flat[rows, idx1], flat[rows, idx2]
     rank = 1 + (flat > g2[:, None]).sum(axis=1)
     sel = (rank >= 2) & (rank <= 3)
@@ -152,9 +152,9 @@ def test_criterion_01_two_step_selection_equivalence():
         math.erfc
     )(np.sqrt(g2))
 
-    ab, ba = _exhaustive_positions(g, w, "rate", None)
+    ab, ba = select(g, w, "max_wsr", None)
     exh_rate = w * rate[rows, ab] + (1 - w) * rate[rows, ba]
-    ab, ba = _exhaustive_positions(g, w, "ser", BPSK)
+    ab, ba = select(g, w, "min_wser", BPSK)
     exh_ser = w * ser[rows, ab] + (1 - w) * ser[rows, ba]
 
     rate_gap = np.max(np.abs(serial_rate[sel] - exh_rate[sel]) / exh_rate[sel])
@@ -198,7 +198,7 @@ def test_criterion_03_sinr_cdfs_match_sampling():
     trials = 100_000
     worst = 0.0
     for cfg in (make_cfg(3, 3, 10.0, 0.1), make_cfg(2, 2, 100.0, 0.02)):
-        gamma_ab, gamma_ba = _point_sinrs(_chunk_picks([cfg], "serial_max", 314, 0, trials), 0, cfg)
+        gamma_ab, gamma_ba = _point_sinrs(_chunk_picks(cfg, "serial_max", 314, 0, trials), cfg)
         for samples, vec_cdf in ((gamma_ab, vec_cdf_ab), (gamma_ba, vec_cdf_ba)):
             s = np.sort(samples)
             model = vec_cdf(cfg, s)
@@ -219,7 +219,7 @@ def test_criterion_04_second_link_rank_mixture():
     rng = np.random.default_rng(404)
     g = rng.exponential(1.0, (trials, 3, 3))
     flat = g.reshape(trials, -1)
-    idx1, idx2 = _serial_max_positions(g)
+    idx1, idx2 = candidates(g, "serial_max")
     second = flat[np.arange(trials), idx2]
     exceed = (flat > second[:, None]).sum(axis=1)
     p33 = mixture_weights(3, 3).p

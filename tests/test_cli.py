@@ -93,6 +93,24 @@ def test_sweep_json_and_sidecar(tmp_path):
     assert meta["spec"]["sizes"] == [[2, 2]]
 
 
+def test_json_output_writes_non_finite_cells_as_null(tmp_path):
+    # at -3000 dB the eta = 0 SER asymptote is infinite; JSON has no token
+    # for it, so the cell is null, and CSV keeps writing inf
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    args = ["--metric", "wser", "--eta", "0", "--na", "6", "--nb", "6", "--snr-db", "-3000",
+            "--trials", "100"]
+    assert main(args + ["--format", "json", "--out", str(tmp_path / "out.json")]) == 0
+    with open(tmp_path / "out.json") as fh:
+        (record,) = json.load(fh, parse_constant=refuse)
+    assert record["ceiling_or_floor"] is None
+    assert record["mc_value"] == 0.5
+    assert main(args + ["--out", str(tmp_path / "out.csv")]) == 0
+    (row,) = csv.DictReader(open(tmp_path / "out.csv"))
+    assert row["ceiling_or_floor"] == "inf"
+
+
 def test_table1_comparisons(tmp_path):
     spec = preset("table1")
     spec.out = str(tmp_path / "t.csv")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import erfc
 
+from conftest import masked_candidates
 from fdlink import (
     BPSK,
     SystemConfig,
@@ -25,7 +26,7 @@ from fdlink import (
 )
 from fdlink import derived_params, instantaneous_sinr, montecarlo, to_obtainable_sinr
 from fdlink.analytic import cdf_gamma_ab
-from fdlink.selection import _serial_max_positions, rate_map, select, ser_map
+from fdlink.selection import best_pairs, by_weight, candidates, rate_map, select, ser_map
 
 
 def make_cfg(**kw):
@@ -203,7 +204,8 @@ def test_p_not_decreases_with_array_size():
 def per_point_sinrs(cfg, trials, seed, policy="serial_max"):
     """Per chunk, the (gamma_ab, gamma_ba) of one point drawn on its own:
     SNRs and INRs drawn at its own means through montecarlo.draw_trial_batch;
-    Serial-Max picks made on the same trials' unit draw, exhaustive picks on
+    Serial-Max picks made on the same trials' unit draw, and exhaustive
+    picks the best of the candidates taken on the unit draw and scored on
     the point's obtainable SINRs."""
     chunk = montecarlo._CHUNK
     unit = replace(cfg, lambda_s=1.0)
@@ -211,12 +213,15 @@ def per_point_sinrs(cfg, trials, seed, policy="serial_max"):
         count = min(chunk, trials - start)
         snr, inr_a, inr_b = montecarlo.draw_trial_batch(
             seed, start, count, cfg, cfg.eta * cfg.lambda_s)
-        if policy == "serial_max":
-            basis, _, _ = montecarlo.draw_trial_batch(seed, start, count, unit, 1.0)
-        else:
-            basis = to_obtainable_sinr(snr, derived_params(cfg))
-        ab, ba = select(basis, cfg.w, policy, cfg.modulation)
+        e, _, _ = montecarlo.draw_trial_batch(seed, start, count, unit, 1.0)
         rows = np.arange(count)
+        if policy == "serial_max":
+            ab, ba = select(e, cfg.w, policy, cfg.modulation)
+        else:
+            cand = masked_candidates(e)
+            g = to_obtainable_sinr(snr, derived_params(cfg)).reshape(count, -1)[rows, cand]
+            first, second = best_pairs(cand, g, cfg.w, policy, cfg.modulation)
+            ab, ba = by_weight(first, second, cfg.w)
         flat = snr.reshape(count, -1)
         yield (instantaneous_sinr(flat[rows, ab], inr_b),
                instantaneous_sinr(flat[rows, ba], inr_a))
@@ -284,7 +289,8 @@ def test_shared_serial_max_matches_per_point_oracle(n_a, n_b, grid, trials, seed
        trials=st.integers(1, 300), seed=st.integers(0, 2**64 - 1),
        policy=st.sampled_from(["max_wsr", "min_wser"]), metric=st.sampled_from(["rate", "ser"]))
 def test_shared_exhaustive_matches_per_point_oracle(n_a, n_b, grid, trials, seed, policy, metric):
-    # the points share each chunk's draw, and each selects on its own g
+    # the points share each chunk's draw and its candidates, taken on the
+    # unit draw, and each scores the candidates on its own g
     cfgs = [make_cfg(n_a=n_a, n_b=n_b, lambda_s=lam, eta=eta, w=w) for lam, eta, w in grid]
     fn = mc_weighted_sum_rate if metric == "rate" else mc_weighted_sum_ser
     with mock.patch.object(montecarlo, "_CHUNK", 97), mock.patch.object(montecarlo, "_SPAN", 40):
@@ -313,10 +319,10 @@ def assert_picks_follow_the_unit_draw(cfg, unit):
     made on cfg's own g would differ, so a selection on g fails here."""
     e = np.asarray(unit, dtype=float)
     rows, flat = np.arange(len(e)), e.reshape(len(e), -1)
-    first, second, _, _ = montecarlo._chunk_picks([cfg], "serial_max", 0, 0, len(e))
+    first, second, _, _ = montecarlo._chunk_picks(cfg, "serial_max", 0, 0, len(e))
 
     def picked(basis):
-        idx1, idx2 = _serial_max_positions(basis)
+        idx1, idx2 = candidates(basis, "serial_max")
         return flat[rows, idx1], flat[rows, idx2]
 
     def same(picks):
