@@ -56,6 +56,6 @@ from .selection import (
     weighted_combine_rate,
     weighted_combine_ser,
 )
-from .special import binom, e1, exp_e1_scaled, q_function
+from .special import e1, exp_e1_scaled, q_function
 
 __version__ = "0.1.0"

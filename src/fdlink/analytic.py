@@ -5,12 +5,13 @@ defining integrals independently, for tests; no closed form calls them.
 Numerical strategy: the CDF of either selected link is a sum
 F(x) = sum_c A_c e^(-c x/lambda_s) / (1 + c eta x) / D over c = 0..nn = n_a*n_b,
 with exact integer coefficients A_c over a shared denominator D, built
-once per array size with Python ints (_coefficients).  Every average,
-ceiling and floor integrates that sum term by term, so it is
+once per array size with Python ints (_coefficients).  The CDF and every
+average, ceiling and floor (which integrate it term by term) are each
 sum_c A_c K(c) / D with a kernel K that alone differs between them.  K
 depends on c and the config, never on the link, so each call evaluates
 K(1..nn) once and sums both links' tables from that one kernel vector:
 
+- CDF:     e^(-c x/lambda_s) / (1 + c eta x);
 - rate:    [S(u) - S(x0)] / (1 - c eta) / ln 2, with S(x) = e^x E1(x),
            u = 1/(eta lambda_s) and x0 = c/lambda_s; where 1 - c eta is
            exactly 0 the exact limit x0 S(x0) - 1 is used, because
@@ -21,21 +22,16 @@ K(1..nn) once and sums both links' tables from that one kernel vector:
            a = 1/(eta lambda_s) (0 for the floor), b = beta/(c eta); at
            eta = 0 its limit alpha sqrt(beta/8) / sqrt(c/lambda_s + beta/2).
 
-The alternating sum cancels up to ~10 digits for rates at 6x6, ~20 for
-SERs at eta >= 0.02, and ~300 for SERs at 6x6, eta = 0, 80 dB; a rate
-kernel next to a singular c = 1/eta loses up to ~18 more.  So sums are
-evaluated in mpmath at 50 digits, then at more while they cancel more than
-those spare (_link_sums), so the double result is accurate to its last
-digit.  Each result carries its largest term and is flagged only if its
-sum still cancels too much at _MAX_DPS; a flagged ceiling or floor raises.
-
-The perfect-cancellation CDF (eta = 0) is kept in its non-alternating
-form sum_l B_l f^l (1-f)^(nn-l) / D, f = 1 - e^(-x/lambda_s), with the
-per-l integers B_l from the same table, since the alternating form
-loses every digit at small x in floating point.
-
-Closed forms are supported for n_a*n_b <= 36; larger systems are
-simulation-only.
+The alternating sum cancels up to ~10 digits for rates at 6x6 (~41 at
+12x12), ~20 for SERs at eta >= 0.02, ~300 for SERs at 6x6, eta = 0,
+80 dB, and nearly all of its largest term for a CDF at x << lambda_s; a
+rate kernel next to a singular c = 1/eta loses up to ~18 more.  So sums
+are evaluated in mpmath at 50 digits, then at more while they cancel more
+than those spare (_link_sums), so the double result is accurate to its
+last digit.  Each result carries its largest term and is flagged only if
+its sum still cancels too much at _MAX_DPS; a flagged ceiling or floor
+raises, and a flagged CDF is below the float range and returns 0.0.
+Closed forms support n_a*n_b <= MAX_NN_CLOSED_FORM = 144 (12x12).
 """
 
 from __future__ import annotations
@@ -55,11 +51,13 @@ from scipy.special import erfcx, gamma as gamma_fn  # noqa: F401
 from .config import ModulationParams, SystemConfig
 from .errors import ConvergenceFailure, DomainError, RequiresPerfectCancellation
 from .selection import by_weight
-from .special import binom, exp_e1_scaled  # noqa: F401
+from .special import exp_e1_scaled  # noqa: F401
 
 _LN2 = math.log(2.0)
-MAX_NN_CLOSED_FORM = 36
-_CDF_CLAMP = 1e-9
+# the eta = 0 asymptote's double prefactor 2^(nn-1) Gamma(nn + 1/2)
+# overflows from nn = 151, so from 2x76 = 152 on; 12x12 is the largest
+# square below that
+MAX_NN_CLOSED_FORM = 144
 # mpmath digits of a closed-form sum: _DPS first, at most _MAX_DPS; a double
 # needs _DOUBLE_DIGITS past the cancellation, an escalation adds _GUARD_DIGITS
 _DPS = 50
@@ -90,10 +88,8 @@ class AnalyticValue:
 
 def _check_closed_form_size(cfg: SystemConfig) -> None:
     if cfg.nn > MAX_NN_CLOSED_FORM:
-        raise DomainError(
-            f"closed forms support n_a*n_b <= {MAX_NN_CLOSED_FORM}, got {cfg.nn}; "
-            "use the Monte Carlo estimators instead"
-        )
+        raise DomainError(f"closed forms support n_a*n_b <= {MAX_NN_CLOSED_FORM}, got {cfg.nn}; "
+                          "use the Monte Carlo estimators instead")
 
 
 def mu_coefficient(k: int, l: int, m: int, n_a: int, n_b: int) -> float:
@@ -101,47 +97,43 @@ def mu_coefficient(k: int, l: int, m: int, n_a: int, n_b: int) -> float:
     as the source derivation writes it; _coefficients collects these by
     c = n_a*n_b - l + m."""
     nn = n_a * n_b
-    num = binom(nn - k - 1, n_a + n_b - k - 1) * binom(nn, l) * binom(l, m)
-    return num / binom(nn - 1, n_a + n_b - 2)
+    num = math.comb(nn - k - 1, n_a + n_b - k - 1) * math.comb(nn, l) * math.comb(l, m)
+    return num / math.comb(nn - 1, n_a + n_b - 2)
 
 
 def mixture_weights(n_a: int, n_b: int) -> MixtureWeights:
     """Rank-mixture probabilities of the second selected link."""
     nn = n_a * n_b
-    denom = binom(nn - 1, n_a + n_b - 2)
-    p = np.array(
-        [binom(nn - k - 1, n_a + n_b - k - 1) / denom for k in range(1, n_a + n_b)]
-    )
-    return MixtureWeights(p=p)
+    denom = math.comb(nn - 1, n_a + n_b - 2)
+    return MixtureWeights(p=np.array([math.comb(nn - k - 1, n_a + n_b - k - 1) / denom
+                                      for k in range(1, n_a + n_b)]))
 
 
 @functools.lru_cache(maxsize=None)
-def _coefficients(
-    n_a: int, n_b: int, link: str
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Exact integers (D, B, A) of a selected link's SINR CDF:
+def _coefficients(n_a: int, n_b: int, link: str) -> tuple[int, tuple[int, ...]]:
+    """Exact integers (D, A) of a selected link's SINR CDF
 
-        F(x) = sum_l B_l f^l (1-f)^(nn-l) / D                   at eta = 0,
-        F(x) = sum_c A_c e^(-c x/lam) / (1 + c eta x) / D       at any eta,
+        F(x) = sum_c A_c e^(-c x/lam) / (1 + c eta x) / D,   c = 0..nn.
 
-    with f = 1 - e^(-x/lam), l, c = 0..nn.  The first link is the largest
-    of nn entries, F = f^nn; the second is the rank mixture, where the
-    (nn-k)-th order statistic has probability C(nn-k-1, n_a+n_b-k-1) / D.
-    A follows from B by expanding f^l binomially, and conditioning on the
-    residual interference turns each e^(-c x/lam) into the eta form."""
+    At eta = 0, F = sum_l B_l f^l (1-f)^(nn-l) / D with f = 1 - e^(-x/lam):
+    the first link is the largest of nn entries, F = f^nn; the second is
+    the rank mixture, where the (nn-k)-th order statistic has probability
+    C(nn-k-1, n_a+n_b-k-1) / D.  A follows from B by expanding f^l
+    binomially, and conditioning on the residual interference turns each
+    e^(-c x/lam) into the eta form."""
     nn = n_a * n_b
     if link == "ab":
-        denom, powers = 1, [0] * nn + [1]
+        denom, b_coefs = 1, [0] * nn + [1]
     else:
-        denom = binom(nn - 1, n_a + n_b - 2)
-        ranks = [binom(nn - k - 1, n_a + n_b - k - 1) for k in range(1, n_a + n_b)]
+        denom = math.comb(nn - 1, n_a + n_b - 2)
+        ranks = [math.comb(nn - k - 1, n_a + n_b - k - 1) for k in range(1, n_a + n_b)]
         # the (nn-k)-th order statistic is below x when at least nn-k entries are
-        powers = [binom(nn, l) * sum(ranks[max(nn - l, 1) - 1:]) for l in range(nn + 1)]
+        b_coefs = [math.comb(nn, l) * sum(ranks[max(nn - l, 1) - 1:]) for l in range(nn + 1)]
     table = [0] * (nn + 1)
-    for l, b in enumerate(powers):
+    for l, b in enumerate(b_coefs):
         for m in range(l + 1):
-            table[nn - l + m] += (-1) ** m * binom(l, m) * b
-    return denom, tuple(powers), tuple(table)
+            table[nn - l + m] += (-1) ** m * math.comb(l, m) * b
+    return denom, tuple(table)
 
 
 def order_statistic_cdf(r: int, n: int, x: float, lam: float) -> float:
@@ -152,36 +144,16 @@ def order_statistic_cdf(r: int, n: int, x: float, lam: float) -> float:
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
     f = -math.expm1(-x / lam)
-    return math.fsum(
-        binom(n, i) * f**i * (1.0 - f) ** (n - i) for i in range(r, n + 1)
-    )
-
-
-def _clamp_cdf(value: float) -> float:
-    if -_CDF_CLAMP <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + _CDF_CLAMP:
-        return 1.0
-    return value
+    return math.fsum(math.comb(n, i) * f**i * (1.0 - f) ** (n - i) for i in range(r, n + 1))
 
 
 def _cdf(x: float, cfg: SystemConfig, link: str) -> float:
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
-    _check_closed_form_size(cfg)
-    denom, powers, table = _coefficients(cfg.n_a, cfg.n_b, link)
-    nn, lam = cfg.nn, cfg.lambda_s
-    if cfg.eta == 0.0:
-        # every term is positive here, so small x keeps its digits
-        f = -math.expm1(-x / lam)
-        terms = [b * f**l * math.exp(-(nn - l) * x / lam) for l, b in enumerate(powers) if b]
-    else:
-        terms = [
-            a * math.exp(-c * x / lam) / (c * cfg.eta * x + 1.0)
-            for c, a in enumerate(table)
-            if a
-        ]
-    return _clamp_cdf(math.fsum(terms) / denom)
+    (result,) = _link_sums(cfg, functools.partial(_cdf_kernel, x=x), (link,))
+    # a sum still flagged at _MAX_DPS is below 10^-940 (no table term passes
+    # 10^43 up to MAX_NN_CLOSED_FORM), out of the float range; 0 at x = 0
+    return 0.0 if result.cancellation_flag else result.value
 
 
 def cdf_gamma_ab(x: float, cfg: SystemConfig) -> float:
@@ -244,9 +216,9 @@ def quadrature_avg_ser(
 # closed-form averages
 
 
-def _link_sums(cfg: SystemConfig, kind: str, links=("ab", "ba")) -> list[AnalyticValue]:
-    """The rate, ceiling, SER or floor (kind) of each link: constant + sum_{c>=1}
-    A_c K(c) / D over the link's table, with K, constant = _KERNELS[kind](cfg).
+def _link_sums(cfg: SystemConfig, kernels, links=("ab", "ba")) -> list[AnalyticValue]:
+    """The CDF, rate, ceiling, SER or floor of each link: constant + sum_{c>=1}
+    A_c K(c) / D over the link's table, with K, constant = kernels(cfg).
     K(c) depends on c and cfg alone, so K(1..nn) is evaluated once for every
     link.  While a sum cancels more digits than its precision spares (a zero
     sum too), K is evaluated again at twice the digits or more; this loops,
@@ -257,10 +229,10 @@ def _link_sums(cfg: SystemConfig, kind: str, links=("ab", "ba")) -> list[Analyti
     while True:
         sums = []
         with mpmath.workdps(dps):
-            kernel, constant = _KERNELS[kind](cfg)
+            kernel, constant = kernels(cfg)
             vector = [kernel(c) for c in range(1, cfg.nn + 1)]
             for link in links:
-                denom, _, table = _coefficients(cfg.n_a, cfg.n_b, link)
+                denom, table = _coefficients(cfg.n_a, cfg.n_b, link)
                 terms = [mpmath.mpf(constant)] + [a * k / denom for a, k in zip(table[1:], vector) if a]
                 value = mpmath.fsum(terms)
                 max_term = max(abs(t) for t in terms)
@@ -291,6 +263,13 @@ def _vouched(result: AnalyticValue, what: str) -> float:
             f"(largest term {result.max_term_magnitude:.3g}, value {result.value:.3g})"
         )
     return result.value
+
+
+def _cdf_kernel(cfg: SystemConfig, x: float):
+    x = mpmath.mpf(x)
+    t, eta_x = -x / cfg.lambda_s, x * cfg.eta
+    # the c = 0 term of the table is A_0/D = 1
+    return (lambda c: mpmath.exp(c * t) / (1 + c * eta_x)), 1
 
 
 def _rate_kernel(cfg: SystemConfig):
@@ -355,23 +334,19 @@ def _ser_kernel(cfg: SystemConfig, floor: bool = False):
     return kernel, alpha / 2
 
 
-_KERNELS = {"rate": _rate_kernel, "ceiling": _ceiling_kernel, "ser": _ser_kernel,
-            "floor": functools.partial(_ser_kernel, floor=True)}
-
-
 def avg_rate_ab(cfg: SystemConfig) -> AnalyticValue:
     """Average rate of the first pick (the larger-weight direction)."""
-    return _link_sums(cfg, "rate", ("ab",))[0]
+    return _link_sums(cfg, _rate_kernel, ("ab",))[0]
 
 
 def avg_rate_ba(cfg: SystemConfig) -> AnalyticValue:
     """Average rate of the second pick (the smaller-weight direction)."""
-    return _link_sums(cfg, "rate", ("ba",))[0]
+    return _link_sums(cfg, _rate_kernel, ("ba",))[0]
 
 
 def avg_weighted_sum_rate(cfg: SystemConfig) -> AnalyticValue:
     """Average weighted sum rate of Serial-Max."""
-    return _combine(cfg, *_link_sums(cfg, "rate"))
+    return _combine(cfg, *_link_sums(cfg, _rate_kernel))
 
 
 def rate_ceiling(cfg: SystemConfig) -> float:
@@ -381,29 +356,30 @@ def rate_ceiling(cfg: SystemConfig) -> float:
     each bracket tends to ln(c*eta)."""
     if cfg.eta == 0.0:
         raise DomainError("rate ceiling requires eta > 0 (no ceiling under perfect cancellation)")
-    return _vouched(_combine(cfg, *_link_sums(cfg, "ceiling")), "rate ceiling")
+    return _vouched(_combine(cfg, *_link_sums(cfg, _ceiling_kernel)), "rate ceiling")
 
 
 def avg_ser_ab(cfg: SystemConfig) -> AnalyticValue:
     """Average SER of the first pick (the larger-weight direction)."""
-    return _link_sums(cfg, "ser", ("ab",))[0]
+    return _link_sums(cfg, _ser_kernel, ("ab",))[0]
 
 
 def avg_ser_ba(cfg: SystemConfig) -> AnalyticValue:
     """Average SER of the second pick (the smaller-weight direction)."""
-    return _link_sums(cfg, "ser", ("ba",))[0]
+    return _link_sums(cfg, _ser_kernel, ("ba",))[0]
 
 
 def avg_weighted_sum_ser(cfg: SystemConfig) -> AnalyticValue:
     """Average weighted sum SER of Serial-Max."""
-    return _combine(cfg, *_link_sums(cfg, "ser"))
+    return _combine(cfg, *_link_sums(cfg, _ser_kernel))
 
 
 def ser_floor(cfg: SystemConfig) -> float:
     """Limit of the average weighted sum SER as lambda_s -> inf (a = 0)."""
     if cfg.eta == 0.0:
         raise DomainError("SER floor requires eta > 0 (no floor under perfect cancellation)")
-    return _vouched(_combine(cfg, *_link_sums(cfg, "floor")), "SER floor")
+    floor = _link_sums(cfg, functools.partial(_ser_kernel, floor=True))
+    return _vouched(_combine(cfg, *floor), "SER floor")
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +434,14 @@ def asymptotic_ser_perfect_cancellation(
     sum with (n_a-1)*(n_b-1)."""
     if cfg.eta != 0.0:
         raise RequiresPerfectCancellation(f"eta must be 0, got {cfg.eta}")
+    _check_closed_form_size(cfg)
     nn, n_a, n_b = cfg.nn, cfg.n_a, cfg.n_b
     mod = cfg.modulation
     sqrt_pi = math.sqrt(math.pi)
     u1 = 2.0 ** (nn - 1) * mod.alpha_mod * gamma_fn(nn + 0.5) / (mod.beta_mod**nn * sqrt_pi)
     m_div = (n_a - 1) * (n_b - 1)
-    u2 = (2.0 ** (nn - n_a - n_b) * mod.alpha_mod * gamma_fn(m_div + 0.5) * binom(nn, m_div)
-          / (mod.beta_mod**m_div * sqrt_pi * binom(nn - 1, n_a + n_b - 2)))
+    u2 = (2.0 ** (nn - n_a - n_b) * mod.alpha_mod * gamma_fn(m_div + 0.5) * math.comb(nn, m_div)
+          / (mod.beta_mod**m_div * sqrt_pi * math.comb(nn - 1, n_a + n_b - 2)))
     ser_ab = _over_power(u1, 1.0, lambda_s, nn)
     ser_ba = _over_power(u2, 1.0, lambda_s, m_div)
     small_w = by_weight(cfg.w, 1.0 - cfg.w, cfg.w)[1]

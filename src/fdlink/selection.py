@@ -118,7 +118,8 @@ def best_pairs(x: np.ndarray, g: np.ndarray, w: float, policy: str,
     for lo in range(0, x.shape[1], _BLOCK):
         if policy == "max_wsr":
             h = rate_map(g[:, lo:lo + _BLOCK])
-            score = w_first * h + w_second * h[_PARTNER]
+            # at w = 0 or 1 the zero-weight link is left out: 0 * inf is NaN
+            score = w_first * h + w_second * h[_PARTNER] if w_second else h
         else:
             h = np.log(mod.alpha_mod) + log_ndtr(-np.sqrt(mod.beta_mod * g[:, lo:lo + _BLOCK]))
             with np.errstate(divide="ignore"):  # log 0 = -inf where w is 0 or 1

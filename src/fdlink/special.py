@@ -1,4 +1,4 @@
-"""Special functions and exact combinatorics used by the closed forms.
+"""Special functions used by the closed forms.
 
 The exponential integral E1 is evaluated by a power series for x <= 1 and
 by a modified-Lentz continued fraction for x > 1.  The scaled product
@@ -81,14 +81,4 @@ def exp_e1_scaled(x: float) -> float:
 def q_function(x: float) -> float:
     """Standard normal tail probability Q(x) = 0.5 * erfc(x / sqrt(2))."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-_BINOM_N_MAX = 64
-
-
-def binom(n: int, k: int) -> int:
-    """Exact C(n, k) for 0 <= k <= n <= 64."""
-    if not (0 <= k <= n <= _BINOM_N_MAX):
-        raise DomainError(f"binom requires 0 <= k <= n <= {_BINOM_N_MAX}, got ({n}, {k})")
-    return math.comb(n, k)
 

@@ -182,14 +182,16 @@ def test_cdf_gamma_ba_against_conditioning_integral():
 
 
 def test_cdf_gamma_ba_perfect_cancellation_is_rank_mixture():
-    cfg = make_cfg(eta=0.0)
-    p = mixture_weights(cfg.n_a, cfg.n_b).p
-    for x in (0.1, 1.0, 5.0, 30.0):
-        mix = math.fsum(
-            p[k - 1] * order_statistic_cdf(cfg.nn - k, cfg.nn, x, cfg.lambda_s)
-            for k in range(1, cfg.n_a + cfg.n_b)
-        )
-        assert cdf_gamma_ba(x, cfg) == pytest.approx(mix, abs=1e-10)
+    # the table against the order-statistic mixture it is built from
+    for n in (3, 8, 12):
+        cfg = make_cfg(n_a=n, n_b=n, eta=0.0)
+        p = mixture_weights(cfg.n_a, cfg.n_b).p
+        for x in (0.1, 1.0, 5.0, 30.0, 100.0):
+            mix = math.fsum(
+                p[k - 1] * order_statistic_cdf(cfg.nn - k, cfg.nn, x, cfg.lambda_s)
+                for k in range(1, cfg.n_a + cfg.n_b)
+            )
+            assert cdf_gamma_ba(x, cfg) == pytest.approx(mix, rel=1e-12, abs=0.0)
 
 
 def test_cdf_domain_and_size_guards():
@@ -197,11 +199,14 @@ def test_cdf_domain_and_size_guards():
     for cdf in (cdf_gamma_ab, cdf_gamma_ba):
         with pytest.raises(DomainError):
             cdf(-0.1, cfg)
-    big = make_cfg(n_a=7, n_b=6)
+    # 13 x 12 = 156 > MAX_NN_CLOSED_FORM = 144: every closed form refuses
+    big = make_cfg(n_a=13, n_b=12)
+    for closed_form in (lambda c: cdf_gamma_ab(1.0, c), lambda c: cdf_gamma_ba(1.0, c),
+                        avg_weighted_sum_rate, avg_weighted_sum_ser, rate_ceiling, ser_floor):
+        with pytest.raises(DomainError):
+            closed_form(big)
     with pytest.raises(DomainError):
-        cdf_gamma_ab(1.0, big)
-    with pytest.raises(DomainError):
-        avg_weighted_sum_rate(big)
+        asymptotic_ser_perfect_cancellation(make_cfg(n_a=13, n_b=12, eta=0.0), 1e4)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +403,7 @@ def test_scipy_integrate_stays_off_the_import_path():
 def per_link_sum(cfg, link, kernel, constant=0):
     """constant + sum_{c>=1} A_c K(c) / D of one link, calling kernel(c) for
     that link alone, term by term as the closed forms sum."""
-    denom, _, table = analytic._coefficients(cfg.n_a, cfg.n_b, link)
+    denom, table = analytic._coefficients(cfg.n_a, cfg.n_b, link)
     terms = [mpmath.mpf(constant)]
     terms += [a * kernel(c) / denom for c, a in enumerate(table) if c and a]
     value = mpmath.fsum(terms)

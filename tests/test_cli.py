@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import mpmath
 import pytest
@@ -226,15 +227,43 @@ def test_main_happy_path(tmp_path, capsys):
 
 @pytest.mark.parametrize("metric", ["cdf", "wsr", "wser"])
 def test_main_sweep_past_the_closed_form_size_leaves_analytic_cells_empty(tmp_path, metric):
-    # 7 x 6 = 42 > MAX_NN_CLOSED_FORM: Monte Carlo rows without closed forms
+    # 13 x 12 = 156 > MAX_NN_CLOSED_FORM = 144: Monte Carlo rows without
+    # closed forms
     out = tmp_path / "big.csv"
-    rc = main(["--metric", metric, "--na", "7", "--nb", "6", "--trials", "100",
+    rc = main(["--metric", metric, "--na", "13", "--nb", "12", "--trials", "100",
                "--out", str(out)])
     assert rc == 0
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows
     assert all(r["analytic_value"] == "" and r["mc_value"] != "" for r in rows)
+
+
+def test_main_cdf_sweep_writes_no_cell_outside_zero_one(tmp_path):
+    # the 6 x 6 alternating sum cancels ~10 digits at eta = 0.05, which a
+    # double sum wrote as negative cells near x = lambda_s / 10
+    out = tmp_path / "cdf.csv"
+    rc = main(["--metric", "cdf", "--na", "6", "--nb", "6", "--eta", "0.05",
+               "--snr-db", "10", "--trials", "2000", "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        values = [float(r["analytic_value"]) for r in csv.DictReader(fh)]
+    assert len(values) == 98
+    assert all(0.0 <= v <= 1.0 and math.copysign(1.0, v) == 1.0 for v in values)
+
+
+@pytest.mark.parametrize("metric", ["wsr", "wser"])
+@pytest.mark.parametrize("eta", ["0", "0.05"])
+def test_main_sweep_at_8x8_writes_closed_forms(tmp_path, metric, eta):
+    out = tmp_path / "eight.csv"
+    rc = main(["--metric", metric, "--na", "8", "--nb", "8", "--eta", eta,
+               "--snr-db", "20", "--trials", "100", "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    cells = [row["analytic_value"]] + ([row["ceiling_or_floor"]] if (metric, eta) != ("wsr", "0")
+                                       else [])
+    assert all(math.isfinite(float(cell)) for cell in cells), row
 
 
 def test_main_config_file_defaults(tmp_path):

@@ -1,19 +1,20 @@
 """Serial-Max closed forms against a reference of at least 60 digits over
-the whole supported domain: sizes up to n_a*n_b = 36, eta from 0 (perfect
+the whole supported domain: sizes up to n_a*n_b = 144, eta from 0 (perfect
 cancellation) through 1e-6 and on and next to the singular values 1/c,
-and lambda_s from 1 to 1e8.
+and lambda_s from 1 to 1e8; CDFs from 1e-3 lambda_s to 20 lambda_s.
 
-The reference does not use the package's coefficient table: it sums the
-(k, l, m) terms of the source derivation one by one, each with its exact
-math.comb numerator, in mpmath.  It runs at twice the digits its sums
-need (17 plus the digits they cancel), and at 60 digits at least.  Where
-1 - c*eta vanishes exactly for some c, it evaluates at eta * (1 + 1e-30)
-instead, whose effect is far below the tolerance.  At eta = 0 it uses
-the eta -> 0 limits of the kernels.
+The reference does not use the package's coefficient table: it collects
+the (k, l, m) terms of the source derivation, each with its exact
+math.comb numerator, by c in Python ints, and sums them in mpmath.  It
+runs at twice the digits its sums need (17 plus the digits they cancel),
+and at 60 digits at least.  Where 1 - c*eta vanishes exactly for some c,
+it evaluates at eta * (1 + 1e-30) instead, whose effect is far below the
+tolerance.  At eta = 0 it uses the eta -> 0 limits of the kernels.
 """
 
 import functools
 import math
+import sys
 import warnings
 
 import mpmath
@@ -27,6 +28,8 @@ from fdlink import (
     avg_ser_ba,
     avg_weighted_sum_rate,
     avg_weighted_sum_ser,
+    cdf_gamma_ab,
+    cdf_gamma_ba,
     mc_weighted_sum_rate,
     rate_ceiling,
     ser_floor,
@@ -41,7 +44,23 @@ W = 0.7
 SIZES = [(n_a, n_b) for n_a in range(2, 7) for n_b in range(2, 7)] + [(4, 9)]
 ETAS = (0.0, 1e-6, 1e-4, 1e-3, 0.02, 0.05, 0.1, 0.2, 0.5, 0.1001)
 LAMBDAS = (1.0, 10.0, 1e3, 1e8)
-SIZE_IDS = [f"{n_a}x{n_b}" for n_a, n_b in SIZES]
+# past 6x6 a reduced grid: perfect cancellation, a small and a regular
+# eta, and the singular eta = 1/16
+BIG_SIZES = [(7, 7), (8, 8), (10, 10), (12, 12)]
+BIG_ETAS = (0.0, 1e-3, 0.05, 0.0625)
+BIG_LAMBDAS = (10.0, 1e8)
+CDF_SIZES = SIZES + BIG_SIZES + [(2, 72)]
+CDF_ETAS = (0.0, 1e-4, 0.02, 0.1, 0.0625)
+CDF_POINTS = (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0)  # x / lambda_s
+
+
+def size_ids(sizes):
+    return [f"{n_a}x{n_b}" for n_a, n_b in sizes]
+
+
+def grid(n_a, n_b):
+    """(etas, lambdas) of the rate and SER tests at one size."""
+    return (ETAS, LAMBDAS) if (n_a, n_b) in SIZES else (BIG_ETAS, BIG_LAMBDAS)
 
 
 def make_cfg(n_a, n_b, lambda_s, eta):
@@ -50,19 +69,19 @@ def make_cfg(n_a, n_b, lambda_s, eta):
 
 @functools.lru_cache(maxsize=None)
 def derivation_terms(n_a, n_b, link):
-    """Shared denominator and (exact signed numerator, c) of every term of
-    the link's CDF sum_c coef * e^(-c x/lam) / (1 + c eta x)."""
+    """Shared denominator and (exact signed numerator, c) of the link's CDF
+    sum_c coef * e^(-c x/lam) / (1 + c eta x), the derivation's terms
+    collected by c."""
     nn = n_a * n_b
     if link == "ab":
         return 1, [((-1) ** k * math.comb(nn, k), k) for k in range(nn + 1)]
-    terms = []
+    coefs = [0] * (nn + 1)
     for k in range(1, n_a + n_b):
         rank = math.comb(nn - k - 1, n_a + n_b - k - 1)
         for l in range(nn - k, nn + 1):
             for m in range(l + 1):
-                coef = (-1) ** m * rank * math.comb(nn, l) * math.comb(l, m)
-                terms.append((coef, nn - l + m))
-    return math.comb(nn - 1, n_a + n_b - 2), terms
+                coefs[nn - l + m] += (-1) ** m * rank * math.comb(nn, l) * math.comb(l, m)
+    return math.comb(nn - 1, n_a + n_b - 2), [(coef, c) for c, coef in enumerate(coefs)]
 
 
 def reference_eta(cfg):
@@ -156,8 +175,22 @@ def ser_reference(cfg, a_zero=False):
     return at_twice_the_digits(kernel, cfg)
 
 
+def cdf_reference(cfg, x):
+    """(F_ab(x), F_ba(x)) term by term; the c = 0 kernel value is 1."""
+
+    def kernel():
+        eta, lam, x_mp = mpmath.mpf(cfg.eta), mpmath.mpf(cfg.lambda_s), mpmath.mpf(x)
+        return [mpmath.exp(-c * x_mp / lam) / (1 + c * eta * x_mp) for c in range(cfg.nn + 1)]
+
+    return at_twice_the_digits(kernel, cfg)
+
+
 def rel_err(value, exact):
-    return float(abs((value - exact) / exact))
+    """|value - exact| / |exact|; below the normal float range, where a
+    double keeps no relative accuracy, the error over 1e-300 / REL_TOL, so
+    an absolute error within 1e-300 passes."""
+    scale = abs(exact) if abs(exact) >= sys.float_info.min else mpmath.mpf(1e-300) / REL_TOL
+    return float(abs(value - exact) / scale)
 
 
 def closed_forms_silently(*fns):
@@ -170,15 +203,16 @@ def closed_forms_silently(*fns):
     return [getattr(r, "value", r) for r in results]
 
 
-@pytest.mark.parametrize("n_a,n_b", SIZES, ids=SIZE_IDS)
+@pytest.mark.parametrize("n_a,n_b", SIZES + BIG_SIZES, ids=size_ids(SIZES + BIG_SIZES))
 def test_rates_and_ceiling_match_60_digit_reference(n_a, n_b):
     worst = []
-    for eta in ETAS:
+    etas, lambdas = grid(n_a, n_b)
+    for eta in etas:
         cfg = make_cfg(n_a, n_b, 1.0, eta)
         if eta:
             (ceiling,) = closed_forms_silently(lambda: rate_ceiling(cfg))
             worst.append((rel_err(ceiling, ceiling_reference(cfg)), "ceiling", eta, None))
-        for lam in LAMBDAS:
+        for lam in lambdas:
             cfg = make_cfg(n_a, n_b, lam, eta)
             ab, ba = closed_forms_silently(lambda: avg_rate_ab(cfg), lambda: avg_rate_ba(cfg))
             ref_ab, ref_ba = rate_reference(cfg)
@@ -187,22 +221,51 @@ def test_rates_and_ceiling_match_60_digit_reference(n_a, n_b):
     assert max(worst)[0] <= REL_TOL, max(worst)
 
 
-@pytest.mark.parametrize("n_a,n_b", SIZES, ids=SIZE_IDS)
+@pytest.mark.parametrize("n_a,n_b", SIZES + BIG_SIZES, ids=size_ids(SIZES + BIG_SIZES))
 def test_sers_and_floor_match_60_digit_reference(n_a, n_b):
     worst = []
-    for eta in ETAS:
+    etas, lambdas = grid(n_a, n_b)
+    for eta in etas:
         cfg = make_cfg(n_a, n_b, 1.0, eta)
         if eta:
             (floor,) = closed_forms_silently(lambda: ser_floor(cfg))
             worst.append((rel_err(floor, weighted(*ser_reference(cfg, a_zero=True))),
                           "floor", eta, None))
-        for lam in LAMBDAS:
+        for lam in lambdas:
             cfg = make_cfg(n_a, n_b, lam, eta)
             ab, ba = closed_forms_silently(lambda: avg_ser_ab(cfg), lambda: avg_ser_ba(cfg))
             ref_ab, ref_ba = ser_reference(cfg)
             worst.append((rel_err(ab, ref_ab), "ser_ab", eta, lam))
             worst.append((rel_err(ba, ref_ba), "ser_ba", eta, lam))
     assert max(worst)[0] <= REL_TOL, max(worst)
+
+
+@pytest.mark.parametrize("n_a,n_b", CDF_SIZES, ids=size_ids(CDF_SIZES))
+def test_cdfs_match_reference_down_to_the_float_range(n_a, n_b):
+    # within REL_TOL, or 1e-300 absolute below the float range (rel_err);
+    # never a negative value or -0.0
+    worst = []
+    for eta in CDF_ETAS:
+        cfg = make_cfg(n_a, n_b, 10.0, eta)
+        for t in CDF_POINTS:
+            x = t * cfg.lambda_s
+            values = closed_forms_silently(lambda: cdf_gamma_ab(x, cfg),
+                                           lambda: cdf_gamma_ba(x, cfg))
+            for link, value, exact in zip(("ab", "ba"), values, cdf_reference(cfg, x)):
+                assert math.copysign(1.0, value) == 1.0, (link, eta, t, value)
+                worst.append((rel_err(value, exact), link, eta, t))
+    assert max(worst)[0] <= REL_TOL, max(worst)
+
+
+@pytest.mark.parametrize("n,t", [(2, 0.0), (6, 0.0), (12, 0.0), (12, 1e-7)])
+def test_cdf_below_the_float_range_is_positive_zero(n, t):
+    # each CDF is 0 (x = 0) or below the float range; a sum that still
+    # cancels too much at the last escalation returns +0.0 as well
+    for eta in (0.0, 0.05):
+        cfg = make_cfg(n, n, 10.0, eta)
+        for cdf in (cdf_gamma_ab, cdf_gamma_ba):
+            value = cdf(t * cfg.lambda_s, cfg)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, (eta, cdf, value)
 
 
 # floors whose sums cancel more digits than the first 50 can spare: at 6x6

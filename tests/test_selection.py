@@ -527,11 +527,19 @@ def test_exhaustive_matches_all_pairs_off_the_physical_domain(w):
             select(g, w, policy, BPSK)
 
 
-@pytest.mark.parametrize("w", [1.3, -0.2])
+@pytest.mark.parametrize("w", [1.3, -0.2, 0.0, 1.0])
 def test_exhaustive_with_one_infinite_rate_off_the_physical_domain(w):
-    # one infinite rate per trial: w*h and (1-w)*h are infinities of opposite
-    # signs; the weight is refused before any pair is scored, so no inf - inf
-    # is formed and no RuntimeWarning is raised
+    # one infinite rate per trial: outside [0, 1], w*h and (1-w)*h are
+    # infinities of opposite signs; the weight is refused before any pair
+    # is scored, so no inf - inf is formed and no RuntimeWarning is raised.
+    # At w = 0 and 1 the zero-weight link is left out of the score, so no
+    # 0 * inf is formed either, and the infinite link is the first pick
+    if 0.0 <= w <= 1.0:
+        g = np.array([[[np.inf, 1, .5], [1, 2, .3], [.2, .1, 3]]])
+        for policy in POLICIES:
+            ab, ba = select(g, w, policy, None if policy == "max_wsr" else BPSK)
+            assert by_weight(ab.tolist(), ba.tolist(), w) == ([0], [8])
+        return
     rng = np.random.default_rng(2)
     g = rng.exponential(1.0, (300, 4, 5))
     g.reshape(300, 20)[np.arange(300), rng.integers(0, 20, 300)] = np.inf

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fdlink import binom, e1, exp_e1_scaled, q_function
+from fdlink import e1, exp_e1_scaled, q_function
 from fdlink.errors import DomainError
 from fdlink.special import EULER_GAMMA
 
@@ -83,28 +83,3 @@ def test_q_function_basics():
     for x in rng.normal(0, 2, 20):
         assert q_function(x) + q_function(-x) == pytest.approx(1.0, abs=1e-15)
 
-
-def test_binom_values():
-    assert binom(4, 2) == 6
-    assert binom(25, 12) == 5200300
-    for n in (0, 5, 64):
-        assert binom(n, 0) == 1
-
-
-def test_binom_matches_pascal_table():
-    rows = [[1]]
-    for n in range(1, 31):
-        prev = rows[-1]
-        rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1])
-    for n in range(31):
-        for k in range(n + 1):
-            assert binom(n, k) == rows[n][k]
-
-
-def test_binom_domain():
-    with pytest.raises(DomainError):
-        binom(65, 2)
-    with pytest.raises(DomainError):
-        binom(4, 5)
-    with pytest.raises(DomainError):
-        binom(4, -1)
