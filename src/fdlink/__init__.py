@@ -15,6 +15,7 @@ from .analytic import (
     avg_weighted_sum_ser,
     cdf_gamma_ab,
     cdf_gamma_ba,
+    cdf_gammas,
     mixture_weights,
     mu_coefficient,
     order_statistic_cdf,

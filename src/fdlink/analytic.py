@@ -29,16 +29,17 @@ rate kernel next to a singular c = 1/eta loses up to ~18 more.  So sums
 are evaluated in mpmath at 50 digits, then at more while they cancel more
 than those spare (_link_sums), so the double result is accurate to its
 last digit.  Each result carries its largest term and is flagged only if
-its sum still cancels too much at _MAX_DPS; a flagged ceiling or floor
-raises, and a flagged CDF is below the float range and returns 0.0.
-Closed forms support n_a*n_b <= MAX_NN_CLOSED_FORM = 144 (12x12).
+its sum still cancels too much at _MAX_DPS; a flagged sum lies below the
+float range and is +0.0, and a flagged ceiling or floor raises.  The eta = 0
+asymptotes are one mpmath formula each, rounded once (inf or 0.0 past the
+float range).  Closed forms support n_a*n_b <= MAX_NN_CLOSED_FORM = 144
+(12x12), the largest size the reference tests check.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -46,7 +47,7 @@ import numpy as np
 
 # exp_e1_scaled and erfcx are not called here; they stay bound because
 # perfbench/spans.py counts calls made through these module attributes
-from scipy.special import erfcx, gamma as gamma_fn  # noqa: F401
+from scipy.special import erfcx  # noqa: F401
 
 from .config import ModulationParams, SystemConfig
 from .errors import ConvergenceFailure, DomainError, RequiresPerfectCancellation
@@ -54,9 +55,8 @@ from .selection import by_weight
 from .special import exp_e1_scaled  # noqa: F401
 
 _LN2 = math.log(2.0)
-# the eta = 0 asymptote's double prefactor 2^(nn-1) Gamma(nn + 1/2)
-# overflows from nn = 151, so from 2x76 = 152 on; 12x12 is the largest
-# square below that
+# the reference tests check every closed form up to 12x12 and the CDFs up
+# to 2x72; nothing past n_a*n_b = 144 is checked
 MAX_NN_CLOSED_FORM = 144
 # mpmath digits of a closed-form sum: _DPS first, at most _MAX_DPS; a double
 # needs _DOUBLE_DIGITS past the cancellation, an escalation adds _GUARD_DIGITS
@@ -147,23 +147,25 @@ def order_statistic_cdf(r: int, n: int, x: float, lam: float) -> float:
     return math.fsum(math.comb(n, i) * f**i * (1.0 - f) ** (n - i) for i in range(r, n + 1))
 
 
-def _cdf(x: float, cfg: SystemConfig, link: str) -> float:
+def _cdf(x: float, cfg: SystemConfig, links: tuple[str, ...]) -> list[float]:
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
-    (result,) = _link_sums(cfg, functools.partial(_cdf_kernel, x=x), (link,))
-    # a sum still flagged at _MAX_DPS is below 10^-940 (no table term passes
-    # 10^43 up to MAX_NN_CLOSED_FORM), out of the float range; 0 at x = 0
-    return 0.0 if result.cancellation_flag else result.value
+    return [r.value for r in _link_sums(cfg, functools.partial(_cdf_kernel, x=x), links)]
 
 
 def cdf_gamma_ab(x: float, cfg: SystemConfig) -> float:
     """CDF of the first pick's SINR (first pick = the larger-weight direction)."""
-    return _cdf(x, cfg, "ab")
+    return _cdf(x, cfg, ("ab",))[0]
 
 
 def cdf_gamma_ba(x: float, cfg: SystemConfig) -> float:
     """CDF of the second pick's SINR (second pick = the smaller-weight direction)."""
-    return _cdf(x, cfg, "ba")
+    return _cdf(x, cfg, ("ba",))[0]
+
+
+def cdf_gammas(x: float, cfg: SystemConfig) -> tuple[float, float]:
+    """(first, second) pick's SINR CDFs at x, from one kernel vector."""
+    return tuple(_cdf(x, cfg, ("ab", "ba")))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +225,8 @@ def _link_sums(cfg: SystemConfig, kernels, links=("ab", "ba")) -> list[AnalyticV
     link.  While a sum cancels more digits than its precision spares (a zero
     sum too), K is evaluated again at twice the digits or more; this loops,
     since a short sum returns noise that understates its cancellation.  A
-    sum still short at _MAX_DPS is flagged."""
+    sum still short at _MAX_DPS is flagged and +0.0: it is below 10^-940 (no
+    table term passes 10^43 up to MAX_NN_CLOSED_FORM), or exactly 0."""
     _check_closed_form_size(cfg)
     dps = _DPS
     while True:
@@ -239,7 +242,7 @@ def _link_sums(cfg: SystemConfig, kernels, links=("ab", "ba")) -> list[AnalyticV
                 flag = max_term > abs(value) * 10 ** (dps - _DOUBLE_DIGITS)
                 sums.append((value, max_term, flag))
         if dps == _MAX_DPS or not any(flag for _, _, flag in sums):
-            return [AnalyticValue(float(v), float(m), flag) for v, m, flag in sums]
+            return [AnalyticValue(0.0 if flag else float(v), float(m), flag) for v, m, flag in sums]
         lost = max(mpmath.log10(m / abs(v)) if v else mpmath.inf for v, m, _ in sums)
         dps = int(min(_MAX_DPS, max(2 * dps, mpmath.ceil(_DOUBLE_DIGITS + lost) + _GUARD_DIGITS)))
 
@@ -386,23 +389,6 @@ def ser_floor(cfg: SystemConfig) -> float:
 # perfect-cancellation asymptotics
 
 
-def _over_power(x, scale: float, base: float, n: int):
-    """x / (scale * base**n) as a Python float.  Where that denominator leaves
-    the normal float range the quotient may still fit, so it is scaled by
-    base's binary exponent instead: base = m * 2**e, x / (scale * m**n) *
-    2**(-e*n)."""
-    try:
-        if sys.float_info.min <= (denom := scale * base**n) < math.inf:
-            return float(x / denom)
-    except OverflowError:
-        pass
-    m, e = math.frexp(base)
-    try:
-        return math.ldexp(x / (scale * m**n), -e * n)
-    except OverflowError:
-        return math.inf
-
-
 def __getattr__(name: str):
     # only the oracles use slow-to-import scipy.integrate, but
     # perfbench/spans.py reads analytic.quad when tracing
@@ -412,38 +398,31 @@ def __getattr__(name: str):
     return quad
 
 
-def asymptotic_ser_generic(n_order: int, zeta: float, lam: float, mod: ModulationParams) -> float:
-    """High-SNR SER of a link whose SINR density opens as zeta*x^N/lam^(N+1)."""
+def asymptotic_ser_generic(n_order: int, zeta, lam: float, mod: ModulationParams) -> float:
+    """High-SNR SER of a link whose SINR density opens as zeta*x^N/lam^(N+1):
+    alpha zeta (2N+1)!! / (2 (N+1) (beta lam)^(N+1)), since Gamma(N + 3/2) =
+    sqrt(pi) (2N+1)!! / 2^(N+1).  Evaluated in mpmath and rounded once, so
+    it is inf or 0.0 past the float range; zeta may be an mpf."""
     if n_order < 0 or lam <= 0:
         raise DomainError("need n_order >= 0 and lam > 0")
-    n = n_order
-    return _over_power(
-        2.0**n * mod.alpha_mod * zeta * gamma_fn(n + 1.5),
-        math.sqrt(math.pi) * (n + 1),
-        mod.beta_mod * lam,
-        n + 1,
-    )
+    with mpmath.workdps(_DPS):
+        power = (mpmath.mpf(mod.beta_mod) * lam) ** (n_order + 1)
+        odd = math.prod(range(1, 2 * n_order + 2, 2))  # (2N+1)!!
+        return float(mpmath.mpf(mod.alpha_mod) * zeta * odd / (2 * (n_order + 1) * power))
 
 
 def asymptotic_ser_perfect_cancellation(
     cfg: SystemConfig, lambda_s: float
 ) -> tuple[float, float, float]:
-    """High-SNR SER asymptotes (ser_ab, ser_ba, weighted) for eta = 0.
-
-    ser_ab decays with diversity order n_a*n_b, ser_ba and the weighted
-    sum with (n_a-1)*(n_b-1)."""
+    """High-SNR SER asymptotes (ser_ab, ser_ba, weighted) for eta = 0: the first
+    pick's density opens as nn x^(nn-1)/lam^nn (diversity order nn), the
+    second's as zeta_ba x^(m-1)/lam^m, with m = (n_a-1)*(n_b-1)."""
     if cfg.eta != 0.0:
         raise RequiresPerfectCancellation(f"eta must be 0, got {cfg.eta}")
     _check_closed_form_size(cfg)
-    nn, n_a, n_b = cfg.nn, cfg.n_a, cfg.n_b
-    mod = cfg.modulation
-    sqrt_pi = math.sqrt(math.pi)
-    u1 = 2.0 ** (nn - 1) * mod.alpha_mod * gamma_fn(nn + 0.5) / (mod.beta_mod**nn * sqrt_pi)
-    m_div = (n_a - 1) * (n_b - 1)
-    u2 = (2.0 ** (nn - n_a - n_b) * mod.alpha_mod * gamma_fn(m_div + 0.5) * math.comb(nn, m_div)
-          / (mod.beta_mod**m_div * sqrt_pi * math.comb(nn - 1, n_a + n_b - 2)))
-    ser_ab = _over_power(u1, 1.0, lambda_s, nn)
-    ser_ba = _over_power(u2, 1.0, lambda_s, m_div)
+    nn, m = cfg.nn, (cfg.n_a - 1) * (cfg.n_b - 1)
     small_w = by_weight(cfg.w, 1.0 - cfg.w, cfg.w)[1]
-    weighted = _over_power(small_w * u2, 1.0, lambda_s, m_div)
-    return ser_ab, ser_ba, weighted
+    with mpmath.workdps(_DPS):
+        zeta_ba = mpmath.mpf(m * math.comb(nn, m)) / math.comb(nn - 1, cfg.n_a + cfg.n_b - 2)
+        return tuple(asymptotic_ser_generic(n, zeta, lambda_s, cfg.modulation)
+                     for n, zeta in ((nn - 1, nn), (m - 1, zeta_ba), (m - 1, zeta_ba * small_w)))

@@ -7,7 +7,7 @@ the fdlink, numpy, scipy and mpmath versions.  SNR is accepted in dB on
 the command line and converted to linear scale once.
 Re-running a sweep with the same seed produces byte-identical files.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error, 3 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .analytic import (
     asymptotic_ser_perfect_cancellation,
     avg_weighted_sum_rate,
     avg_weighted_sum_ser,
-    cdf_gamma_ab,
-    cdf_gamma_ba,
+    cdf_gammas,
     rate_ceiling,
     ser_floor,
 )
@@ -182,8 +181,7 @@ def _rows_for_size(spec: SweepSpec, n_a: int, n_b: int):
     cfgs = [_cfg(n_a, n_b, snr_db, eta, spec.w) for eta, snr_db in points]
     closed_form_ok = n_a * n_b <= MAX_NN_CLOSED_FORM
     if spec.metric == "p_not":
-        for cfg, common in zip(cfgs, commons):
-            est = mc_p_not(cfg, spec.trials, spec.seed)
+        for est, common in zip(mc_p_not(cfgs, spec.trials, spec.seed), commons):
             yield ResultRow(policy="serial_max", trials=spec.trials, seed=spec.seed,
                             mc_value=est.value, mc_stderr=est.std_error,
                             analytic_value=p_not_upper_bound(n_a, n_b), **common)
@@ -193,12 +191,12 @@ def _rows_for_size(spec: SweepSpec, n_a: int, n_b: int):
         grids = [np.linspace(0.0, 5.0 * cfg.lambda_s, 50)[1:] for cfg in cfgs]
         links = ("gamma_ab", "gamma_ba")
         all_emps = mc_empirical_cdfs(cfgs, links, spec.trials, spec.seed, grids)
-        # cdf_gamma_ab/_ba are the first/second pick; by_weight puts each on its link
-        analytic_fns = by_weight(cdf_gamma_ab, cdf_gamma_ba, spec.w)
-        for cfg, common, emps in zip(cfgs, commons, all_emps):
-            for which, emp, analytic_fn in zip(links, emps, analytic_fns):
-                for x, p in zip(emp.grid, emp.probabilities):
-                    analytic_value = analytic_fn(float(x), cfg) if closed_form_ok else None
+        for cfg, common, grid, emps in zip(cfgs, commons, grids, all_emps):
+            # cdf_gammas gives the (first, second) pick; by_weight puts each on its link
+            analytic = zip(*(by_weight(*cdf_gammas(float(x), cfg), spec.w) if closed_form_ok
+                             else (None, None) for x in grid))
+            for which, emp, analytic_values in zip(links, emps, analytic):
+                for x, p, analytic_value in zip(emp.grid, emp.probabilities, analytic_values):
                     yield ResultRow(policy=which, x=float(x), trials=spec.trials,
                                     seed=spec.seed, mc_value=float(p),
                                     analytic_value=analytic_value, **common)
@@ -380,6 +378,9 @@ def main(argv: list[str] | None = None) -> int:
         rows = run_sweep(spec)
     except FdlinkError as exc:
         print(f"fdlink: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"fdlink: out of memory: {exc}", file=sys.stderr)
         return 3
     print(f"wrote {len(rows)} rows to {spec.out}")
     return 0

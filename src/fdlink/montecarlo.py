@@ -227,13 +227,14 @@ def _point_estimate(picks: np.ndarray, cfg: SystemConfig, policy: str, metric: s
     return MetricEstimate(value=mean, std_error=std_error, trials=trials, master_seed=seed)
 
 
-def _mc_weighted_sum(cfg, policy: str, trials: int, seed: int, metric: str):
+def _estimates(cfg, policy: str, trials: int, seed: int, point_task, *args):
+    """point_task(picks, c, *args) for each config c, from one draw and selection
+    under policy: one result for one SystemConfig, a list for a sequence."""
     single = isinstance(cfg, SystemConfig)
     cfgs = [cfg] if single else list(cfg)
     with _pool() as pool:
         picks = _picks(pool, cfgs, policy, trials, seed)
-        tasks = [_submit(pool, _point_estimate, picks, c, policy, metric, trials, seed)
-                 for c in cfgs]
+        tasks = [_submit(pool, point_task, picks, c, *args) for c in cfgs]
         estimates = [task.result() for task in tasks]
     return estimates[0] if single else estimates
 
@@ -245,7 +246,7 @@ def mc_weighted_sum_rate(
 
     One MetricEstimate for one SystemConfig; a list, one per point, for a
     sequence of configs of one array size."""
-    return _mc_weighted_sum(cfg, policy, trials, seed, "rate")
+    return _estimates(cfg, policy, trials, seed, _point_estimate, policy, "rate", trials, seed)
 
 
 def mc_weighted_sum_ser(
@@ -253,7 +254,7 @@ def mc_weighted_sum_ser(
 ) -> MetricEstimate | list[MetricEstimate]:
     """Monte Carlo average of w*SER(gamma_AB) + (1-w)*SER(gamma_BA); one
     estimate per config, as in mc_weighted_sum_rate."""
-    return _mc_weighted_sum(cfg, policy, trials, seed, "ser")
+    return _estimates(cfg, policy, trials, seed, _point_estimate, policy, "ser", trials, seed)
 
 
 def _cdf_counts(picks: np.ndarray, cfg: SystemConfig, which: tuple[str, ...],
@@ -308,15 +309,8 @@ def mc_empirical_cdf(
     return mc_empirical_cdfs(cfg, (which,), trials, seed, grid)[0]
 
 
-def mc_p_not(cfg: SystemConfig, trials: int, seed: int) -> MetricEstimate:
-    """Frequency of trials where exhaustive Max-WSR strictly beats Serial-Max.
-
-    'Strictly' means the exhaustive weighted-rate objective, the best of
-    the four candidate pairs, exceeds the Serial-Max one, that of its own
-    pair (M, S), by more than 1e-12 relative.
-    """
-    with _pool() as pool:
-        picks = _picks(pool, [cfg], "max_wsr", trials, seed)
+def _p_not_estimate(picks: np.ndarray, cfg: SystemConfig, trials: int, seed: int) -> MetricEstimate:
+    """cfg's frequency of strict exhaustive wins over the four candidates' picks."""
     misses = 0
     for start in range(0, trials, _SPAN):
         g = _scaled(picks[:4, start:start + _SPAN], cfg)
@@ -326,3 +320,12 @@ def mc_p_not(cfg: SystemConfig, trials: int, seed: int) -> MetricEstimate:
     p = misses / trials
     std_error = math.sqrt(p * (1.0 - p) / trials)
     return MetricEstimate(value=p, std_error=std_error, trials=trials, master_seed=seed)
+
+
+def mc_p_not(cfg: SystemConfig | Sequence[SystemConfig], trials: int,
+             seed: int) -> MetricEstimate | list[MetricEstimate]:
+    """Frequency of trials where exhaustive Max-WSR strictly beats Serial-Max,
+    one estimate per config as in mc_weighted_sum_rate: where the best of the
+    four candidate pairs' weighted rates exceeds that of Serial-Max's own
+    pair (M, S) by more than 1e-12 relative."""
+    return _estimates(cfg, "max_wsr", trials, seed, _p_not_estimate, trials, seed)

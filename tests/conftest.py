@@ -1,8 +1,15 @@
 """Shared pytest wiring: collects the acceptance-gate verdict lines and
 prints them after the test summary, where output capture cannot hide them;
-and the masking oracle of exhaustive search's candidate links."""
+the masking oracle of exhaustive search's candidate links; and a counter
+of the closed forms' mpmath calls."""
 
+import collections
+import types
+
+import mpmath
 import numpy as np
+
+from fdlink import analytic
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -28,3 +35,23 @@ def masked_candidates(g):
 
     return np.stack([m, first_max(~in_row & ~in_col), first_max(in_row & ~in_col),
                      first_max(in_col & ~in_row)])
+
+
+def counting_mpmath(monkeypatch, names):
+    """Route analytic's mpmath calls through a copy of the module whose
+    named functions count their calls."""
+    counts = collections.Counter()
+    stand_in = types.ModuleType("mpmath")
+    stand_in.__dict__.update(mpmath.__dict__)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        setattr(stand_in, name, counted(name, getattr(mpmath, name)))
+    monkeypatch.setattr(analytic, "mpmath", stand_in)
+    return counts

@@ -1,17 +1,17 @@
-import collections
 import math
 import os
 import pathlib
 import subprocess
 import sys
-import types
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import counting_mpmath
 from fdlink import (
     BPSK,
     SystemConfig,
@@ -25,6 +25,7 @@ from fdlink import (
     asymptotic_ser_perfect_cancellation,
     cdf_gamma_ab,
     cdf_gamma_ba,
+    cdf_gammas,
     exp_e1_scaled,
     mixture_weights,
     mu_coefficient,
@@ -494,24 +495,16 @@ def test_shared_kernel_vector_matches_per_link_kernels_bitwise(n_a, n_b, monkeyp
                 assert bits(avg_weighted_sum_ser(cfg_w)) == bits(analytic._combine(cfg_w, *sers))
 
 
-def counting_mpmath(monkeypatch, names):
-    """Route analytic's mpmath calls through a copy of the module whose
-    named functions count their calls."""
-    counts = collections.Counter()
-    stand_in = types.ModuleType("mpmath")
-    stand_in.__dict__.update(mpmath.__dict__)
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in names:
-        setattr(stand_in, name, counted(name, getattr(mpmath, name)))
-    monkeypatch.setattr(analytic, "mpmath", stand_in)
-    return counts
+@pytest.mark.parametrize("n_a,n_b", [(3, 3), (6, 6), (4, 9), (8, 8)])
+def test_both_cdfs_from_one_kernel_vector_match_per_link_calls_bitwise(n_a, n_b):
+    for eta in (0.0, 0.02, 0.05, 0.1):
+        for lam in (1.0, 10.0, 1e3):
+            cfg = make_cfg(n_a=n_a, n_b=n_b, lambda_s=lam, eta=eta)
+            for t in (0.0, 1e-3, 0.1, 1.0, 5.0):
+                x = t * lam
+                pair = cdf_gammas(x, cfg)
+                assert [v.hex() for v in pair] == [cdf_gamma_ab(x, cfg).hex(),
+                                                   cdf_gamma_ba(x, cfg).hex()], (eta, lam, t)
 
 
 @pytest.mark.parametrize("closed_form,kernel_fn,most", [
@@ -587,13 +580,78 @@ def test_asymptote_where_the_snr_power_overflows(n, lam):
     assert weighted == pytest.approx(0.3 * ser_ba, rel=1e-13, abs=1e-322)
 
 
+def asymptote_reference(n_order, zeta, lam):
+    """2^N alpha zeta Gamma(N + 3/2) / (sqrt(pi) (N + 1) (beta lam)^(N + 1))
+    at 60 digits through mpmath.gamma, rounded once to a double."""
+    with mpmath.workdps(60):
+        n = mpmath.mpf(n_order)
+        return float(2**n * mpmath.mpf(BPSK.alpha_mod) * zeta * mpmath.gamma(n + 1.5)
+                     / (mpmath.sqrt(mpmath.pi) * (n + 1)
+                        * (mpmath.mpf(BPSK.beta_mod) * lam) ** (n + 1)))
+
+
+def perfect_cancellation_reference(cfg, lam):
+    """(ser_ab, ser_ba, weighted) from asymptote_reference: the first pick's
+    density opens as nn x^(nn-1)/lam^nn, the second's as zeta_ba x^(m-1)/lam^m."""
+    nn, m = cfg.nn, (cfg.n_a - 1) * (cfg.n_b - 1)
+    with mpmath.workdps(60):
+        zeta_ba = mpmath.mpf(m * math.comb(nn, m)) / math.comb(nn - 1, cfg.n_a + cfg.n_b - 2)
+        return (asymptote_reference(nn - 1, nn, lam), asymptote_reference(m - 1, zeta_ba, lam),
+                asymptote_reference(m - 1, zeta_ba * min(cfg.w, 1.0 - cfg.w), lam))
+
+
+def assert_rounded_once(values, expected):
+    # a subnormal reference may differ by its rounding to fewer bits
+    for value, exact in zip(values, expected, strict=True):
+        if abs(exact) < sys.float_info.min:
+            assert value == pytest.approx(exact, rel=0.0, abs=1e-322), (values, expected)
+        else:
+            assert value == exact, (values, expected)
+
+
+ASYMPTOTE_SIZES = [(2, 2), (3, 3), (6, 6), (4, 9), (12, 12), (2, 72)]
+
+
+@pytest.mark.parametrize("n_a,n_b", ASYMPTOTE_SIZES, ids=[f"{a}x{b}" for a, b in ASYMPTOTE_SIZES])
+def test_asymptotes_are_the_60_digit_reference_rounded_once(n_a, n_b):
+    # from inf (12x12 at -100 dB) through subnormals to 0.0 (12x12 at 790 dB)
+    cfg = make_cfg(n_a=n_a, n_b=n_b, eta=0.0)
+    ends = set()
+    for lam in (1e-10, 1.0, 10**3.5, 1e8, 1e10, 1e35, 1e79):
+        values = [*asymptotic_ser_perfect_cancellation(cfg, lam),
+                  asymptotic_ser_generic(cfg.nn - 1, cfg.nn, lam, BPSK),
+                  asymptotic_ser_generic(2, 2.0, lam, BPSK)]
+        expected = [*perfect_cancellation_reference(cfg, lam),
+                    asymptote_reference(cfg.nn - 1, cfg.nn, lam), asymptote_reference(2, 2.0, lam)]
+        assert_rounded_once(values, expected)
+        ends.update(v for v in values if v in (0.0, math.inf))
+    if (n_a, n_b) == (12, 12):
+        assert ends == {0.0, math.inf}
+
+
 def test_asymptote_keeps_its_value_where_the_power_fits():
     cfg = make_cfg(n_a=6, n_b=6, eta=0.0)
-    u1, u2, _ = asymptotic_ser_perfect_cancellation(cfg, 1.0)
-    ser_ab, ser_ba, weighted = asymptotic_ser_perfect_cancellation(cfg, 1e8)
-    assert ser_ab == u1 / 1e8**36
-    assert ser_ba == u2 / 1e8**25
-    assert weighted == (1.0 - 0.7) * u2 / 1e8**25
+    assert_rounded_once(asymptotic_ser_perfect_cancellation(cfg, 1e8),
+                        perfect_cancellation_reference(cfg, 1e8))
+
+
+MOMENT_SIZES = [(a, b) for a in range(2, 7) for b in range(2, 7)] + [(4, 9), (12, 12), (2, 72)]
+
+
+def test_asymptote_coefficients_are_the_tables_leading_moments():
+    # at eta = 0, F(x) = sum_c A_c e^(-c x/lam) / D = sum_k (-x/lam)^k M_k / (k! D)
+    # with M_k = sum_c A_c c^k, so F opens as kappa (x/lam)^d where M_k = 0 for
+    # k < d and kappa = (-1)^d M_d / (D d!); its density opens as d kappa
+    # x^(d-1)/lam^d, which is the asymptote's zeta
+    for n_a, n_b in MOMENT_SIZES:
+        nn, m = n_a * n_b, (n_a - 1) * (n_b - 1)
+        kappas = {"ab": (nn, 1),
+                  "ba": (m, Fraction(math.comb(nn, m), math.comb(nn - 1, n_a + n_b - 2)))}
+        for link, (d, kappa) in kappas.items():
+            denom, table = analytic._coefficients(n_a, n_b, link)
+            moments = [sum(a * c**k for c, a in enumerate(table)) for k in range(d + 1)]
+            lead = Fraction((-1) ** d * moments[d], denom * math.factorial(d))
+            assert (moments[:d], lead) == ([0] * d, kappa), (n_a, n_b, link)
 
 
 def test_asymptote_where_the_snr_power_underflows():

@@ -5,6 +5,7 @@ import math
 import mpmath
 import pytest
 
+from conftest import counting_mpmath
 from fdlink import SystemConfig, cli, db_to_linear, montecarlo
 from fdlink.cli import FIELDS, SweepSpec, main, preset, run_sweep
 from fdlink.errors import InvalidRange, UnknownPreset
@@ -171,6 +172,14 @@ def test_cdf_sweep_draws_each_trial_once(tmp_path, monkeypatch):
     assert calls == [(0, 1000)]
 
 
+def test_cdf_sweep_evaluates_one_kernel_vector_per_point(tmp_path, monkeypatch):
+    # 49 grid points x 36 kernel values at 6x6, shared by both links
+    counts = counting_mpmath(monkeypatch, ("exp",))
+    rows = run_sweep(tiny_spec(tmp_path, metric="cdf", sizes=[(6, 6)], trials=100))
+    assert len(rows) == 98
+    assert counts["exp"] == 49 * 36
+
+
 @pytest.mark.parametrize("policy", montecarlo.POLICIES)
 def test_serial_max_sweep_draws_each_chunk_once(tmp_path, monkeypatch, policy):
     # 9 SNR x 3 eta points share each chunk's draw, and under Serial-Max its
@@ -329,6 +338,30 @@ def test_main_perfect_cancellation_asymptote_at_high_snr(tmp_path):
     with open(out, newline="") as fh:
         row = next(csv.DictReader(fh))
     assert "e-227" in row["ceiling_or_floor"]
+
+
+def test_main_writes_a_flagged_closed_form_as_positive_zero(tmp_path):
+    # the 10x10 eta = 0 SER sums at 150 dB still cancel too much at the
+    # last escalation; their values lie below the float range
+    out = tmp_path / "flagged.csv"
+    rc = main(["--metric", "wser", "--eta", "0", "--na", "10", "--nb", "10",
+               "--snr-db", "150", "--trials", "10", "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert row["analytic_value"] == "0.0"
+
+
+def test_main_reports_a_sweep_too_large_for_memory(tmp_path, capsys):
+    # one 10^6 x 10^6 draw asks for 7.28 TiB, which the allocation refuses
+    out = tmp_path / "huge.csv"
+    rc = main(["--metric", "wsr", "--na", "1000000", "--nb", "1000000", "--trials", "1",
+               "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fdlink: out of memory: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("w", [0.3, 0.7])

@@ -268,6 +268,21 @@ def test_cdf_below_the_float_range_is_positive_zero(n, t):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0, (eta, cdf, value)
 
 
+FLAGGED_SIZES = [(8, 8), (10, 10), (12, 12), (2, 72), (3, 48), (9, 16)]
+
+
+@pytest.mark.parametrize("n_a,n_b", FLAGGED_SIZES, ids=size_ids(FLAGGED_SIZES))
+def test_flagged_sers_are_positive_zero(n_a, n_b):
+    # eta = 0 SERs at 100-300 dB lie far below the float range, and most of
+    # their sums still cancel too much at the last escalation; the sign of
+    # such a sum is noise, so a flagged sum returns +0.0 with its flag set
+    for snr_db in (100, 200, 300):
+        cfg = make_cfg(n_a, n_b, 10.0 ** (snr_db / 10), 0.0)
+        for result in (avg_ser_ab(cfg), avg_ser_ba(cfg), avg_weighted_sum_ser(cfg)):
+            assert math.copysign(1.0, result.value) == 1.0, (snr_db, result)
+            assert result.value == 0.0, (snr_db, result)
+
+
 # floors whose sums cancel more digits than the first 50 can spare: at 6x6
 # the first-link floor's largest term is 3e42 x its value at eta = 1e-3 and
 # 6e50 x at 1e-4

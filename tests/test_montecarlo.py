@@ -377,12 +377,12 @@ def test_shared_serial_max_reselects_where_the_snr_is_subnormal(monkeypatch):
 
 def estimator_outputs(cfgs, trials, seed):
     """The bits of every estimator's output: each policy and metric at
-    cfgs[0] and over the list, P_not and both links' CDFs."""
+    cfgs[0] and over the list, P_not likewise, and both links' CDFs."""
     out = []
     for fn in (mc_weighted_sum_rate, mc_weighted_sum_ser):
         for policy in montecarlo.POLICIES:
             out += [fn(cfgs[0], policy, trials, seed), *fn(cfgs, policy, trials, seed)]
-    out.append(mc_p_not(cfgs[0], trials, seed))
+    out += [mc_p_not(cfgs[0], trials, seed), *mc_p_not(cfgs, trials, seed)]
     out = [(bits(est.value), bits(est.std_error)) for est in out]
     grids = [np.geomspace(1e-3, 5.0 * cfg.lambda_s, 40) for cfg in cfgs]
     for cdfs in montecarlo.mc_empirical_cdfs(cfgs, ("gamma_ab", "gamma_ba"), trials, seed, grids):
@@ -451,6 +451,9 @@ def test_point_lists_return_one_estimate_per_point():
         assert many == [mc_weighted_sum_rate(cfg, policy, 200, 4) for cfg in cfgs]
         with pytest.raises(ValueError, match="one array size"):
             mc_weighted_sum_rate([make_cfg(), make_cfg(n_a=2, n_b=4)], policy, 10, 0)
+    assert mc_p_not(cfgs, 200, 4) == [mc_p_not(cfg, 200, 4) for cfg in cfgs]
+    with pytest.raises(ValueError, match="one array size"):
+        mc_p_not([make_cfg(), make_cfg(n_a=2, n_b=4)], 10, 0)
     with pytest.raises(ValueError, match="one grid per config"):
         montecarlo.mc_empirical_cdfs(cfgs, ("gamma_ab",), 10, 0, [np.ones(3)])
 
