@@ -7,9 +7,10 @@ stays flat.  Each estimator call runs tasks on a thread pool with one
 worker per CPU the process may use (_workers); numpy and scipy release the
 interpreter lock in the heavy steps.  Every policy runs one flow: one
 task per chunk draws once and finds the candidate links its policy reads
-(_chunk_picks), into one shared array of every trial's picks; then one
-task per point forms and reduces its metric over spans of _SPAN trials
-of that array (_point_estimate).
+(_chunk_picks), into one shared array of every trial's picks; then each
+point forms and reduces its metric over spans of that array
+(_point_estimate), one task per point, or per span where the points are
+fewer than the workers (_estimates).
 
 Reductions are exact (_exact_parts): each value splits exactly into two
 26-bit pieces, and one bincount sums the pieces of each 8-wide exponent
@@ -26,9 +27,9 @@ bit for bit as a draw at its means.  g = (lambda_s * E) * scale keeps the
 order of E up to rounding, so each chunk takes its candidates on E once
 for every point: Serial-Max's (M, S), and R and C for exhaustive
 policies, whose points each score the four candidate pairs on their own
-g (see fdlink.selection).  The SER estimator averages
-alpha*Q(sqrt(beta*gamma)) over the draws; the INRs enter only the
-metric, never the selection.
+g where R and C both exceed S, and take (M, S) elsewhere (see
+fdlink.selection).  The SER estimator averages alpha*Q(sqrt(beta*gamma))
+over the draws; the INRs enter only the metric, never the selection.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .config import SystemConfig, derived_params
 from .selection import POLICIES, best_pairs, by_weight, candidates, rate_map, ser_map
 
 # trials per task: two chunks in flight keep peak memory flat
-_CHUNK = 1 << 14
+_CHUNK = 1 << 13
 # trials per step of a point's reduction: fewer, longer numpy calls
 _SPAN = 1 << 16
 # the most trials per point: the largest run the ROADMAP plans for
@@ -86,10 +87,10 @@ def _workers() -> int:
 
 
 @contextmanager
-def _pool():
+def _pool(workers: int):
     """A thread pool for one estimator call; on an error, tasks not yet
     started are cancelled and running ones finish before it propagates."""
-    pool = ThreadPoolExecutor(_workers())
+    pool = ThreadPoolExecutor(workers)
     try:
         yield pool
     finally:
@@ -100,6 +101,14 @@ def _submit(pool, fn, *args):
     # each task runs in a copy of the caller's context, so np.errstate and
     # warning filters that hold for the caller hold in the task
     return pool.submit(contextvars.copy_context().run, fn, *args)
+
+
+def _map(pool, fn, items) -> list:
+    """[fn(item) for item in items], one task per item on pool if it is not None."""
+    if pool is None:
+        return [fn(item) for item in items]
+    tasks = [_submit(pool, fn, item) for item in items]
+    return [task.result() for task in tasks]
 
 
 def _spans(trials: int) -> list[tuple[int, int]]:
@@ -133,10 +142,10 @@ def _picks(pool, cfgs: list[SystemConfig], policy: str, trials: int, seed: int) 
     if len({(c.n_a, c.n_b) for c in cfgs}) != 1:
         raise ValueError("the points of one call must share one array size")
     spans = _spans(trials)
-    tasks = [_submit(pool, _chunk_picks, cfgs[0], policy, seed, *span) for span in spans]
-    picks = np.empty((len(tasks[0].result()), trials))
-    for (start, count), task in zip(spans, tasks):
-        picks[:, start:start + count] = task.result()
+    chunks = _map(pool, lambda span: _chunk_picks(cfgs[0], policy, seed, *span), spans)
+    picks = np.empty((len(chunks[0]), trials))
+    for (start, count), chunk in zip(spans, chunks):
+        picks[:, start:start + count] = chunk
     return picks
 
 
@@ -208,34 +217,48 @@ def _exact_parts(x: np.ndarray) -> list[float]:
     return parts
 
 
-def _point_estimate(picks: np.ndarray, cfg: SystemConfig, policy: str, metric: str, trials: int,
-                    seed: int) -> MetricEstimate:
-    """cfg's estimate from policy's picks, one span at a time: the mean by
-    one exact pass, the standard error by a second over the squared
-    deviations, formed in place."""
-    values = [_metric(_point_sinrs(picks[:, start:start + _SPAN], cfg, policy), cfg, metric)
-              for start in range(0, trials, _SPAN)]
-    mean = math.fsum(itertools.chain.from_iterable(map(_exact_parts, values))) / trials
+def _point_estimate(picks: np.ndarray, cfg: SystemConfig, spans: list[slice], run,
+                    policy: str, metric: str, trials: int, seed: int) -> MetricEstimate:
+    """cfg's estimate from policy's picks: the mean by one exact pass over
+    the spans, the standard error by a second over the squared deviations,
+    formed in place."""
+    def first(span):
+        values = _metric(_point_sinrs(picks[:, span], cfg, policy), cfg, metric)
+        return values, _exact_parts(values)
+
+    def second(values):
+        values -= mean
+        values *= values
+        return _exact_parts(values)
+
+    passes = run(first, spans)
+    mean = math.fsum(itertools.chain.from_iterable(parts for _, parts in passes)) / trials
     if trials > 1:
-        for v in values:
-            v -= mean
-            v *= v
-        sq = math.fsum(itertools.chain.from_iterable(map(_exact_parts, values)))
+        sq = math.fsum(itertools.chain.from_iterable(run(second, [v for v, _ in passes])))
         std_error = math.sqrt(sq / (trials - 1)) / math.sqrt(trials)
     else:
         std_error = 0.0
     return MetricEstimate(value=mean, std_error=std_error, trials=trials, master_seed=seed)
 
 
-def _estimates(cfg, policy: str, trials: int, seed: int, point_task, *args):
-    """point_task(picks, c, *args) for each config c, from one draw and selection
-    under policy: one result for one SystemConfig, a list for a sequence."""
+def _estimates(cfg, policy: str, trials: int, seed: int, point_task, *args, each=None):
+    """point_task(picks, c, spans, run, *args[, e]) for each config c (and
+    its entry e of each), from one draw and selection under policy: one
+    result for one SystemConfig, a list for a sequence.  run maps over
+    spans: of _SPAN trials within one task per point, or, with fewer
+    points than workers, of at most _CHUNK trials, one task per span."""
     single = isinstance(cfg, SystemConfig)
     cfgs = [cfg] if single else list(cfg)
-    with _pool() as pool:
+    each = [()] * len(cfgs) if each is None else [(e,) for e in each]
+    workers = _workers()
+    with _pool(workers) as pool:
         picks = _picks(pool, cfgs, policy, trials, seed)
-        tasks = [_submit(pool, point_task, picks, c, *args) for c in cfgs]
-        estimates = [task.result() for task in tasks]
+        split = len(cfgs) < workers
+        step = min(_CHUNK, -(-trials // workers)) if split else _SPAN
+        spans = [slice(start, start + step) for start in range(0, trials, step)]
+        run = functools.partial(_map, pool if split else None)
+        estimates = _map(None if split else pool, lambda c_e: point_task(
+            picks, c_e[0], spans, run, *args, *c_e[1]), zip(cfgs, each))
     return estimates[0] if single else estimates
 
 
@@ -257,16 +280,18 @@ def mc_weighted_sum_ser(
     return _estimates(cfg, policy, trials, seed, _point_estimate, policy, "ser", trials, seed)
 
 
-def _cdf_counts(picks: np.ndarray, cfg: SystemConfig, which: tuple[str, ...],
-                grid: np.ndarray) -> np.ndarray:
-    """cfg's count of samples <= each grid value, per name in which."""
-    counts = np.zeros((len(which), grid.size), dtype=np.int64)
-    for start in range(0, picks.shape[1], _SPAN):
-        gamma_ab, gamma_ba = _point_sinrs(picks[:, start:start + _SPAN], cfg)
-        for row, name in zip(counts, which):
-            samples = np.sort(gamma_ab if name == "gamma_ab" else gamma_ba)
-            row += np.searchsorted(samples, grid, side="right")
-    return counts
+def _point_cdfs(picks: np.ndarray, cfg: SystemConfig, spans: list[slice], run,
+                which: tuple[str, ...], trials: int, grid: np.ndarray) -> list[EmpiricalCdf]:
+    """cfg's empirical CDF on grid per name in which, from each span's
+    count of samples <= each grid value."""
+    def counts(span):
+        gammas = dict(zip(("gamma_ab", "gamma_ba"), _point_sinrs(picks[:, span], cfg)))
+        out = np.zeros((len(which), grid.size), dtype=np.int64)
+        for row, name in zip(out, which):
+            row += np.searchsorted(np.sort(gammas[name]), grid, side="right")
+        return out
+
+    return [EmpiricalCdf(grid=grid, probabilities=row / trials) for row in sum(run(counts, spans))]
 
 
 def mc_empirical_cdfs(
@@ -284,9 +309,8 @@ def mc_empirical_cdfs(
     name; a sequence of configs and one grid per config give one such
     list per config."""
     single = isinstance(cfg, SystemConfig)
-    cfgs, grids = ([cfg], [grid]) if single else (list(cfg), list(grid))
-    grids = [np.asarray(x, dtype=float) for x in grids]
-    if len(grids) != len(cfgs):
+    grids = [np.asarray(x, dtype=float) for x in ([grid] if single else grid)]
+    if len(grids) != (1 if single else len(cfg)):
         raise ValueError("give one grid per config")
     for x in grids:
         if x.ndim != 1 or np.isnan(x).any() or np.any(np.diff(x) < 0):
@@ -294,12 +318,7 @@ def mc_empirical_cdfs(
     for name in which:
         if name not in ("gamma_ab", "gamma_ba"):
             raise ValueError(f"which must be 'gamma_ab' or 'gamma_ba', got {name!r}")
-    with _pool() as pool:
-        picks = _picks(pool, cfgs, "serial_max", trials, seed)
-        tasks = [_submit(pool, _cdf_counts, picks, c, which, x) for c, x in zip(cfgs, grids)]
-        out = [[EmpiricalCdf(grid=x, probabilities=row / trials) for row in task.result()]
-               for x, task in zip(grids, tasks)]
-    return out[0] if single else out
+    return _estimates(cfg, "serial_max", trials, seed, _point_cdfs, which, trials, each=grids)
 
 
 def mc_empirical_cdf(
@@ -309,15 +328,16 @@ def mc_empirical_cdf(
     return mc_empirical_cdfs(cfg, (which,), trials, seed, grid)[0]
 
 
-def _p_not_estimate(picks: np.ndarray, cfg: SystemConfig, trials: int, seed: int) -> MetricEstimate:
+def _p_not_estimate(picks: np.ndarray, cfg: SystemConfig, spans: list[slice], run,
+                    trials: int, seed: int) -> MetricEstimate:
     """cfg's frequency of strict exhaustive wins over the four candidates' picks."""
-    misses = 0
-    for start in range(0, trials, _SPAN):
-        g = _scaled(picks[:4, start:start + _SPAN], cfg)
+    def misses(span):
+        g = _scaled(picks[:4, span], cfg)
         exh, ser = (_metric(by_weight(*pair, cfg.w), cfg, "rate")
                     for pair in (best_pairs(g, g, cfg.w, "max_wsr", None), g[:2]))
-        misses += int(np.count_nonzero(exh - ser > 1e-12 * np.abs(exh)))
-    p = misses / trials
+        return int(np.count_nonzero(exh - ser > 1e-12 * np.abs(exh)))
+
+    p = sum(run(misses, spans)) / trials
     std_error = math.sqrt(p * (1.0 - p) / trials)
     return MetricEstimate(value=p, std_error=std_error, trials=trials, master_seed=seed)
 

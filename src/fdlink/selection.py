@@ -7,19 +7,23 @@ direction, a rule written only in by_weight().  The scalar functions are
 T = 1 wrappers that build a SelectionOutcome.
 
 Serial-Max picks (M, S): M is the largest entry, S the largest outside
-M's row and column.  Exhaustive search scores, as (first, second) pick,
-(M, S), (S, M), (R, C) and (C, R), with R and C the largest entries in
-M's row and in M's column, and takes the first best in that order, so
-it keeps Serial-Max's pair on a tie.  Where a pair's score is monotone in
-both links, as for w in [0, 1], the optimum is among them: a pair with M
-is no better than M with S; a pair with a link outside M's row and
-column is no better than that link with M; any other pair is no better
-than R with C.  Rounding keeps rate scores monotone, so max_wsr's pick
-scores the all-pairs optimum bit for bit.  min_wser scores the log of
-the weighted sum SER, from per-link log SERs log alpha +
-log_ndtr(-sqrt(beta * gamma)), which do not underflow where the SERs do
-and are monotone up to rounding.  comparison_count("exhaustive", ...) is
-the paper's count for exhaustive search, not this kernel's work.
+M's row and column.  Exhaustive search takes, as (first, second) pick,
+the first best of (M, S), (S, M), (R, C) and (C, R), with R and C the
+largest entries in M's row and in M's column, so it keeps Serial-Max's
+pair on a tie.  Where a pair's score is monotone in both links, as for w
+in [0, 1], the optimum is among them: a pair with M is no better than M
+with S; a pair with a link outside M's row and column is no better than
+that link with M; any other pair is no better than R with C.  Unless R
+and C both exceed S (a contested trial), the smaller is at most S and
+the larger at most M, so (M, S), the larger weight on the larger link,
+is the optimum, and only contested trials are scored.  Rounding keeps
+rate scores monotone, so max_wsr's pick scores the all-pairs optimum
+bit for bit.  min_wser scores the log of the weighted sum SER, from
+per-link log SERs log alpha + log_ndtr(-sqrt(beta * gamma)), which do
+not underflow where the SERs do and are monotone up to rounding (at a
+w within rounding of 1/2 they can prefer a swapped pair to (M, S), which
+the exact score does not).  comparison_count("exhaustive", ...) is the
+paper's count for exhaustive search, not this kernel's work.
 
 The candidates depend only on the order of the entries, so the Monte
 Carlo estimators take them on the unit-mean SNR matrices E, whose order
@@ -109,47 +113,53 @@ _PARTNER = np.array([1, 0, 3, 2])
 def best_pairs(x: np.ndarray, g: np.ndarray, w: float, policy: str,
                mod: ModulationParams | None) -> np.ndarray:
     """(first, second) rows of the (4, T) stack x of values at M, S, R and
-    C: each trial's pair that scores best under an exhaustive policy on the
-    obtainable SINRs g there, the first on a tie; _BLOCK trials at a time.
-    max_wsr scores the weighted sum rate, min_wser minus the log of the
-    weighted sum SER."""
+    C: each trial's best pair under an exhaustive policy on the obtainable
+    SINRs g there.  (M, S) wins every trial but the contested ones, where
+    both R and C exceed S on g; those are scored, _BLOCK at a time, and
+    take the first best of the four.  max_wsr scores the weighted sum
+    rate, min_wser minus the log of the weighted sum SER."""
     w_first, w_second = by_weight(w, 1.0 - w, w)
-    out = np.empty((2, x.shape[1]), x.dtype)
-    for lo in range(0, x.shape[1], _BLOCK):
+    out = x[:2].copy()
+    contested = np.flatnonzero((g[2] > g[1]) & (g[3] > g[1]))
+    for lo in range(0, contested.size, _BLOCK):
+        trials = contested[lo:lo + _BLOCK]
         if policy == "max_wsr":
-            h = rate_map(g[:, lo:lo + _BLOCK])
+            h = rate_map(g[:, trials])
             # at w = 0 or 1 the zero-weight link is left out: 0 * inf is NaN
             score = w_first * h + w_second * h[_PARTNER] if w_second else h
         else:
-            h = np.log(mod.alpha_mod) + log_ndtr(-np.sqrt(mod.beta_mod * g[:, lo:lo + _BLOCK]))
+            h = np.log(mod.alpha_mod) + log_ndtr(-np.sqrt(mod.beta_mod * g[:, trials]))
             with np.errstate(divide="ignore"):  # log 0 = -inf where w is 0 or 1
                 score = -np.logaddexp(np.log(w_first) + h, np.log(w_second) + h[_PARTNER])
         k = score.argmax(axis=0)
-        trials = np.arange(lo, lo + len(k))
-        out[:, lo:lo + _BLOCK] = x[k, trials], x[_PARTNER[k], trials]
+        out[:, trials] = x[k, trials], x[_PARTNER[k], trials]
     return out
 
 
 def candidates(g: np.ndarray, policy: str) -> np.ndarray:
     """(k, T) flat positions of the links policy reads in a (T, n_a, n_b)
     stack: M, then S for serial_max, or S, R and C for exhaustive search;
-    each the first maximum outside its pruned links, _BLOCK trials at a
-    time."""
+    each the first maximum of its links (S outside M's row and column),
+    _BLOCK trials at a time."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     t, n_a, n_b = g.shape
     flat = g.reshape(t, n_a * n_b)
     i, j = np.divmod(np.arange(n_a * n_b), n_b)
-    row, col = i[:, None] == i, j[:, None] == j  # [p, q]: q in p's row, in p's column
-    # S lies outside M's row and column, R in M's row outside its column, C
-    # in M's column outside its row; each mask prunes the rest
-    pruned = [row | col] if policy == "serial_max" else [row | col, ~row | col, ~col | row]
-    out = np.empty((1 + len(pruned), t), np.intp)
+    cross = (i[:, None] == i) | (j[:, None] == j)  # [p, q]: q in p's row or column
+    out = np.empty((2 if policy == "serial_max" else 4, t), np.intp)
     out[0] = flat.argmax(axis=1)
     for lo in range(0, t, _BLOCK):
-        for k, mask in enumerate(pruned, start=1):
-            kept = np.where(mask[out[0, lo:lo + _BLOCK]], -np.inf, flat[lo:lo + _BLOCK])
-            out[k, lo:lo + _BLOCK] = kept.argmax(axis=1)
+        m = out[0, lo:lo + _BLOCK]
+        out[1, lo:lo + _BLOCK] = np.where(cross[m], -np.inf, flat[lo:lo + _BLOCK]).argmax(axis=1)
+        if len(out) == 4:
+            # R and C are the first maxima of M's row and of M's column, M left out
+            r, c = np.divmod(m, n_b)
+            k = np.arange(len(m))
+            row, col = g[lo + k, r], g[lo + k, :, c]
+            row[k, c] = col[k, r] = -np.inf
+            out[2, lo:lo + _BLOCK] = r * n_b + row.argmax(axis=1)
+            out[3, lo:lo + _BLOCK] = col.argmax(axis=1) * n_b + c
     return out
 
 

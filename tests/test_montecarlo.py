@@ -401,6 +401,52 @@ def test_output_does_not_depend_on_the_worker_count(monkeypatch, trials):
     assert outputs[0] == outputs[1]
 
 
+def one_point_outputs(cfg, trials, seed):
+    """The bits of each policy and metric, P_not and both links' CDFs at one point."""
+    out = [fn(cfg, policy, trials, seed) for fn in (mc_weighted_sum_rate, mc_weighted_sum_ser)
+           for policy in montecarlo.POLICIES] + [mc_p_not(cfg, trials, seed)]
+    out = [(bits(est.value), bits(est.std_error)) for est in out]
+    grid = np.geomspace(1e-3, 5.0 * cfg.lambda_s, 40)
+    cdfs = montecarlo.mc_empirical_cdfs(cfg, ("gamma_ab", "gamma_ba"), trials, seed, grid)
+    return out + [[bits(p) for p in cdf.probabilities] for cdf in cdfs]
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 5, 3 * montecarlo._CHUNK + 5])
+def test_one_point_calls_split_their_passes_over_every_worker(monkeypatch, trials):
+    # a call with fewer points than workers runs each reduction pass of its
+    # point as one task per span; the spans merge exactly, so the bits do
+    # not depend on the worker count.  A call with a point per worker keeps
+    # one task per point
+    cfg = make_cfg(n_a=4, n_b=4, lambda_s=100.0, eta=0.05)
+    map_ = montecarlo._map
+    passes = []
+
+    def counted(pool, fn, items):
+        items = list(items)
+        # a reduction pass on the pool maps over spans or their values; the
+        # draws map over (start, count) chunks, and the points over tuples
+        if pool is not None and not isinstance(items[0], tuple):
+            passes.append(len(items))
+        return map_(pool, fn, items)
+
+    monkeypatch.setattr(montecarlo, "_map", counted)
+    outputs = []
+    for workers in (1, 2, 8):
+        monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+        passes.clear()
+        outputs.append(one_point_outputs(cfg, trials, 5))
+        if workers == 2:
+            # six weighted sums of one pass, or two after the first trial,
+            # and two counts of one pass each
+            assert len(passes) == 6 * (1 + (trials > 1)) + 2
+            assert min(passes) >= min(trials, 2)
+    assert outputs[0] == outputs[1] == outputs[2]
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    passes.clear()
+    mc_weighted_sum_rate([cfg, make_cfg(n_a=4, n_b=4)], "max_wsr", trials, 5)
+    assert passes == []
+
+
 @pytest.mark.parametrize("span,trials", [(1, 250), (150, 400), (10_000, 10_300)])
 def test_output_does_not_depend_on_the_span(monkeypatch, span, trials):
     # every point reduces over spans of _SPAN trials of the shared picks,

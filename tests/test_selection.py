@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -28,6 +29,7 @@ from fdlink.config import SystemConfig, derived_params, validate_config
 from fdlink.errors import DegenerateSize, MatrixTooSmall
 from fdlink.selection import (
     POLICIES,
+    best_pairs,
     by_weight,
     candidates,
     rate_map,
@@ -664,3 +666,42 @@ def test_cross_kernel_matches_all_pairs_on_drawn_stacks(w):
                                            eta=eta, w=0.7))
         snr, _, _ = draw_trial_batch(1, 0, 2000, cfg, cfg.eta * cfg.lambda_s)
         assert_exhaustive_contract(to_obtainable_sinr(snr, derived_params(cfg)), w)
+
+
+def exact_rate_optimum(h, w):
+    """The largest exact w*h_ab + (1-w)*h_ba over every feasible pair of
+    the per-link rates h: each link's A->B term plus (1-w) times the best
+    B->A rate among its feasible partners."""
+    n_a, n_b = h.shape
+    w = Fraction(w)
+    return max(w * Fraction(h[p]) + (1 - w) * Fraction(max(
+        h[q] for q in itertools.product(range(n_a), range(n_b)) if q[0] != p[0] and q[1] != p[1]))
+        for p in itertools.product(range(n_a), range(n_b)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.one_of(unit_stacks(st.integers(0, 3).map(float)),
+                   unit_stacks(st.integers(0, 10**6).map(float))),
+       w=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
+def test_contested_rule_keeps_the_first_best_pair_and_the_optimum(g, w):
+    # best_pairs scores the four pairs only where R and C both exceed S;
+    # elsewhere it takes (M, S), which must be the first best of the four
+    # as scored, and the exact optimum over every feasible pair
+    t, n_a, n_b = g.shape
+    cand = masked_candidates(g)
+    x = g.reshape(t, -1)[np.arange(t), cand]
+    order = np.array([0, 1, 2, 3]), np.array([1, 0, 3, 2])
+    uncontested = ~((x[2] > x[1]) & (x[3] > x[1]))
+    for policy in ("max_wsr", "min_wser"):
+        scores = np.stack([pair_score(g, *by_weight(cand[p], cand[q], w), w, policy)
+                           for p, q in zip(*order)])
+        k = scores.argmax(axis=0)
+        want = [cand[pick[k], np.arange(t)] for pick in order]
+        assert np.array_equal(best_pairs(cand, x, w, policy, BPSK), want), policy
+    for trial in np.flatnonzero(uncontested):
+        ab, ba = by_weight(cand[0, trial], cand[1, trial], w)
+        h = rate_map(g[trial])
+        pair = positions(ab, ba, n_b)
+        exact = Fraction(w) * Fraction(h[pair[0]]) + (1 - Fraction(w)) * Fraction(h[pair[1]])
+        assert exact == exact_rate_optimum(h, w)
+        assert mp_weighted_ser(g[trial], pair, w) == mp_optimum(g[trial], w)
