@@ -52,7 +52,7 @@ from .selection import POLICIES, best_pairs, by_weight, candidates, rate_map, se
 
 # trials per task: two chunks in flight keep peak memory flat
 _CHUNK = 1 << 13
-# trials per step of a point's reduction: fewer, longer numpy calls
+# the most trials per step of a point's reduction: fewer, longer numpy calls
 _SPAN = 1 << 16
 # the most trials per point: the largest run the ROADMAP plans for
 MAX_TRIALS = 10**8
@@ -245,19 +245,20 @@ def _estimates(cfg, policy: str, trials: int, seed: int, point_task, *args, each
     """point_task(picks, c, spans, run, *args[, e]) for each config c (and
     its entry e of each), from one draw and selection under policy: one
     result for one SystemConfig, a list for a sequence.  run maps over
-    spans: of _SPAN trials within one task per point, or, with fewer
-    points than workers, of at most _CHUNK trials, one task per span."""
+    near-equal spans of at most _SPAN trials: within one task per point,
+    or, with fewer points than workers, one task per span, the points in
+    turn and the spans a multiple of the workers in number."""
     single = isinstance(cfg, SystemConfig)
     cfgs = [cfg] if single else list(cfg)
     each = [()] * len(cfgs) if each is None else [(e,) for e in each]
     workers = _workers()
     with _pool(workers) as pool:
         picks = _picks(pool, cfgs, policy, trials, seed)
-        split = len(cfgs) < workers
-        step = min(_CHUNK, -(-trials // workers)) if split else _SPAN
+        tasks = workers if len(cfgs) < workers else 1  # spans come in multiples of this
+        step = -(-trials // (tasks * -(-trials // (tasks * _SPAN))))
         spans = [slice(start, start + step) for start in range(0, trials, step)]
-        run = functools.partial(_map, pool if split else None)
-        estimates = _map(None if split else pool, lambda c_e: point_task(
+        run = functools.partial(_map, pool if tasks > 1 else None)
+        estimates = _map(None if tasks > 1 else pool, lambda c_e: point_task(
             picks, c_e[0], spans, run, *args, *c_e[1]), zip(cfgs, each))
     return estimates[0] if single else estimates
 
@@ -286,10 +287,8 @@ def _point_cdfs(picks: np.ndarray, cfg: SystemConfig, spans: list[slice], run,
     count of samples <= each grid value."""
     def counts(span):
         gammas = dict(zip(("gamma_ab", "gamma_ba"), _point_sinrs(picks[:, span], cfg)))
-        out = np.zeros((len(which), grid.size), dtype=np.int64)
-        for row, name in zip(out, which):
-            row += np.searchsorted(np.sort(gammas[name]), grid, side="right")
-        return out
+        return np.array([np.searchsorted(np.sort(gammas[name]), grid, side="right")
+                         for name in which])
 
     return [EmpiricalCdf(grid=grid, probabilities=row / trials) for row in sum(run(counts, spans))]
 

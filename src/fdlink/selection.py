@@ -7,23 +7,24 @@ direction, a rule written only in by_weight().  The scalar functions are
 T = 1 wrappers that build a SelectionOutcome.
 
 Serial-Max picks (M, S): M is the largest entry, S the largest outside
-M's row and column.  Exhaustive search takes, as (first, second) pick,
-the first best of (M, S), (S, M), (R, C) and (C, R), with R and C the
-largest entries in M's row and in M's column, so it keeps Serial-Max's
-pair on a tie.  Where a pair's score is monotone in both links, as for w
-in [0, 1], the optimum is among them: a pair with M is no better than M
-with S; a pair with a link outside M's row and column is no better than
-that link with M; any other pair is no better than R with C.  Unless R
-and C both exceed S (a contested trial), the smaller is at most S and
-the larger at most M, so (M, S), the larger weight on the larger link,
-is the optimum, and only contested trials are scored.  Rounding keeps
-rate scores monotone, so max_wsr's pick scores the all-pairs optimum
+M's row and column.  Exhaustive search picks, as (first, second) pick,
+one of (M, S), (S, M), (R, C) and (C, R), with R and C the largest
+entries in M's row and in M's column.  Where a pair's score is monotone
+in both links, as for w in [0, 1], the optimum is among them: a pair
+with M is no better than M with S; a pair with a link outside M's row
+and column is no better than that link with M; any other pair is no
+better than R with C.  Unless R and C both exceed S (a contested trial),
+the smaller is at most S and the larger at most M, so the pick is
+(M, S), the larger weight on the larger link: the exact optimum, though
+rounding can score (S, M) higher at a w within rounding of 1/2 or
+between nearly tied links.  A contested trial takes the first best of
+the four as scored, Serial-Max's pair on a tie; rounding keeps rate
+scores monotone, so there max_wsr's pick scores the all-pairs optimum
 bit for bit.  min_wser scores the log of the weighted sum SER, from
 per-link log SERs log alpha + log_ndtr(-sqrt(beta * gamma)), which do
-not underflow where the SERs do and are monotone up to rounding (at a
-w within rounding of 1/2 they can prefer a swapped pair to (M, S), which
-the exact score does not).  comparison_count("exhaustive", ...) is the
-paper's count for exhaustive search, not this kernel's work.
+not underflow where the SERs do and are monotone up to rounding.
+comparison_count("exhaustive", ...) is the paper's count for exhaustive
+search, not this kernel's work.
 
 The candidates depend only on the order of the entries, so the Monte
 Carlo estimators take them on the unit-mean SNR matrices E, whose order
@@ -113,11 +114,10 @@ _PARTNER = np.array([1, 0, 3, 2])
 def best_pairs(x: np.ndarray, g: np.ndarray, w: float, policy: str,
                mod: ModulationParams | None) -> np.ndarray:
     """(first, second) rows of the (4, T) stack x of values at M, S, R and
-    C: each trial's best pair under an exhaustive policy on the obtainable
-    SINRs g there.  (M, S) wins every trial but the contested ones, where
-    both R and C exceed S on g; those are scored, _BLOCK at a time, and
-    take the first best of the four.  max_wsr scores the weighted sum
-    rate, min_wser minus the log of the weighted sum SER."""
+    C, each trial's best pair on the obtainable SINRs g there: (M, S), the
+    exact optimum, unscored, but where R and C both exceed S on g (a
+    contested trial) the first best of the four, scored _BLOCK at a time
+    by weighted sum rate (max_wsr) or minus log weighted sum SER (min_wser)."""
     w_first, w_second = by_weight(w, 1.0 - w, w)
     out = x[:2].copy()
     contested = np.flatnonzero((g[2] > g[1]) & (g[3] > g[1]))
@@ -143,6 +143,7 @@ def candidates(g: np.ndarray, policy: str) -> np.ndarray:
     _BLOCK trials at a time."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
+    g = np.asarray(g, dtype=float)  # R and C are masked with -inf in place
     t, n_a, n_b = g.shape
     flat = g.reshape(t, n_a * n_b)
     i, j = np.divmod(np.arange(n_a * n_b), n_b)
