@@ -101,12 +101,18 @@ def mu_coefficient(k: int, l: int, m: int, n_a: int, n_b: int) -> float:
     return num / math.comb(nn - 1, n_a + n_b - 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _rank_counts(n_a: int, n_b: int) -> tuple[int, tuple[int, ...]]:
+    """Exact (D, counts) of the second link's rank mixture: its (nn-k)-th order
+    statistic has probability C(nn-k-1, n_a+n_b-k-1) / D, D = C(nn-1, n_a+n_b-2)."""
+    nn, m = n_a * n_b, n_a + n_b
+    return math.comb(nn - 1, m - 2), tuple(math.comb(nn - k - 1, m - k - 1) for k in range(1, m))
+
+
 def mixture_weights(n_a: int, n_b: int) -> MixtureWeights:
     """Rank-mixture probabilities of the second selected link."""
-    nn = n_a * n_b
-    denom = math.comb(nn - 1, n_a + n_b - 2)
-    return MixtureWeights(p=np.array([math.comb(nn - k - 1, n_a + n_b - k - 1) / denom
-                                      for k in range(1, n_a + n_b)]))
+    denom, counts = _rank_counts(n_a, n_b)
+    return MixtureWeights(p=np.array([count / denom for count in counts]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,16 +123,14 @@ def _coefficients(n_a: int, n_b: int, link: str) -> tuple[int, tuple[int, ...]]:
 
     At eta = 0, F = sum_l B_l f^l (1-f)^(nn-l) / D with f = 1 - e^(-x/lam):
     the first link is the largest of nn entries, F = f^nn; the second is
-    the rank mixture, where the (nn-k)-th order statistic has probability
-    C(nn-k-1, n_a+n_b-k-1) / D.  A follows from B by expanding f^l
+    the rank mixture of _rank_counts.  A follows from B by expanding f^l
     binomially, and conditioning on the residual interference turns each
     e^(-c x/lam) into the eta form."""
     nn = n_a * n_b
     if link == "ab":
         denom, b_coefs = 1, [0] * nn + [1]
     else:
-        denom = math.comb(nn - 1, n_a + n_b - 2)
-        ranks = [math.comb(nn - k - 1, n_a + n_b - k - 1) for k in range(1, n_a + n_b)]
+        denom, ranks = _rank_counts(n_a, n_b)
         # the (nn-k)-th order statistic is below x when at least nn-k entries are
         b_coefs = [math.comb(nn, l) * sum(ranks[max(nn - l, 1) - 1:]) for l in range(nn + 1)]
     table = [0] * (nn + 1)

@@ -28,8 +28,8 @@ order of E up to rounding, so each chunk takes its candidates on E once
 for every point: Serial-Max's (M, S), and R and C for exhaustive
 policies, whose points each score the four candidate pairs on their own
 g where R and C both exceed S, and take (M, S) elsewhere (see
-fdlink.selection).  The SER estimator averages alpha*Q(sqrt(beta*gamma))
-over the draws; the INRs enter only the metric, never the selection.
+fdlink.selection).  Each point averages selection.weighted_sum of rates
+or SERs; the INRs enter only the metric, never the selection.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .channel import draw_trial_batch, instantaneous_sinr
 from .config import SystemConfig, derived_params
-from .selection import POLICIES, best_pairs, by_weight, candidates, rate_map, ser_map
+from .selection import POLICIES, best_pairs, by_weight, candidates, weighted_sum
 
 # trials per task: two chunks in flight keep peak memory flat
 _CHUNK = 1 << 13
@@ -165,17 +165,6 @@ def _point_sinrs(picks, cfg: SystemConfig,
             instantaneous_sinr(cfg.lambda_s * ba, lambda_i * picks[-2]))
 
 
-def _metric(gammas: tuple[np.ndarray, np.ndarray], cfg: SystemConfig, metric: str) -> np.ndarray:
-    """Per-trial w*f(gamma_ab) + (1-w)*f(gamma_ba), weighted in place."""
-    link = rate_map if metric == "rate" else functools.partial(ser_map, mod=cfg.modulation)
-    values = link(gammas[0])
-    values *= cfg.w
-    second = link(gammas[1])
-    second *= 1.0 - cfg.w
-    values += second
-    return values
-
-
 def _exact_parts(x: np.ndarray) -> list[float]:
     """Floats whose exact sum is the exact sum of the 1-D float64 array x.
 
@@ -223,7 +212,8 @@ def _point_estimate(picks: np.ndarray, cfg: SystemConfig, spans: list[slice], ru
     the spans, the standard error by a second over the squared deviations,
     formed in place."""
     def first(span):
-        values = _metric(_point_sinrs(picks[:, span], cfg, policy), cfg, metric)
+        mod = cfg.modulation if metric == "ser" else None
+        values = weighted_sum(*_point_sinrs(picks[:, span], cfg, policy), cfg.w, mod)
         return values, _exact_parts(values)
 
     def second(values):
@@ -329,11 +319,13 @@ def mc_empirical_cdf(
 
 def _p_not_estimate(picks: np.ndarray, cfg: SystemConfig, spans: list[slice], run,
                     trials: int, seed: int) -> MetricEstimate:
-    """cfg's frequency of strict exhaustive wins over the four candidates' picks."""
+    """cfg's frequency of strict exhaustive wins over the four candidates' picks,
+    rated only where exhaustive search left (M, S), elsewhere equal bit for bit."""
     def misses(span):
         g = _scaled(picks[:4, span], cfg)
-        exh, ser = (_metric(by_weight(*pair, cfg.w), cfg, "rate")
-                    for pair in (best_pairs(g, g, cfg.w, "max_wsr", None), g[:2]))
+        best = best_pairs(g, g, cfg.w, "max_wsr", None)
+        moved = np.flatnonzero((best != g[:2]).any(axis=0))
+        exh, ser = (weighted_sum(*by_weight(*pair[:, moved], cfg.w), cfg.w) for pair in (best, g[:2]))
         return int(np.count_nonzero(exh - ser > 1e-12 * np.abs(exh)))
 
     p = sum(run(misses, spans)) / trials

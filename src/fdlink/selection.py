@@ -3,8 +3,9 @@
 select() is the one switch on a policy's name: per trial of a (T, n_a,
 n_b) stack of obtainable-SINR matrices it returns the A->B and B->A
 positions.  w weights A->B, and the first pick serves the larger-weight
-direction, a rule written only in by_weight().  The scalar functions are
-T = 1 wrappers that build a SelectionOutcome.
+direction, a rule written only in by_weight().  The scalar selections are
+T = 1 wrappers that build a SelectionOutcome; weighted_sum, the weighted
+sum of per-link rates or SERs, serves Monte Carlo and weighted_combine_*.
 
 Serial-Max picks (M, S): M is the largest entry, S the largest outside
 M's row and column.  Exhaustive search picks, as (first, second) pick,
@@ -89,6 +90,17 @@ def ser_map(gamma, mod: ModulationParams):
     erfc(x, out=x)
     x *= mod.alpha_mod * 0.5
     return x[()]
+
+
+def weighted_sum(ab, ba, w: float, mod: ModulationParams | None = None):
+    """w*f(ab) + (1-w)*f(ba) of A->B and B->A SINRs, f = rate_map or, under a
+    modulation mod, ser_map; the products, then one add, in f(ab)'s new array."""
+    link = rate_map if mod is None else lambda gamma: ser_map(gamma, mod)
+    values, second = link(ab), link(ba)
+    values *= w
+    second *= 1.0 - w
+    values += second
+    return values
 
 
 # trials per step of finding and of scoring the candidates: temporaries
@@ -222,19 +234,15 @@ def serial_max(sinr: np.ndarray, w: float = 1.0) -> SelectionOutcome:
 
 
 def weighted_combine_rate(gamma_first: float, gamma_second: float, w: float) -> float:
-    """w*R(gamma_ab) + (1-w)*R(gamma_ba), with first/second pick = the
-    larger/smaller-weight direction."""
-    ab, ba = by_weight(rate_map(gamma_first), rate_map(gamma_second), w)
-    return w * ab + (1.0 - w) * ba
+    """w*R(gamma_ab) + (1-w)*R(gamma_ba) of the first and second pick's SINRs."""
+    return weighted_sum(*by_weight(gamma_first, gamma_second, w), w)
 
 
 def weighted_combine_ser(
     gamma_first: float, gamma_second: float, w: float, mod: ModulationParams
 ) -> float:
-    """w*SER(gamma_ab) + (1-w)*SER(gamma_ba), with first/second pick = the
-    larger/smaller-weight direction."""
-    ab, ba = by_weight(ser_map(gamma_first, mod), ser_map(gamma_second, mod), w)
-    return w * ab + (1.0 - w) * ba
+    """w*SER(gamma_ab) + (1-w)*SER(gamma_ba) of the first and second pick's SINRs."""
+    return weighted_sum(*by_weight(gamma_first, gamma_second, w), w, mod)
 
 
 def second_link_rank(sinr: np.ndarray, outcome: SelectionOutcome) -> int:

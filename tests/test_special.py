@@ -43,10 +43,18 @@ def test_e1_small_x_log_divergence():
 
 
 def test_e1_domain():
-    with pytest.raises(DomainError):
-        e1(0.0)
-    with pytest.raises(DomainError):
-        e1(-1.0)
+    for fn in (e1, exp_e1_scaled):
+        for x in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                fn(x)
+
+
+def test_e1_and_exp_e1_scaled_are_correctly_rounded():
+    # float(...) of a 60-digit mpmath value rounds it once to the nearest double
+    grid = np.concatenate([np.geomspace(1e-12, 1e8, 400), np.linspace(700.0, 745.0, 46)])
+    with mpmath.workdps(60):
+        expected = [(float(mpmath.e1(x)), float(mpmath.exp(x) * mpmath.e1(x))) for x in grid]
+    assert [(e1(x), exp_e1_scaled(x)) for x in grid.tolist()] == expected
 
 
 def test_exp_e1_scaled_values():
