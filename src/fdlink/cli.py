@@ -157,10 +157,7 @@ def preset(name: str, trials: int = 20000, seed: int = 12345, eta: list[float] |
 
 
 def _cfg(n_a: int, n_b: int, snr_db: float, eta: float, w: float) -> SystemConfig:
-    return validate_config(
-        SystemConfig(n_a=n_a, n_b=n_b, lambda_s=db_to_linear(snr_db), eta=eta, w=w,
-                     modulation=BPSK)
-    )
+    return validate_config(SystemConfig(n_a, n_b, db_to_linear(snr_db), eta, w, BPSK))
 
 
 def _rows_for_size(spec: SweepSpec, n_a: int, n_b: int):
@@ -230,11 +227,7 @@ def _rows_for_size(spec: SweepSpec, n_a: int, n_b: int):
 
 
 def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
@@ -249,10 +242,8 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
             with open(spec.out, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(FIELDS)
-                for row in rows:
-                    writer.writerow(
-                        [_format_cell(getattr(row, name)) for name in FIELDS]
-                    )
+                writer.writerows([_format_cell(getattr(row, name)) for name in FIELDS]
+                                 for row in rows)
         else:
             # JSON has no token for a non-finite float: such cells are null
             records = [{k: v if not isinstance(v, float) or math.isfinite(v) else None
@@ -320,32 +311,19 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
         cfg = load_config(args.config)
         if cfg.modulation != BPSK:  # rows and sidecar record no modulation
             raise InvalidRange(f"{args.config}: sweeps run BPSK only, got {cfg.modulation}")
-        defaults = dict(
-            sizes=[(cfg.n_a, cfg.n_b)],
-            eta=[cfg.eta],
-            w=cfg.w,
-            snr_db=[10.0 * math.log10(cfg.lambda_s)],
-        )
+        defaults = dict(sizes=[(cfg.n_a, cfg.n_b)], eta=[cfg.eta], w=cfg.w,
+                        snr_db=[10.0 * math.log10(cfg.lambda_s)])
+    trials = args.trials if args.trials is not None else 20000
+    seed = args.seed if args.seed is not None else 12345
     if args.preset:
-        spec = preset(
-            args.preset,
-            trials=args.trials if args.trials is not None else 20000,
-            seed=args.seed if args.seed is not None else 12345,
-        )
+        spec = preset(args.preset, trials=trials, seed=seed)
     else:
         if args.metric is None:
             raise InvalidRange("either --preset or --metric is required")
-        spec = SweepSpec(
-            metric=args.metric,
-            policies=["serial_max"],
-            snr_db=defaults.get("snr_db", [10.0]),
-            eta=defaults.get("eta", [0.05]),
-            sizes=defaults.get("sizes", [(3, 3)]),
-            w=defaults.get("w", 0.7),
-            trials=args.trials if args.trials is not None else 20000,
-            seed=args.seed if args.seed is not None else 12345,
-            out="",
-        )
+        spec = SweepSpec(metric=args.metric, policies=["serial_max"],
+                         snr_db=defaults.get("snr_db", [10.0]), eta=defaults.get("eta", [0.05]),
+                         sizes=defaults.get("sizes", [(3, 3)]), w=defaults.get("w", 0.7),
+                         trials=trials, seed=seed, out="")
     if args.metric:
         spec.metric = args.metric
     if args.policy is not None:

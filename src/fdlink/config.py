@@ -7,14 +7,10 @@ dB enters only at the CLI boundary via db_to_linear / linear_to_db.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
 
+from .channel import largest_unit_draw
 from .errors import InvalidAntennaCount, InvalidRange, IoError
-
-# Draws are lambda * -log1p(-u) with u <= 1 - 2**-53, so at most
-# lambda * 53 ln 2; any larger lambda_s can overflow a draw to inf.
-_MAX_LAMBDA_S = sys.float_info.max / (53 * math.log(2))
 
 
 @dataclass(frozen=True)
@@ -65,8 +61,10 @@ def validate_config(raw: SystemConfig) -> SystemConfig:
         raise InvalidAntennaCount(
             f"need at least 2 antennas per node, got n_a={raw.n_a}, n_b={raw.n_b}"
         )
-    if not 0 < raw.lambda_s <= _MAX_LAMBDA_S:
-        raise InvalidRange(f"lambda_s must lie in (0, {_MAX_LAMBDA_S:.6g}], got {raw.lambda_s}")
+    top = largest_unit_draw(raw.n_a, raw.n_b)  # lambda_s * top is the largest draw
+    if not (0 < raw.lambda_s and raw.lambda_s * top < math.inf):
+        raise InvalidRange(f"lambda_s must be positive, with lambda_s * {top:.6g} finite, "
+                           f"got {raw.lambda_s}")
     if not 0 <= raw.eta < 1:
         raise InvalidRange(f"eta must lie in [0, 1), got {raw.eta}")
     if not 0 < raw.w < 1:

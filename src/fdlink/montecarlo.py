@@ -6,9 +6,9 @@ draw_trial_batch call each, addressed by the first trial, so draw memory
 stays flat.  Each estimator call runs tasks on a thread pool with one
 worker per CPU the process may use (_workers); numpy and scipy release the
 interpreter lock in the heavy steps.  Every policy runs one flow: one
-task per chunk draws once and finds the candidate links its policy reads
-(_chunk_picks), into one shared array of every trial's picks; then each
-point forms and reduces its metric over spans of that array
+task per chunk draws the candidates its policy reads (_chunk_picks) and
+writes them into its columns of one shared array of every trial's picks;
+then each point forms and reduces its metric over spans of that array
 (_point_estimate), one task per point, or per span where the points are
 fewer than the workers (_estimates).
 
@@ -21,15 +21,13 @@ error is a second exact pass, over (x - mean)**2.  Counts (empirical
 CDFs, P_not) are integers and merge exactly.
 
 The estimators take one SystemConfig or a sequence of them of one array
-size.  Every policy draws at unit means: the SNR matrices E and the
-INRs, which a point scales by lambda_s and lambda_i = eta * lambda_s,
-bit for bit as a draw at its means.  g = (lambda_s * E) * scale keeps the
-order of E up to rounding, so each chunk takes its candidates on E once
-for every point: Serial-Max's (M, S), and R and C for exhaustive
-policies, whose points each score the four candidate pairs on their own
-g where R and C both exceed S, and take (M, S) elsewhere (see
-fdlink.selection).  Each point averages selection.weighted_sum of rates
-or SERs; the INRs enter only the metric, never the selection.
+size.  Every policy draws at unit means the candidate SNRs M, S, R and C
+(fdlink.channel) and the INRs, which a point scales by lambda_s and
+lambda_i = eta * lambda_s, bit for bit as a draw at its means.  Serial-Max
+picks (M, S); exhaustive policies score the four candidate pairs on each
+point's obtainable SINRs where R and C both exceed S, and take (M, S)
+elsewhere (fdlink.selection).  Each point averages selection.weighted_sum
+of rates or SERs; the INRs enter only the metric, never the selection.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ import numpy as np
 
 from .channel import draw_trial_batch, instantaneous_sinr
 from .config import SystemConfig, derived_params
-from .selection import POLICIES, best_pairs, by_weight, candidates, weighted_sum
+from .selection import POLICIES, best_pairs, by_weight, weighted_sum
 
 # trials per task: two chunks in flight keep peak memory flat
 _CHUNK = 1 << 13
@@ -128,24 +126,27 @@ def _scaled(x, cfg: SystemConfig):
 
 def _chunk_picks(cfg: SystemConfig, policy: str, seed: int, start: int,
                  count: int) -> list[np.ndarray]:
-    """One chunk's draw at unit means and cfg's size, and its picks: rows
-    of the unit SNRs at the candidates policy reads, (M, S) or (M, S, R, C),
-    then inr_a and inr_b."""
-    e, inr_a, inr_b = draw_trial_batch(seed, start, count, replace(cfg, lambda_s=1.0), 1.0)
-    unit = e.reshape(count, -1)[np.arange(count), candidates(e, policy)]
-    return [*unit, inr_a, inr_b]
+    """One chunk's draw at unit means and cfg's size, as rows: the
+    candidates policy reads, (M, S) or (M, S, R, C), then inr_a and inr_b."""
+    cands, inr_a, inr_b = draw_trial_batch(seed, start, count, replace(cfg, lambda_s=1.0), 1.0)
+    return [*cands[:2 if policy == "serial_max" else 4], inr_a, inr_b]
 
 
 def _picks(pool, cfgs: list[SystemConfig], policy: str, trials: int, seed: int) -> np.ndarray:
     """Every trial's picks under policy, rows as _chunk_picks gives them,
-    one task per chunk."""
+    one task per chunk, each writing its own columns."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
     if len({(c.n_a, c.n_b) for c in cfgs}) != 1:
         raise ValueError("the points of one call must share one array size")
-    spans = _spans(trials)
-    chunks = _map(pool, lambda span: _chunk_picks(cfgs[0], policy, seed, *span), spans)
-    picks = np.empty((len(chunks[0]), trials))
-    for (start, count), chunk in zip(spans, chunks):
-        picks[:, start:start + count] = chunk
+    picks = np.empty((4 if policy == "serial_max" else 6, trials))
+
+    def fill(span):
+        start, count = span
+        for row, values in zip(picks[:, start:start + count], _chunk_picks(cfgs[0], policy, seed, *span)):
+            row[...] = values
+
+    _map(pool, fill, _spans(trials))
     return picks
 
 
@@ -165,6 +166,14 @@ def _point_sinrs(picks, cfg: SystemConfig,
             instantaneous_sinr(cfg.lambda_s * ba, lambda_i * picks[-2]))
 
 
+def _subnormal_parts(sub: np.ndarray) -> list[float]:
+    """At most two floats whose exact sum is that of the subnormals sub:
+    each is k * 2**-1074, |k| < 2**52, and k's 26-bit halves sum exactly."""
+    k = np.ldexp(sub, 1074).astype(np.int64)
+    total = (int((k >> 26).sum()) << 26) + int((k & 0x3FFFFFF).sum())
+    return [p for p in (math.ldexp(total >> 26, -1048), math.ldexp(total & 0x3FFFFFF, -1074)) if p]
+
+
 def _exact_parts(x: np.ndarray) -> list[float]:
     """Floats whose exact sum is the exact sum of the 1-D float64 array x.
 
@@ -173,8 +182,9 @@ def _exact_parts(x: np.ndarray) -> list[float]:
     exponent in [8b, 8b+7] is a multiple of 2**(8b-1048) below 2**(8b-1015),
     so 2**20 such pieces sum exactly in floats.  One bincount per block of
     at most _BLOCK values sums hi pieces into bucket b and lo pieces into
-    256 + b; the parts are the bucket sums and the subnormal pieces, which
-    break that bound.  Huge or non-finite input is its own parts.
+    256 + b; the parts are the bucket sums and at most two parts of the
+    subnormal pieces, which break that bound (_subnormal_parts).  Huge or
+    non-finite input is its own parts.
     math.fsum of the parts is math.fsum(x), and of the parts of consecutive
     pieces of x, concatenated, too, as long as no running sum leaves the
     float range: math.fsum raises OverflowError on the first one that does,
@@ -198,7 +208,7 @@ def _exact_parts(x: np.ndarray) -> list[float]:
             low = np.flatnonzero(bucket == 0)
             sub = pieces[low]
             subnormal = (sub != 0) & (np.abs(sub) < _TINY)
-            parts.extend(sub[subnormal].tolist())
+            parts.extend(_subnormal_parts(sub[subnormal]))
             pieces[low[subnormal]] = 0.0
         bucket[n:] += 256
         sums = np.bincount(bucket, weights=pieces, minlength=512)

@@ -27,10 +27,10 @@ not underflow where the SERs do and are monotone up to rounding.
 comparison_count("exhaustive", ...) is the paper's count for exhaustive
 search, not this kernel's work.
 
-The candidates depend only on the order of the entries, so the Monte
-Carlo estimators take them on the unit-mean SNR matrices E, whose order
-g, a positive multiple of E, keeps up to rounding.  Maxima are the first
-in row-major order, so ties break lexicographically on antenna indices.
+candidates() finds the four in matrices, for select() and the scalar
+selections; the Monte Carlo estimators score their values, which
+fdlink.channel draws directly, with best_pairs.  Maxima are the first in
+row-major order, so ties break lexicographically on antenna indices.
 
 Index convention: matrix rows are antennas at node A, columns antennas
 at node B, all 0-based.  A LinkSelection stores the A->B link as

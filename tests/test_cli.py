@@ -352,16 +352,32 @@ def test_main_writes_a_flagged_closed_form_as_positive_zero(tmp_path):
     assert row["analytic_value"] == "0.0"
 
 
-def test_main_reports_a_sweep_too_large_for_memory(tmp_path, capsys):
-    # one 10^6 x 10^6 draw asks for 7.28 TiB, which the allocation refuses
+def test_main_reports_a_sweep_too_large_for_memory(tmp_path, capsys, monkeypatch):
+    # a sweep whose allocation is refused exits 3 with one line
+    def refuse(spec):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "run_sweep", refuse)
     out = tmp_path / "huge.csv"
-    rc = main(["--metric", "wsr", "--na", "1000000", "--nb", "1000000", "--trials", "1",
-               "--out", str(out)])
+    rc = main(["--metric", "wsr", "--na", "3", "--nb", "3", "--trials", "1", "--out", str(out)])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("fdlink: out of memory: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_main_runs_a_million_by_million_sweep(tmp_path):
+    # the draws cost the same at every array size; past the closed forms'
+    # sizes the analytic cells are left empty
+    out = tmp_path / "huge.csv"
+    rc = main(["--metric", "wsr", "--na", "1000000", "--nb", "1000000", "--trials", "1000",
+               "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert math.isfinite(float(row["mc_value"])) and float(row["mc_stderr"]) > 0.0
+    assert row["analytic_value"] == ""
 
 
 @pytest.mark.parametrize("w", [0.3, 0.7])

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -12,7 +13,7 @@ from fdlink import (
     load_config,
     validate_config,
 )
-from fdlink import config
+from fdlink.channel import largest_unit_draw
 from fdlink.errors import InvalidAntennaCount, InvalidRange, IoError
 
 
@@ -58,13 +59,22 @@ def test_out_of_range_rejected(field, value):
 
 
 def test_lambda_s_whose_draws_overflow_rejected():
-    # the largest unit draw is -log1p(-(1 - 2**-53)) = 53 ln 2
-    top = -math.log1p(-(1.0 - 2.0**-53))
-    bound = config._MAX_LAMBDA_S
-    assert validate_config(cfg(lambda_s=bound)).lambda_s * top < math.inf
-    for lam in (math.nextafter(bound, math.inf), db_to_linear(3075.0), math.inf, math.nan):
-        with pytest.raises(InvalidRange):
-            validate_config(cfg(lambda_s=lam))
+    # the largest unit draw is M's at the largest uniform 1 - 2**-53,
+    # -log(-expm1(log1p(-2**-53) / nn)), about 53 ln 2 + ln(nn); the cap
+    # is the largest lambda_s that keeps lambda_s times it finite
+    for n in (2, 12, 10**6):
+        top = largest_unit_draw(n, n)
+        assert top == pytest.approx(-math.log(-math.expm1(math.log1p(-(2.0**-53)) / n**2)),
+                                    rel=1e-15)
+        bound = sys.float_info.max / top
+        while bound * top == math.inf:
+            bound = math.nextafter(bound, 0.0)
+        while math.nextafter(bound, math.inf) * top < math.inf:
+            bound = math.nextafter(bound, math.inf)
+        assert validate_config(cfg(n_a=n, n_b=n, lambda_s=bound)).lambda_s * top < math.inf
+        for lam in (math.nextafter(bound, math.inf), db_to_linear(3075.0), math.inf, math.nan):
+            with pytest.raises(InvalidRange):
+                validate_config(cfg(n_a=n, n_b=n, lambda_s=lam))
 
 
 def test_bad_modulation_rejected():

@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import erfc
 
-from conftest import masked_candidates
 from fdlink import (
     BPSK,
     SystemConfig,
@@ -26,7 +24,7 @@ from fdlink import (
 )
 from fdlink import derived_params, instantaneous_sinr, montecarlo, to_obtainable_sinr
 from fdlink.analytic import cdf_gamma_ab
-from fdlink.selection import best_pairs, by_weight, candidates, rate_map, select, ser_map
+from fdlink.selection import best_pairs, by_weight, rate_map, ser_map
 
 
 def make_cfg(**kw):
@@ -140,9 +138,13 @@ def test_policy_objective_ordering():
     assert s_wser <= s_serial + 1e-15
 
 
-def test_unknown_policy():
-    with pytest.raises(ValueError):
+def test_unknown_policy(monkeypatch):
+    draws = []
+    monkeypatch.setattr(montecarlo, "draw_trial_batch", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match="unknown policy 'genie'"):
         mc_weighted_sum_rate(make_cfg(), "genie", 10, 0)
+    assert draws == []  # refused before any draw
+    monkeypatch.undo()
     with pytest.raises(ValueError):
         mc_weighted_sum_rate(make_cfg(), "serial_max", 0, 0)
 
@@ -203,28 +205,20 @@ def test_p_not_decreases_with_array_size():
 
 def per_point_sinrs(cfg, trials, seed, policy="serial_max"):
     """Per chunk, the (gamma_ab, gamma_ba) of one point drawn on its own:
-    SNRs and INRs drawn at its own means through montecarlo.draw_trial_batch;
-    Serial-Max picks made on the same trials' unit draw, and exhaustive
-    picks the best of the candidates taken on the unit draw and scored on
-    the point's obtainable SINRs."""
+    candidate SNRs and INRs drawn at its own means through
+    montecarlo.draw_trial_batch; Serial-Max picks (M, S), and exhaustive
+    picks the best of the candidates scored on the point's obtainable SINRs."""
     chunk = montecarlo._CHUNK
-    unit = replace(cfg, lambda_s=1.0)
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
-        snr, inr_a, inr_b = montecarlo.draw_trial_batch(
+        cands, inr_a, inr_b = montecarlo.draw_trial_batch(
             seed, start, count, cfg, cfg.eta * cfg.lambda_s)
-        e, _, _ = montecarlo.draw_trial_batch(seed, start, count, unit, 1.0)
-        rows = np.arange(count)
-        if policy == "serial_max":
-            ab, ba = select(e, cfg.w, policy, cfg.modulation)
-        else:
-            cand = masked_candidates(e)
-            g = to_obtainable_sinr(snr, derived_params(cfg)).reshape(count, -1)[rows, cand]
-            first, second = best_pairs(cand, g, cfg.w, policy, cfg.modulation)
-            ab, ba = by_weight(first, second, cfg.w)
-        flat = snr.reshape(count, -1)
-        yield (instantaneous_sinr(flat[rows, ab], inr_b),
-               instantaneous_sinr(flat[rows, ba], inr_a))
+        first, second = cands[:2]
+        if policy != "serial_max":
+            g = to_obtainable_sinr(cands, derived_params(cfg))
+            first, second = best_pairs(cands, g, cfg.w, policy, cfg.modulation)
+        ab, ba = by_weight(first, second, cfg.w)
+        yield instantaneous_sinr(ab, inr_b), instantaneous_sinr(ba, inr_a)
 
 
 def per_point_estimate(cfg, trials, seed, metric, policy="serial_max"):
@@ -301,78 +295,32 @@ def test_shared_exhaustive_matches_per_point_oracle(n_a, n_b, grid, trials, seed
             assert (bits(est.value), bits(est.std_error)) == (bits(mean), bits(std_error)), cfg
 
 
-def crafted_draws(unit_snr):
-    """A stand-in for draw_trial_batch that scales a fixed unit stack as the
-    real draws scale, lambda_s * E and lambda_i * E bit for bit."""
-    unit_snr = np.asarray(unit_snr, dtype=float)
-    unit_inr = np.linspace(0.5, 1.5, unit_snr.shape[0])
-
-    def draw(seed, start, count, cfg, lambda_i):
-        rows = slice(start, start + count)
-        return cfg.lambda_s * unit_snr[rows], lambda_i * unit_inr[rows], lambda_i * unit_inr[rows]
-
-    return draw
+# lambda_s = 1.1 rounds some neighbouring SNRs to one value, at lambda_s =
+# 1 and eta = 0.4 some neighbouring obtainable SINRs tie, and 1e-318 times
+# an SNR is subnormal: points whose selection on their own draw could part
+# from that on the unit draw, were the draw not the unit draw scaled
+SCALED_POINTS = {"step1": (1.1, 0.0), "step2": (1.0, 0.4), "subnormal": (1e-318, 0.0)}
 
 
-def assert_picks_follow_the_unit_draw(cfg, unit):
-    """A shared chunk's picks are those made on the unit stack E, and picks
-    made on cfg's own g would differ, so a selection on g fails here."""
-    e = np.asarray(unit, dtype=float)
-    rows, flat = np.arange(len(e)), e.reshape(len(e), -1)
-    first, second, _, _ = montecarlo._chunk_picks(cfg, "serial_max", 0, 0, len(e))
-
-    def picked(basis):
-        idx1, idx2 = candidates(basis, "serial_max")
-        return flat[rows, idx1], flat[rows, idx2]
-
-    def same(picks):
-        return np.array_equal(first, picks[0]) and np.array_equal(second, picks[1])
-
-    assert same(picked(e))
-    assert not same(picked(to_obtainable_sinr(cfg.lambda_s * e, derived_params(cfg))))
-
-
-# b is a's next double.  lambda_s = 1.1 rounds a and b to one SNR; at
-# lambda_s = 1, eta = 0.4 the SNRs differ but the obtainable SINRs tie.
-# Selected on g, that point would pick a, the lower index; Serial-Max
-# picks b, the larger entry of E.
-A = 1.9999
-B = math.nextafter(A, 2.0)
-TIES = {
-    # step 1 ties: on g the point would prune another column and move its
-    # second link
-    "step1": ([[[A, B], [0.5, 0.25]], [[0.3, 1.2], [0.9, 0.1]]], 1.1, 0.0),
-    # step 2 ties: on g the second link's SNR would move by one ulp
-    "step2": ([[[5.0, 0.1, 0.2], [0.3, A, B], [0.4, 0.05, 0.15]]] * 8, 1.0, 0.4),
-}
-
-
-@pytest.mark.parametrize("metric", ["rate", "ser"])
-@pytest.mark.parametrize("step", sorted(TIES))
-def test_shared_serial_max_reselects_where_rounding_ties_the_picks(monkeypatch, step, metric):
-    # where rounding ties two entries of a point's g, its picks still follow E
-    unit, lambda_s, eta = TIES[step]
-    cfg = make_cfg(n_a=len(unit[0]), n_b=len(unit[0][0]), lambda_s=lambda_s, eta=eta)
-    g = to_obtainable_sinr(cfg.lambda_s * np.array([A, B]), derived_params(cfg))
-    assert g[0] == g[1]
-    monkeypatch.setattr(montecarlo, "draw_trial_batch", crafted_draws(unit))
-    assert_picks_follow_the_unit_draw(cfg, unit)
-    other = make_cfg(n_a=cfg.n_a, n_b=cfg.n_b, lambda_s=1.0, eta=0.0)
+@pytest.mark.parametrize("metric", ["rate", "ser", "cdf"])
+@pytest.mark.parametrize("point", sorted(SCALED_POINTS))
+def test_shared_serial_max_picks_scale_the_unit_candidates(point, metric):
+    # a point's draw is lambda_s times the unit candidates and lambda_i
+    # times the unit INRs, bit for bit, so the shared picks, taken from the
+    # unit draw, are the point's own, and its estimate equals its
+    # per-point oracle's, alone or beside another point
+    lambda_s, eta = SCALED_POINTS[point]
+    cfg = make_cfg(lambda_s=lambda_s, eta=eta)
+    unit = montecarlo._chunk_picks(cfg, "max_wsr", 5, 3, 200)
+    cands, inr_a, inr_b = montecarlo.draw_trial_batch(5, 3, 200, cfg, eta * lambda_s)
+    for drawn, scaled in zip([*cands, inr_a, inr_b],
+                             [lambda_s * x for x in unit[:4]] + [eta * lambda_s * x for x in unit[4:]]):
+        assert np.array_equal(drawn.view(np.int64), scaled.view(np.int64))
+    assert all(np.array_equal(a, b) for a, b in zip(
+        montecarlo._chunk_picks(cfg, "serial_max", 5, 3, 200), unit[:2] + unit[4:]))
+    other = make_cfg(lambda_s=1.0, eta=0.0)
     for cfgs in ([other, cfg], [cfg, other], [cfg]):
-        assert_shared_matches_oracle(cfgs, len(unit), 0, metric)
-
-
-def test_shared_serial_max_reselects_where_the_snr_is_subnormal(monkeypatch):
-    # a and b are far apart in E, but 1e-318 * a and 1e-318 * b are one
-    # subnormal; that point's picks still follow E, on g it would pick a
-    # and prune another column
-    a, b = 1.0, 1.0 + 1e-9
-    assert 1e-318 * a == 1e-318 * b
-    unit = [[[a, b, 0.1], [0.5, 0.25, 0.2], [0.05, 0.3, 0.4]]]
-    monkeypatch.setattr(montecarlo, "draw_trial_batch", crafted_draws(unit))
-    cfgs = [make_cfg(lambda_s=10.0, eta=0.0), make_cfg(lambda_s=1e-318, eta=0.0)]
-    assert_picks_follow_the_unit_draw(cfgs[1], unit)
-    assert_shared_matches_oracle(cfgs, 1, 0, "cdf")
+        assert_shared_matches_oracle(cfgs, 200, 5, metric)
 
 
 def estimator_outputs(cfgs, trials, seed):
@@ -506,7 +454,7 @@ def test_point_lists_return_one_estimate_per_point():
 
 @pytest.mark.parametrize("snr_db", [27.0, 30.0, 40.0])
 def test_high_snr_ser_point_matches_fsum_oracle(snr_db):
-    # at eta = 0 the per-trial SERs underflow: at 27 dB about 46 % are 0
+    # at eta = 0 the per-trial SERs underflow: at 27 dB about 47 % are 0
     # and 0.8 % subnormal; at 40 dB all 20,000 are 0
     cfg = make_cfg(lambda_s=10.0 ** (snr_db / 10.0), eta=0.0)
     assert_shared_matches_oracle([cfg], 20_000, 5, "ser")
@@ -642,6 +590,33 @@ EXACT_SUM_CASES = {
     "nan": lambda: np.array([math.nan]),
     "opposite-infinities": lambda: np.array([math.inf, -math.inf]),
 }
+
+
+def subnormal_cases():
+    """name: (values, the most parts a block may take).  2**16 equal
+    subnormals and 5000 odd multiples of 2**-1074 of either sign have
+    pieces only in bucket 0 and below it; mixed with normals of every
+    scale, the pieces fill up to all 512 buckets."""
+    rng = np.random.default_rng(3)
+    odd = (2 * rng.integers(0, 2**51, 5000) + 1) * 2.0**-1074 * rng.choice([-1.0, 1.0], 5000)
+    normals = rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000)
+    mixed = np.concatenate([odd, normals, -normals[:100], odd[:50]])
+    rng.shuffle(mixed)
+    return {"equal": (np.full(2**16, (2**52 - 1) * 2.0**-1074), 3), "odd": (odd, 3),
+            "mixed": (mixed, 512 + 2)}
+
+
+@pytest.mark.parametrize("case", ["equal", "odd", "mixed"])
+def test_exact_sum_takes_subnormals_in_at_most_two_parts(case):
+    # a point whose mean is near 1e-160 has subnormal squared deviations
+    # on every trial of its second pass: per block they cost two parts
+    # beside the bucket sums, not one part each
+    x, per_block = subnormal_cases()[case]
+    for block in (montecarlo._BLOCK, 1 << 20):
+        with mock.patch.object(montecarlo, "_BLOCK", block):
+            parts = montecarlo._exact_parts(x)
+        assert len(parts) <= per_block * -(-x.size // block)
+        assert math.fsum(parts) == math.fsum(x)
 
 
 @pytest.mark.parametrize("case", sorted(EXACT_SUM_CASES))

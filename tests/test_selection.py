@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import log_ndtr
 
 from conftest import masked_candidates
+from oracles import draw_matrix_batch
 from fdlink import (
     BPSK,
     comparison_count,
@@ -24,7 +25,7 @@ from fdlink import (
     weighted_combine_rate,
     weighted_combine_ser,
 )
-from fdlink.channel import draw_trial_batch, to_obtainable_sinr
+from fdlink.channel import to_obtainable_sinr
 from fdlink.config import SystemConfig, derived_params, validate_config
 from fdlink.errors import DegenerateSize, MatrixTooSmall
 from fdlink.selection import (
@@ -468,7 +469,7 @@ def test_min_wser_picks_the_optimum_where_sers_underflow():
     for snr_db in (25.0, 30.0, 40.0):
         cfg = validate_config(SystemConfig(n_a=6, n_b=6, lambda_s=10 ** (snr_db / 10),
                                            eta=0.0, w=w))
-        snr, _, _ = draw_trial_batch(1, 0, 100, cfg, 0.0)
+        snr, _, _ = draw_matrix_batch(1, 0, 100, cfg, 0.0)
         g = to_obtainable_sinr(snr, derived_params(cfg))
         picks = select(g, w, "min_wser", BPSK)
         serial = select(g, w, "serial_max", BPSK)
@@ -666,14 +667,14 @@ def test_cross_kernel_rounding_tie_with_an_earlier_pair(w):
 
 @pytest.mark.parametrize("w", [0.7, 0.3, 0.5, 0.0, 1.0])
 def test_cross_kernel_matches_all_pairs_on_drawn_stacks(w):
-    # real draws; in the eta = 0 SER stacks the per-link SERs of the best
-    # links underflow to 0 at 30 and 40 dB, where the log score still
-    # tells the pairs apart
+    # full matrices drawn by the oracle; in the eta = 0 SER stacks the
+    # per-link SERs of the best links underflow to 0 at 30 and 40 dB,
+    # where the log score still tells the pairs apart
     for n_a, n_b, snr_db, eta in ((4, 4, 20.0, 0.05), (5, 5, 18.0, 0.02), (6, 6, 25.0, 0.0),
                                   (6, 6, 30.0, 0.0), (6, 6, 40.0, 0.0), (4, 6, 10.0, 0.1)):
         cfg = validate_config(SystemConfig(n_a=n_a, n_b=n_b, lambda_s=10 ** (snr_db / 10),
                                            eta=eta, w=0.7))
-        snr, _, _ = draw_trial_batch(1, 0, 2000, cfg, cfg.eta * cfg.lambda_s)
+        snr, _, _ = draw_matrix_batch(1, 0, 2000, cfg, cfg.eta * cfg.lambda_s)
         assert_exhaustive_contract(to_obtainable_sinr(snr, derived_params(cfg)), w)
 
 
