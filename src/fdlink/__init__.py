@@ -4,7 +4,6 @@ average weighted sum rate / sum SER analysis."""
 
 from .analytic import (
     AnalyticValue,
-    MixtureWeights,
     asymptotic_ser_generic,
     asymptotic_ser_perfect_cancellation,
     avg_rate_ab,
@@ -17,30 +16,23 @@ from .analytic import (
     cdf_gamma_ba,
     cdf_gammas,
     mixture_weights,
-    mu_coefficient,
-    order_statistic_cdf,
-    quadrature_avg_rate,
-    quadrature_avg_ser,
     rate_ceiling,
     ser_floor,
 )
-from .channel import instantaneous_sinr, to_obtainable_sinr
+from .channel import instantaneous_sinr
 from .config import (
     BPSK,
-    DerivedParams,
     ModulationParams,
     SystemConfig,
     db_to_linear,
-    derived_params,
     linear_to_db,
     load_config,
     validate_config,
-    with_lambda_s,
 )
 from .montecarlo import (
     EmpiricalCdf,
     MetricEstimate,
-    mc_empirical_cdf,
+    mc_empirical_cdfs,
     mc_p_not,
     mc_weighted_sum_rate,
     mc_weighted_sum_ser,
@@ -52,7 +44,6 @@ from .selection import (
     exhaustive_max_wsr,
     exhaustive_min_wser,
     p_not_upper_bound,
-    second_link_rank,
     serial_max,
     weighted_combine_rate,
     weighted_combine_ser,

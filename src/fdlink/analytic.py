@@ -1,6 +1,6 @@
 """Closed-form distributions, averages, ceilings, floors, and asymptotics
-for the Serial-Max policy, plus quadrature oracles that evaluate the
-defining integrals independently, for tests; no closed form calls them.
+for the Serial-Max policy.  The quadrature oracles that check them against
+the defining integrals live with the tests (tests/oracles.py).
 
 Numerical strategy: the CDF of either selected link is a sum
 F(x) = sum_c A_c e^(-c x/lambda_s) / (1 + c eta x) / D over c = 0..nn = n_a*n_b,
@@ -50,11 +50,10 @@ import numpy as np
 from scipy.special import erfcx  # noqa: F401
 
 from .config import ModulationParams, SystemConfig
-from .errors import ConvergenceFailure, DomainError, RequiresPerfectCancellation
+from .errors import DomainError, RequiresPerfectCancellation
 from .selection import by_weight
 from .special import exp_e1_scaled  # noqa: F401
 
-_LN2 = math.log(2.0)
 # the reference tests check every closed form up to 12x12 and the CDFs up
 # to 2x72; nothing past n_a*n_b = 144 is checked
 MAX_NN_CLOSED_FORM = 144
@@ -68,12 +67,13 @@ _GUARD_DIGITS = 8
 _ERFCX_SERIES = mpmath.mpf(10**4)
 
 
-@dataclass(frozen=True)
-class MixtureWeights:
-    """p[k-1] = probability that the second selected link's SNR is the
-    (n_a*n_b - k)-th order statistic of the full matrix, k = 1..n_a+n_b-1."""
-
-    p: np.ndarray
+def __getattr__(name: str):
+    # nothing here integrates numerically, so slow-to-import scipy.integrate
+    # loads only on a read of analytic.quad, which perfbench/spans.py makes
+    if name != "quad":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import quad
+    return quad
 
 
 @dataclass(frozen=True)
@@ -92,15 +92,6 @@ def _check_closed_form_size(cfg: SystemConfig) -> None:
                           "use the Monte Carlo estimators instead")
 
 
-def mu_coefficient(k: int, l: int, m: int, n_a: int, n_b: int) -> float:
-    """Coefficient of the (k, l, m) term of the second-link CDF triple sum,
-    as the source derivation writes it; _coefficients collects these by
-    c = n_a*n_b - l + m."""
-    nn = n_a * n_b
-    num = math.comb(nn - k - 1, n_a + n_b - k - 1) * math.comb(nn, l) * math.comb(l, m)
-    return num / math.comb(nn - 1, n_a + n_b - 2)
-
-
 @functools.lru_cache(maxsize=None)
 def _rank_counts(n_a: int, n_b: int) -> tuple[int, tuple[int, ...]]:
     """Exact (D, counts) of the second link's rank mixture: its (nn-k)-th order
@@ -109,10 +100,11 @@ def _rank_counts(n_a: int, n_b: int) -> tuple[int, tuple[int, ...]]:
     return math.comb(nn - 1, m - 2), tuple(math.comb(nn - k - 1, m - k - 1) for k in range(1, m))
 
 
-def mixture_weights(n_a: int, n_b: int) -> MixtureWeights:
-    """Rank-mixture probabilities of the second selected link."""
+def mixture_weights(n_a: int, n_b: int) -> np.ndarray:
+    """p[k-1] = probability that the second selected link's SNR is the
+    (n_a*n_b - k)-th order statistic of the full matrix, k = 1..n_a+n_b-1."""
     denom, counts = _rank_counts(n_a, n_b)
-    return MixtureWeights(p=np.array([count / denom for count in counts]))
+    return np.array([count / denom for count in counts])
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,17 +132,6 @@ def _coefficients(n_a: int, n_b: int, link: str) -> tuple[int, tuple[int, ...]]:
     return denom, tuple(table)
 
 
-def order_statistic_cdf(r: int, n: int, x: float, lam: float) -> float:
-    """CDF at x of the order statistic reached by at least r of n i.i.d.
-    exponential(mean lam) draws: sum_{i=r}^{n} C(n,i) F^i (1-F)^{n-i}."""
-    if not 1 <= r <= n:
-        raise DomainError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
-    f = -math.expm1(-x / lam)
-    return math.fsum(math.comb(n, i) * f**i * (1.0 - f) ** (n - i) for i in range(r, n + 1))
-
-
 def _cdf(x: float, cfg: SystemConfig, links: tuple[str, ...]) -> list[float]:
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
@@ -170,52 +151,6 @@ def cdf_gamma_ba(x: float, cfg: SystemConfig) -> float:
 def cdf_gammas(x: float, cfg: SystemConfig) -> tuple[float, float]:
     """(first, second) pick's SINR CDFs at x, from one kernel vector."""
     return tuple(_cdf(x, cfg, ("ab", "ba")))
-
-
-# ---------------------------------------------------------------------------
-# quadrature oracles over the defining integrals
-
-
-def quadrature_avg_rate(cdf_evaluator, tolerance: float = 1e-10) -> float:
-    """(1/ln 2) * int_0^inf (1 - F(x)) / (1 + x) dx, via the compactifying
-    substitution t = x/(1+x)."""
-    from scipy.integrate import quad
-
-    def integrand(t: float) -> float:
-        if t >= 1.0 - 1e-15:
-            return 0.0
-        x = t / (1.0 - t)
-        return (1.0 - cdf_evaluator(x)) / (1.0 - t)
-
-    value, abserr, info, *rest = quad(
-        integrand, 0.0, 1.0, epsabs=1e-14, epsrel=tolerance, limit=500, full_output=True
-    )
-    if rest:
-        raise ConvergenceFailure(f"rate quadrature failed: {rest[0]}")
-    return value / _LN2
-
-
-def quadrature_avg_ser(
-    cdf_evaluator, mod: ModulationParams, tolerance: float = 1e-10
-) -> float:
-    """alpha*sqrt(beta)/(2*sqrt(2*pi)) * int_0^inf F(x) e^{-beta x/2}/sqrt(x) dx,
-    with the endpoint singularity removed by x = t^2."""
-    from scipy.integrate import quad
-    beta = mod.beta_mod
-
-    def integrand(t: float) -> float:
-        return 2.0 * cdf_evaluator(t * t) * math.exp(-beta * t * t / 2.0)
-
-    # a finite upper limit where the Gaussian factor has underflowed keeps
-    # quad from overlooking the narrow bulk of the integrand, which the
-    # infinite-interval transformation can sample too sparsely
-    upper = math.sqrt(1500.0 / beta)
-    value, abserr, info, *rest = quad(
-        integrand, 0.0, upper, epsabs=1e-14, epsrel=tolerance, limit=500, full_output=True
-    )
-    if rest:
-        raise ConvergenceFailure(f"SER quadrature failed: {rest[0]}")
-    return mod.alpha_mod * math.sqrt(beta) / (2.0 * math.sqrt(2.0 * math.pi)) * value
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +326,6 @@ def ser_floor(cfg: SystemConfig) -> float:
 
 # ---------------------------------------------------------------------------
 # perfect-cancellation asymptotics
-
-
-def __getattr__(name: str):
-    # only the oracles use slow-to-import scipy.integrate, but
-    # perfbench/spans.py reads analytic.quad when tracing
-    if name != "quad":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.integrate import quad
-    return quad
 
 
 def asymptotic_ser_generic(n_order: int, zeta, lam: float, mod: ModulationParams) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.random import Philox
 
 if TYPE_CHECKING:
-    from .config import DerivedParams, SystemConfig
+    from .config import SystemConfig
 
 # words per trial: two Philox counter steps of 4 words each
 _PER_TRIAL = 8
@@ -69,11 +69,6 @@ def draw_trial_batch(
     inr = log_u[4:]
     inr *= -lambda_i
     return _candidates(log_u[:4], cfg.n_a, cfg.n_b, cfg.lambda_s), inr[0], inr[1]
-
-
-def to_obtainable_sinr(snr: np.ndarray, derived: DerivedParams) -> np.ndarray:
-    """Entrywise gamma = gamma_s * scale; strictly monotone, order-preserving."""
-    return snr * derived.scale
 
 
 def instantaneous_sinr(gamma_s, gamma_ri):

@@ -39,6 +39,7 @@ from .config import (
     BPSK,
     SystemConfig,
     db_to_linear,
+    linear_to_db,
     load_config,
     validate_config,
 )
@@ -122,13 +123,16 @@ class ResultRow:
 
 
 FIELDS = [f.name for f in dataclasses.fields(ResultRow)]
+# Monte Carlo trials per point and master seed unless --trials or --seed is given
+DEFAULT_TRIALS = 20000
+DEFAULT_SEED = 12345
 
 
-def preset(name: str, trials: int = 20000, seed: int = 12345, eta: list[float] | None = None) -> SweepSpec:
+def preset(name: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> SweepSpec:
     """Sweep specs reproducing the reference experiment layouts.
 
     Where figure captions and body text disagree on eta, the caption
-    value is the default and eta stays overridable.
+    value is the default; --eta overrides it.
     """
     snr = [float(s) for s in range(0, 41, 5)]
     table = {
@@ -150,10 +154,7 @@ def preset(name: str, trials: int = 20000, seed: int = 12345, eta: list[float] |
     }
     if name not in table:
         raise UnknownPreset(f"unknown preset {name!r}; choose from {sorted(table)}")
-    kw = table[name]
-    if eta is not None:
-        kw = dict(kw, eta=eta)
-    return SweepSpec(w=0.7, trials=trials, seed=seed, out="", **kw)
+    return SweepSpec(w=0.7, trials=trials, seed=seed, out="", **table[name])
 
 
 def _cfg(n_a: int, n_b: int, snr_db: float, eta: float, w: float) -> SystemConfig:
@@ -272,7 +273,10 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
 def _parse_range(text: str) -> list[float]:
     """'a:b:step' inclusive range of at most 10,000 points, or a comma-separated list."""
     if ":" in text:
-        a, b, step = (float(p) for p in text.split(":"))
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise InvalidRange(f"{text!r} is not a range of the form 'a:b:step'")
+        a, b, step = (float(p) for p in parts)
         if step <= 0:
             raise InvalidRange(f"step must be positive in {text!r}")
         n = (b - a) / step
@@ -297,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--na", type=int, help="antennas at node A")
     parser.add_argument("--nb", type=int, help="antennas at node B")
     parser.add_argument("--w", type=float, help="weight of the A->B direction")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")
-    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                        help="Monte Carlo trials per point")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
     parser.add_argument("--config", help="flat key-value config file with defaults")
     parser.add_argument("--out", required=True, help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -312,18 +317,16 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
         if cfg.modulation != BPSK:  # rows and sidecar record no modulation
             raise InvalidRange(f"{args.config}: sweeps run BPSK only, got {cfg.modulation}")
         defaults = dict(sizes=[(cfg.n_a, cfg.n_b)], eta=[cfg.eta], w=cfg.w,
-                        snr_db=[10.0 * math.log10(cfg.lambda_s)])
-    trials = args.trials if args.trials is not None else 20000
-    seed = args.seed if args.seed is not None else 12345
+                        snr_db=[linear_to_db(cfg.lambda_s)])
     if args.preset:
-        spec = preset(args.preset, trials=trials, seed=seed)
+        spec = preset(args.preset, trials=args.trials, seed=args.seed)
     else:
         if args.metric is None:
             raise InvalidRange("either --preset or --metric is required")
         spec = SweepSpec(metric=args.metric, policies=["serial_max"],
                          snr_db=defaults.get("snr_db", [10.0]), eta=defaults.get("eta", [0.05]),
                          sizes=defaults.get("sizes", [(3, 3)]), w=defaults.get("w", 0.7),
-                         trials=trials, seed=seed, out="")
+                         trials=args.trials, seed=args.seed, out="")
     if args.metric:
         spec.metric = args.metric
     if args.policy is not None:

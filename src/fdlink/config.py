@@ -1,4 +1,4 @@
-"""System parameters, derived quantities, and their validation.
+"""System parameters, their derived quantities, and their validation.
 
 All core computation works with the linear-scale average SNR lambda_s;
 dB enters only at the CLI boundary via db_to_linear / linear_to_db.
@@ -7,7 +7,7 @@ dB enters only at the CLI boundary via db_to_linear / linear_to_db.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .channel import largest_unit_draw
 from .errors import InvalidAntennaCount, InvalidRange, IoError
@@ -26,7 +26,7 @@ BPSK = ModulationParams(alpha_mod=1.0, beta_mod=2.0)
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Immutable system configuration; validate() before use.
+    """Immutable system configuration; pass it through validate_config before use.
 
     n_a, n_b: antenna counts at the two nodes (>= 2 each).
     lambda_s: linear-scale average SNR (> 0).
@@ -46,13 +46,16 @@ class SystemConfig:
     def nn(self) -> int:
         return self.n_a * self.n_b
 
+    @property
+    def lambda_i(self) -> float:
+        """The average INR, eta * lambda_s."""
+        return self.eta * self.lambda_s
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Average INR and the obtainable-SINR scaling factor 1/(lambda_i + 1)."""
-
-    lambda_i: float
-    scale: float
+    @property
+    def scale(self) -> float:
+        """1/(lambda_i + 1), in (0, 1]: an SNR times scale is its obtainable
+        SINR, an order-preserving map."""
+        return 1.0 / (self.lambda_i + 1.0)
 
 
 def validate_config(raw: SystemConfig) -> SystemConfig:
@@ -72,12 +75,6 @@ def validate_config(raw: SystemConfig) -> SystemConfig:
     if raw.modulation.alpha_mod <= 0 or raw.modulation.beta_mod <= 0:
         raise InvalidRange("modulation constants must be positive")
     return raw
-
-
-def derived_params(cfg: SystemConfig) -> DerivedParams:
-    """lambda_i = eta * lambda_s; scale = 1/(lambda_i + 1), in (0, 1]."""
-    lambda_i = cfg.eta * cfg.lambda_s
-    return DerivedParams(lambda_i=lambda_i, scale=1.0 / (lambda_i + 1.0))
 
 
 def db_to_linear(x_db: float) -> float:
@@ -148,7 +145,3 @@ def load_config(path: str) -> SystemConfig:
     )
     return validate_config(cfg)
 
-
-def with_lambda_s(cfg: SystemConfig, lambda_s: float) -> SystemConfig:
-    """Copy of cfg at a different average SNR (sweep helper)."""
-    return validate_config(replace(cfg, lambda_s=lambda_s))

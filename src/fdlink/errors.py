@@ -29,10 +29,6 @@ class RequiresPerfectCancellation(FdlinkError):
     """Asymptotics for eta=0 requested with a nonzero cancellation coefficient."""
 
 
-class ConvergenceFailure(FdlinkError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 class UnknownPreset(FdlinkError):
     """CLI preset name not recognized."""
 
@@ -42,10 +38,12 @@ class IoError(FdlinkError):
 
 
 class SingularTermWarning(UserWarning):
-    """Kept for API compatibility; no longer raised.  A vanishing 1 - c*eta
-    denominator is now evaluated through its exact limit."""
+    """No longer raised: a vanishing 1 - c*eta denominator is evaluated
+    through its exact limit.  Kept because perfbench/worker.py imports it
+    to count fdlink's numerical warnings."""
 
 
 class CancellationWarning(UserWarning):
-    """Kept for API compatibility; no longer raised.  Closed-form sums are
-    evaluated at 50 digits and report lost digits in AnalyticValue."""
+    """No longer raised: closed-form sums are evaluated at 50 digits or more
+    and report lost digits in AnalyticValue.  Kept because
+    perfbench/worker.py imports it to count fdlink's numerical warnings."""

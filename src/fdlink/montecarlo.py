@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import draw_trial_batch, instantaneous_sinr
-from .config import SystemConfig, derived_params
+from .config import SystemConfig
 from .selection import POLICIES, best_pairs, by_weight, weighted_sum
 
 # trials per task: two chunks in flight keep peak memory flat
@@ -117,10 +117,10 @@ def _spans(trials: int) -> list[tuple[int, int]]:
 
 
 def _scaled(x, cfg: SystemConfig):
-    """g = (lambda_s * x) * scale, rounded as to_obtainable_sinr rounds it;
+    """Obtainable SINRs g = (lambda_s * x) * cfg.scale of unit SNRs x;
     scaled in place, so it costs one new array, not two."""
     g = cfg.lambda_s * x
-    g *= derived_params(cfg).scale
+    g *= cfg.scale
     return g
 
 
@@ -161,9 +161,8 @@ def _point_sinrs(picks, cfg: SystemConfig,
         unit = picks[:4]
         first, second = best_pairs(unit, _scaled(unit, cfg), cfg.w, policy, cfg.modulation)
     ab, ba = by_weight(first, second, cfg.w)
-    lambda_i = cfg.eta * cfg.lambda_s
-    return (instantaneous_sinr(cfg.lambda_s * ab, lambda_i * picks[-1]),
-            instantaneous_sinr(cfg.lambda_s * ba, lambda_i * picks[-2]))
+    return (instantaneous_sinr(cfg.lambda_s * ab, cfg.lambda_i * picks[-1]),
+            instantaneous_sinr(cfg.lambda_s * ba, cfg.lambda_i * picks[-2]))
 
 
 def _subnormal_parts(sub: np.ndarray) -> list[float]:
@@ -318,13 +317,6 @@ def mc_empirical_cdfs(
         if name not in ("gamma_ab", "gamma_ba"):
             raise ValueError(f"which must be 'gamma_ab' or 'gamma_ba', got {name!r}")
     return _estimates(cfg, "serial_max", trials, seed, _point_cdfs, which, trials, each=grids)
-
-
-def mc_empirical_cdf(
-    cfg: SystemConfig, which: str, trials: int, seed: int, grid: np.ndarray
-) -> EmpiricalCdf:
-    """Empirical CDF of one link's Serial-Max SINR; see mc_empirical_cdfs."""
-    return mc_empirical_cdfs(cfg, (which,), trials, seed, grid)[0]
 
 
 def _p_not_estimate(picks: np.ndarray, cfg: SystemConfig, spans: list[slice], run,

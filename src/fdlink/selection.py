@@ -245,11 +245,6 @@ def weighted_combine_ser(
     return weighted_sum(*by_weight(gamma_first, gamma_second, w), w, mod)
 
 
-def second_link_rank(sinr: np.ndarray, outcome: SelectionOutcome) -> int:
-    """Rank (1 = largest) of the second selected link within the full matrix."""
-    return 1 + int(np.count_nonzero(sinr > outcome.gamma_second))
-
-
 def p_not_upper_bound(n_a: int, n_b: int) -> float:
     """Upper bound on the probability that Serial-Max misses the optimum."""
     nn = n_a * n_b

@@ -8,17 +8,14 @@ from scipy import stats
 
 from fdlink import (
     SystemConfig,
-    derived_params,
     instantaneous_sinr,
     mc_weighted_sum_rate,
     mc_weighted_sum_ser,
-    order_statistic_cdf,
-    to_obtainable_sinr,
     validate_config,
 )
 from fdlink.channel import draw_trial_batch
 from fdlink.selection import POLICIES, candidates, select, weighted_sum
-from oracles import draw_matrix_batch
+from oracles import draw_matrix_batch, order_statistic_cdf
 
 
 @pytest.fixture
@@ -127,20 +124,19 @@ def test_residual_inr_median(cfg):
 
 
 def test_obtainable_sinr_scaling(cfg):
-    d = derived_params(cfg)
     snr = draw_matrix_batch(0, 0, 1, cfg, 0.0)[0][0]
-    g = to_obtainable_sinr(snr, d)
-    assert np.allclose(g, snr * d.scale)
+    g = snr * cfg.scale
+    assert np.allclose(g, snr / (cfg.lambda_i + 1.0))
     assert np.argmax(g) == np.argmax(snr)
 
     eta0 = validate_config(SystemConfig(3, 3, 10.0, 0.0, 0.7))
-    assert np.array_equal(to_obtainable_sinr(snr, derived_params(eta0)), snr)
+    assert np.array_equal(snr * eta0.scale, snr)
 
 
 def test_obtainable_sinr_example():
-    d = derived_params(validate_config(SystemConfig(2, 2, 100.0, 0.05, 0.7)))
-    assert d.lambda_i == 5.0
-    assert to_obtainable_sinr(np.array([[12.0]]), d)[0, 0] == pytest.approx(2.0)
+    cfg = validate_config(SystemConfig(2, 2, 100.0, 0.05, 0.7))
+    assert cfg.lambda_i == 5.0
+    assert 12.0 * cfg.scale == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("gamma_s,gamma_ri,expected", [(6.0, 2.0, 2.0), (3.5, 0.0, 3.5), (0.0, 4.0, 0.0)])
@@ -200,10 +196,10 @@ def oracle_law(cfg, trials, seed):
     values = {policy: np.empty(trials) for policy in POLICIES}
     for start in range(0, trials, 10_000):
         count = min(10_000, trials - start)
-        snr, inr_a, inr_b = draw_matrix_batch(seed, start, count, cfg, cfg.eta * cfg.lambda_s)
+        snr, inr_a, inr_b = draw_matrix_batch(seed, start, count, cfg, cfg.lambda_i)
         flat, rows, cols = snr.reshape(count, -1), np.arange(count), slice(start, start + count)
         cands[:, cols] = flat[rows, candidates(snr, "max_wsr")] / cfg.lambda_s
-        g = to_obtainable_sinr(snr, derived_params(cfg))
+        g = snr * cfg.scale
         for policy in POLICIES:
             ab, ba = select(g, cfg.w, policy, cfg.modulation)
             values[policy][cols] = weighted_sum(

@@ -462,3 +462,11 @@ def test_main_rejects_bad_grid_input(tmp_path, capsys, args):
     assert rc == 2
     assert "validation error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("snr_db", ["1:2", "1:2:3:4"])
+def test_main_rejects_a_range_without_three_fields(tmp_path, capsys, snr_db):
+    out = tmp_path / "x.csv"
+    assert main(["--metric", "wsr", "--snr-db", snr_db, "--out", str(out)]) == 2
+    assert "of the form 'a:b:step'" in capsys.readouterr().err
+    assert not out.exists()

@@ -8,7 +8,6 @@ from fdlink import (
     ModulationParams,
     SystemConfig,
     db_to_linear,
-    derived_params,
     linear_to_db,
     load_config,
     validate_config,
@@ -37,9 +36,8 @@ def test_single_antenna_rejected():
 
 def test_perfect_cancellation_boundary():
     c = validate_config(cfg(n_a=2, n_b=2, lambda_s=10.0, eta=0.0, w=0.5))
-    d = derived_params(c)
-    assert d.lambda_i == 0.0
-    assert d.scale == 1.0
+    assert c.lambda_i == 0.0
+    assert c.scale == 1.0
 
 
 @pytest.mark.parametrize(
@@ -91,16 +89,16 @@ def test_bad_modulation_rejected():
     ],
 )
 def test_derived_params(lambda_s, eta, lambda_i, scale):
-    d = derived_params(validate_config(cfg(lambda_s=lambda_s, eta=eta)))
-    assert d.lambda_i == lambda_i
-    assert d.scale == scale
+    c = validate_config(cfg(lambda_s=lambda_s, eta=eta))
+    assert c.lambda_i == lambda_i
+    assert c.scale == scale
 
 
 def test_scale_is_one_iff_eta_zero():
     for eta in (0.0, 1e-6, 0.1, 0.9):
-        d = derived_params(validate_config(cfg(eta=eta)))
-        assert 0.0 < d.scale <= 1.0
-        assert (d.scale == 1.0) == (eta == 0.0)
+        scale = validate_config(cfg(eta=eta)).scale
+        assert 0.0 < scale <= 1.0
+        assert (scale == 1.0) == (eta == 0.0)
 
 
 def test_db_round_trip():

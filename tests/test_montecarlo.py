@@ -13,18 +13,17 @@ from scipy.special import erfc
 from fdlink import (
     BPSK,
     SystemConfig,
-    mc_empirical_cdf,
+    mc_empirical_cdfs,
     mc_p_not,
     mc_weighted_sum_rate,
     mc_weighted_sum_ser,
     p_not_upper_bound,
-    quadrature_avg_rate,
-    quadrature_avg_ser,
     validate_config,
 )
-from fdlink import derived_params, instantaneous_sinr, montecarlo, to_obtainable_sinr
+from fdlink import instantaneous_sinr, montecarlo
 from fdlink.analytic import cdf_gamma_ab
 from fdlink.selection import best_pairs, by_weight, rate_map, ser_map
+from oracles import quadrature_avg_rate, quadrature_avg_ser
 
 
 def make_cfg(**kw):
@@ -152,7 +151,7 @@ def test_unknown_policy(monkeypatch):
 def test_empirical_cdf_endpoints_and_monotonicity():
     cfg = make_cfg()
     grid = np.concatenate(([0.0], np.geomspace(0.01, 2000.0, 60)))
-    cdf = mc_empirical_cdf(cfg, "gamma_ab", 20_000, 21, grid)
+    cdf = mc_empirical_cdfs(cfg, ("gamma_ab",), 20_000, 21, grid)[0]
     p = cdf.probabilities
     assert p[0] == 0.0
     assert p[-1] == 1.0
@@ -163,7 +162,7 @@ def test_empirical_cdf_matches_model():
     cfg = make_cfg()
     n = 100_000
     grid = np.geomspace(0.05, 500.0, 80)
-    cdf = mc_empirical_cdf(cfg, "gamma_ab", n, 31, grid)
+    cdf = mc_empirical_cdfs(cfg, ("gamma_ab",), n, 31, grid)[0]
     model = np.array([cdf_gamma_ab(x, cfg) for x in grid])
     assert np.max(np.abs(cdf.probabilities - model)) < 1.36 / math.sqrt(n)
 
@@ -171,21 +170,21 @@ def test_empirical_cdf_matches_model():
 def test_empirical_cdf_validation():
     cfg = make_cfg()
     with pytest.raises(ValueError):
-        mc_empirical_cdf(cfg, "gamma_ab", 10, 0, np.array([2.0, 1.0]))
+        mc_empirical_cdfs(cfg, ("gamma_ab",), 10, 0, np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
-        mc_empirical_cdf(cfg, "gamma_xx", 10, 0, np.array([1.0, 2.0]))
+        mc_empirical_cdfs(cfg, ("gamma_xx",), 10, 0, np.array([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0, 50.0], [1.0, math.nan, 0.5], [math.nan]])
 def test_empirical_cdf_rejects_nan_grids(grid):
     # np.diff(grid) < 0 is False at a NaN, so a NaN grid needs its own check
     with pytest.raises(ValueError, match="grid must be one-dimensional and ascending"):
-        mc_empirical_cdf(make_cfg(), "gamma_ab", 10, 0, np.array(grid))
+        mc_empirical_cdfs(make_cfg(), ("gamma_ab",), 10, 0, np.array(grid))
 
 
 def test_empirical_cdf_rejects_zero_trials():
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        mc_empirical_cdf(make_cfg(), "gamma_ab", 0, 0, np.array([1.0, 2.0]))
+        mc_empirical_cdfs(make_cfg(), ("gamma_ab",), 0, 0, np.array([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -212,10 +211,10 @@ def per_point_sinrs(cfg, trials, seed, policy="serial_max"):
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
         cands, inr_a, inr_b = montecarlo.draw_trial_batch(
-            seed, start, count, cfg, cfg.eta * cfg.lambda_s)
+            seed, start, count, cfg, cfg.lambda_i)
         first, second = cands[:2]
         if policy != "serial_max":
-            g = to_obtainable_sinr(cands, derived_params(cfg))
+            g = cands * cfg.scale
             first, second = best_pairs(cands, g, cfg.w, policy, cfg.modulation)
         ab, ba = by_weight(first, second, cfg.w)
         yield instantaneous_sinr(ab, inr_b), instantaneous_sinr(ba, inr_a)

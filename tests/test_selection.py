@@ -12,21 +12,19 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import log_ndtr
 
 from conftest import masked_candidates
-from oracles import draw_matrix_batch
+from oracles import draw_matrix_batch, second_link_rank
 from fdlink import (
     BPSK,
     comparison_count,
     exhaustive_max_wsr,
     exhaustive_min_wser,
     p_not_upper_bound,
-    second_link_rank,
     selection,
     serial_max,
     weighted_combine_rate,
     weighted_combine_ser,
 )
-from fdlink.channel import to_obtainable_sinr
-from fdlink.config import SystemConfig, derived_params, validate_config
+from fdlink.config import SystemConfig, validate_config
 from fdlink.errors import DegenerateSize, MatrixTooSmall
 from fdlink.selection import (
     POLICIES,
@@ -470,7 +468,7 @@ def test_min_wser_picks_the_optimum_where_sers_underflow():
         cfg = validate_config(SystemConfig(n_a=6, n_b=6, lambda_s=10 ** (snr_db / 10),
                                            eta=0.0, w=w))
         snr, _, _ = draw_matrix_batch(1, 0, 100, cfg, 0.0)
-        g = to_obtainable_sinr(snr, derived_params(cfg))
+        g = snr * cfg.scale
         picks = select(g, w, "min_wser", BPSK)
         serial = select(g, w, "serial_max", BPSK)
         underflows = 0
@@ -611,8 +609,8 @@ def test_candidates_on_the_unit_draw_hold_the_optimum_on_g(e, log_lambda, eta, w
     # tie entries E keeps apart; the best of the four is the optimum on g,
     # exactly for rate and at 50 digits for SER
     lambda_s = 10.0**log_lambda
-    g = to_obtainable_sinr(lambda_s * e, derived_params(
-        SystemConfig(n_a=e.shape[1], n_b=e.shape[2], lambda_s=lambda_s, eta=eta, w=0.5)))
+    g = lambda_s * e * SystemConfig(n_a=e.shape[1], n_b=e.shape[2], lambda_s=lambda_s,
+                                    eta=eta, w=0.5).scale
     cand = candidates(e, "max_wsr")
     assert np.array_equal(cand, masked_candidates(e))
     t, n_a, n_b = e.shape
@@ -674,8 +672,8 @@ def test_cross_kernel_matches_all_pairs_on_drawn_stacks(w):
                                   (6, 6, 30.0, 0.0), (6, 6, 40.0, 0.0), (4, 6, 10.0, 0.1)):
         cfg = validate_config(SystemConfig(n_a=n_a, n_b=n_b, lambda_s=10 ** (snr_db / 10),
                                            eta=eta, w=0.7))
-        snr, _, _ = draw_matrix_batch(1, 0, 2000, cfg, cfg.eta * cfg.lambda_s)
-        assert_exhaustive_contract(to_obtainable_sinr(snr, derived_params(cfg)), w)
+        snr, _, _ = draw_matrix_batch(1, 0, 2000, cfg, cfg.lambda_i)
+        assert_exhaustive_contract(snr * cfg.scale, w)
 
 
 def exact_rate_optimum(h, w):
