@@ -7,7 +7,8 @@ the fdlink, numpy, scipy and mpmath versions.  SNR is accepted in dB on
 the command line and converted to linear scale once.
 Re-running a sweep with the same seed produces byte-identical files.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure or out of memory.
+Exit codes: 0 success, 2 validation error, 3 numerical failure, an output
+path that cannot be written (checked before the sweep runs) or out of memory.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -232,8 +234,13 @@ def _format_cell(value) -> str:
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
-    """Evaluate every grid point in deterministic order and write results."""
+    """Evaluate every grid point in deterministic order and write results;
+    an output directory that cannot be written fails before any point runs."""
     spec.validate()
+    directory = os.path.dirname(spec.out) or "."
+    writable = os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)
+    if not writable or os.path.isdir(spec.out):
+        raise IoError(f"cannot write {spec.out}: not a file in a writable directory")
     rows: list[ResultRow] = []
     for n_a, n_b in spec.sizes:
         rows.extend(_rows_for_size(spec, n_a, n_b))
@@ -357,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         rows = run_sweep(spec)
+    except IoError as exc:
+        print(f"fdlink: I/O error: {exc}", file=sys.stderr)
+        return 3
     except FdlinkError as exc:
         print(f"fdlink: numerical failure: {exc}", file=sys.stderr)
         return 3

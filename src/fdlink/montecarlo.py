@@ -12,13 +12,18 @@ then each point forms and reduces its metric over spans of that array
 (_point_estimate), one task per point, or per span where the points are
 fewer than the workers (_estimates).
 
-Reductions are exact (_exact_parts): each value splits exactly into two
-26-bit pieces, and one bincount sums the pieces of each 8-wide exponent
-band exactly in floats.  math.fsum of a point's parts rounds its exact
-total once, so it equals math.fsum of its values bit for bit, whatever
-the chunks, spans, worker count or order tasks finish in.  The standard
-error is a second exact pass, over (x - mean)**2.  Counts (empirical
-CDFs, P_not) are integers and merge exactly.
+Reductions round each point's exact total once, so a mean equals
+math.fsum of its values bit for bit, whatever the chunks, spans, worker
+count or order tasks finish in.  Each span splits its values exactly
+against a power of two above them (_certified_parts, after Rump, Ogita
+and Oishi 2008): the high pieces sum exactly in any order, the low ones
+with a bounded error.  math.fsum of the spans' parts is the answer when
+the summed bound leaves it inside its rounding interval (_total);
+otherwise the pass sums again exactly (_exact_parts): each value splits
+into two 26-bit pieces, and one bincount sums the pieces of each 8-wide
+exponent band exactly in floats.  The standard error is a second pass,
+over (x - mean)**2.  Counts (empirical CDFs, P_not) are integers and
+merge exactly.
 
 The estimators take one SystemConfig or a sequence of them of one array
 size.  Every policy draws at unit means the candidate SNRs M, S, R and C
@@ -60,6 +65,12 @@ _TINY = np.finfo(float).tiny
 _SPLIT = 2.0**27 + 1.0
 _HUGE = 2.0**996
 _BLOCK = 1 << 15
+# _certified_parts: the span maxima it splits, far from overflow and from
+# subnormal pieces, and the smallest subnormal, which rounds its bound up
+_EXTRACT_MIN = 2.0**-900
+_EXTRACT_MAX = 2.0**900
+_EPS = np.finfo(float).eps
+_SUBNORMAL = 2.0**-1074
 
 
 @dataclass(frozen=True)
@@ -215,25 +226,78 @@ def _exact_parts(x: np.ndarray) -> list[float]:
     return parts
 
 
+def _certified_parts(x: np.ndarray) -> tuple[list[float], float] | None:
+    """(parts, err): floats whose exact sum is within err of the exact sum
+    of the 1-D float64 array x, or None where x is not finite or its
+    largest |x| is outside (_EXTRACT_MIN, _EXTRACT_MAX).  Zeros are one
+    zero part, negative if all are, with err 0.
+
+    With |x| < 2**e and n + 1 < 2**k, sigma = 2**(e + k) splits each value
+    exactly into q = (x + sigma) - sigma, a multiple of 2**-53 sigma, and
+    r = x - q (the error-free extraction of Rump, Ogita and Oishi, SIAM J.
+    Sci. Comput. 31(1), 2008).  Every partial sum of the q is such a
+    multiple below sigma, so sum(q) is exact in any order.  Summing the r
+    in any order errs by at most gamma_(n-1) * sum|r|; err, n * eps times
+    the computed sum|r| plus the smallest subnormal, bounds that with room
+    for its own rounding and underflow.
+    """
+    n = x.size
+    if n == 0:
+        return [], 0.0
+    m = max(x.max(), -x.min())  # NaN if any value is NaN
+    if not _EXTRACT_MIN < m < _EXTRACT_MAX:
+        return ([-0.0 if np.signbit(x).all() else 0.0], 0.0) if m == 0 else None
+    sigma = math.ldexp(1.0, math.frexp(m)[1] + (n + 1).bit_length())
+    q = x + sigma
+    q -= sigma
+    high = float(q.sum())
+    r = np.subtract(x, q, out=q)
+    low = float(r.sum())
+    err = float(np.abs(r, out=r).sum()) * (n * _EPS) + _SUBNORMAL
+    return [high, low], err
+
+
+def _total(run, spans: list[np.ndarray], certified: list) -> float:
+    """math.fsum of the values of every span, bit for bit, from each
+    span's _certified_parts.  The parts' rounded sum s stands when the
+    exact total is certainly nearer s than any other float: the parts'
+    distance from s, its rounding and the spans' errors add to less than
+    half the gap to s's nearer neighbour.  Spans of zeros alone stand too:
+    their zero parts keep whether every value is -0.0, all that fsum of
+    zeros can depend on.  Otherwise, and where s is not finite or a 0 from
+    nonzero values, run sums the spans' _exact_parts again."""
+    if None not in certified:
+        parts = list(itertools.chain.from_iterable(p for p, _ in certified))
+        s = math.fsum(parts)
+        if not any(err for _, err in certified):
+            return s
+        if s != 0 and math.isfinite(s):
+            d = math.fsum(parts + [-s])
+            bound = math.fsum([abs(d), math.ulp(d), *(err for _, err in certified)])
+            if bound < 0.5 * min(s - math.nextafter(s, -math.inf), math.nextafter(s, math.inf) - s):
+                return s
+    return math.fsum(itertools.chain.from_iterable(run(_exact_parts, spans)))
+
+
 def _point_estimate(picks: np.ndarray, cfg: SystemConfig, spans: list[slice], run,
                     policy: str, metric: str, trials: int, seed: int) -> MetricEstimate:
-    """cfg's estimate from policy's picks: the mean by one exact pass over
-    the spans, the standard error by a second over the squared deviations,
-    formed in place."""
+    """cfg's estimate from policy's picks: the mean by one pass over the
+    spans, the standard error by a second over the squared deviations,
+    formed in place, each summed by _total."""
     def first(span):
         mod = cfg.modulation if metric == "ser" else None
         values = weighted_sum(*_point_sinrs(picks[:, span], cfg, policy), cfg.w, mod)
-        return values, _exact_parts(values)
+        return values, _certified_parts(values)
 
     def second(values):
         values -= mean
         values *= values
-        return _exact_parts(values)
+        return _certified_parts(values)
 
-    passes = run(first, spans)
-    mean = math.fsum(itertools.chain.from_iterable(parts for _, parts in passes)) / trials
+    values, certified = zip(*run(first, spans))
+    mean = _total(run, values, certified) / trials
     if trials > 1:
-        sq = math.fsum(itertools.chain.from_iterable(run(second, [v for v, _ in passes])))
+        sq = _total(run, values, run(second, values))
         std_error = math.sqrt(sq / (trials - 1)) / math.sqrt(trials)
     else:
         std_error = 0.0

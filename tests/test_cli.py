@@ -426,15 +426,16 @@ def test_main_rejects_trials_past_the_cap(tmp_path, capsys, trials):
     assert not out.exists()
 
 
-def test_main_numerical_failure_exit_code(tmp_path, capsys):
-    # closed forms refuse n_a*n_b > 36 only for serial_max analytic columns;
-    # an unwritable output path is the reliable io/numerical failure path
-    rc = main([
-        "--metric", "wsr", "--policy", "serial_max", "--trials", "10",
-        "--out", str(tmp_path / "no_such_dir" / "x.csv"),
-    ])
+def test_main_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # an unwritable output path exits 3 as an I/O error, found before any
+    # point of the sweep runs
+    monkeypatch.setattr(cli, "_rows_for_size", lambda *args: pytest.fail("the sweep ran"))
+    out = tmp_path / "no_such_dir" / "x.csv"
+    rc = main(["--metric", "wsr", "--policy", "serial_max", "--trials", "10", "--out", str(out)])
     assert rc == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"fdlink: I/O error: cannot write {out}: not a file in a writable directory\n")
+    assert main(["--metric", "wsr", "--trials", "10", "--out", str(tmp_path)]) == 3
 
 
 @pytest.mark.parametrize("args", [

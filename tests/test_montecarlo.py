@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -625,3 +626,71 @@ def test_exact_sum_matches_fsum_on_edge_cases(case):
     for block in (montecarlo._BLOCK, 1 << 20):
         with mock.patch.object(montecarlo, "_BLOCK", block):
             assert sum_outcome(exact_sum, x) == sum_outcome(math.fsum, x)
+
+
+def certified_sum(pieces):
+    """The estimators' total of consecutive pieces, each summed as a span."""
+    run = functools.partial(montecarlo._map, None)
+    return montecarlo._total(run, pieces, [montecarlo._certified_parts(p) for p in pieces])
+
+
+@st.composite
+def certified_arrays(draw):
+    """Values up to 10**k, k in [-300, 300]: of either sign, or positive in
+    a narrow band below 10**k, mixed with zeros and subnormals; at will a
+    few values dominant over the rest, a NaN or an infinity, and a mirror
+    image that cancels all but three values.  No running sum of fsum leaves
+    the float range."""
+    k = draw(st.integers(-300, 300))
+    top = 10.0**k
+    floor = top * draw(st.sampled_from([0.0, 1e-3, 1e-12]))
+    elements = st.one_of(st.floats(floor, top) if floor else st.floats(-top, top),
+                         st.sampled_from([0.0, -0.0]), st.floats(-(2.0**-1022), 2.0**-1022))
+    x = draw(hnp.arrays(np.float64, st.integers(0, 2000), elements=elements)).tolist()
+    dominant = st.builds(lambda e, sign: sign * 10.0**e, st.integers(k, 300),
+                         st.sampled_from([-1.0, 1.0]))
+    for value in draw(st.lists(st.one_of(dominant, st.sampled_from([math.nan, math.inf, -math.inf])),
+                               max_size=2)):
+        x.insert(draw(st.integers(0, len(x))), value)
+    if draw(st.booleans()):
+        x += [-v for v in x[::-1][: max(len(x) - 3, 0)]]
+    return np.array(x, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=certified_arrays(), cuts=st.lists(st.integers(0, 4500), max_size=5))
+def test_certified_sum_matches_fsum(x, cuts):
+    # spans cut anywhere merge to math.fsum of all the values, bit for bit,
+    # whether each total is certified or summed again exactly
+    pieces = np.split(x, sorted(cuts))
+    assert sum_outcome(lambda _: certified_sum(pieces), x) == sum_outcome(math.fsum, x)
+
+
+@pytest.mark.parametrize("pieces", [[[1.0, 2.0**-53]], [[1.0], [2.0**-53]],
+                                    [[3.0, -(2.0**-52)], [2.0**-51]]])
+def test_certified_sum_falls_back_at_a_rounding_midpoint(pieces):
+    # each exact total lies halfway between two floats, so no error bound
+    # certifies the parts' rounded sum: the exact sums decide, as fsum does
+    pieces = [np.array(p) for p in pieces]
+    x = np.concatenate(pieces)
+    assert math.fsum(x) != sum(Fraction(v) for v in x.tolist())
+    with mock.patch.object(montecarlo, "_exact_parts", wraps=montecarlo._exact_parts) as exact:
+        assert bits(certified_sum(pieces)) == bits(math.fsum(x))
+    assert exact.call_count == len(pieces)
+
+
+def test_certified_sums_need_no_fallback_on_a_serial_max_sweep():
+    # every total of a fixed 3x3 Serial-Max rate sweep is certified: were
+    # certification off, the output would not change but the exact sums
+    # would run
+    cfgs = [make_cfg(lambda_s=10.0 ** (snr_db / 10.0), eta=eta)
+            for eta in (0.0, 0.02, 0.1) for snr_db in (0.0, 20.0, 40.0)]
+    with mock.patch.object(montecarlo, "_exact_parts", wraps=montecarlo._exact_parts) as exact, \
+            mock.patch.object(montecarlo, "_certified_parts",
+                              wraps=montecarlo._certified_parts) as certified:
+        estimates = mc_weighted_sum_rate(cfgs, "serial_max", 20_000, 3)
+    assert exact.call_count == 0
+    assert certified.call_count >= 2 * len(cfgs)
+    for cfg, est in zip(cfgs, estimates):
+        assert (bits(est.value), bits(est.std_error)) == tuple(
+            map(bits, per_point_estimate(cfg, 20_000, 3, "rate"))), cfg
