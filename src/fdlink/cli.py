@@ -7,8 +7,9 @@ the fdlink, numpy, scipy and mpmath versions.  SNR is accepted in dB on
 the command line and converted to linear scale once.
 Re-running a sweep with the same seed produces byte-identical files.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure, an output
-path that cannot be written (checked before the sweep runs) or out of memory.
+Exit codes: 0 success, 2 bad input (a validation error, or an I/O error
+reading the --config file), 3 numerical failure, an output path that
+cannot be written (checked before the sweep runs) or out of memory.
 """
 
 from __future__ import annotations
@@ -360,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         spec = _spec_from_args(args)
         spec.validate()
     except (FdlinkError, ValueError) as exc:
-        print(f"fdlink: validation error: {exc}", file=sys.stderr)
+        print(f"fdlink: {'I/O' if isinstance(exc, IoError) else 'validation'} error: {exc}", file=sys.stderr)
         return 2
     try:
         rows = run_sweep(spec)

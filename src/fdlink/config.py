@@ -115,7 +115,12 @@ def load_config(path: str) -> SystemConfig:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise InvalidRange(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = float(val)
+        if key in values:
+            raise InvalidRange(f"{path}:{lineno}: repeated key {key!r}")
+        try:
+            values[key] = float(val)
+        except ValueError:
+            raise InvalidRange(f"{path}:{lineno}: {key} must be a number, got {val.strip()!r}") from None
 
     if "snr_db" in values and "lambda_s" in values:
         raise InvalidRange("give either lambda_s or snr_db, not both")

@@ -19,9 +19,9 @@ against a power of two above them (_certified_parts, after Rump, Ogita
 and Oishi 2008): the high pieces sum exactly in any order, the low ones
 with a bounded error.  math.fsum of the spans' parts is the answer when
 the summed bound leaves it inside its rounding interval (_total);
-otherwise the pass sums again exactly (_exact_parts): each value splits
-into two 26-bit pieces, and one bincount sums the pieces of each 8-wide
-exponent band exactly in floats.  The standard error is a second pass,
+otherwise it is math.fsum of the pass's values in trial order, on the
+calling thread, as for 1 of mc_grid's 108 totals at seed 7 (0 at seed 1)
+and 1 of fig4's 72 at 10**6 trials.  The standard error is a second pass,
 over (x - mean)**2.  Counts (empirical CDFs, P_not) are integers and
 merge exactly.
 
@@ -59,12 +59,6 @@ _CHUNK = 1 << 13
 _SPAN = 1 << 16
 # the most trials per point: the largest run the ROADMAP plans for
 MAX_TRIALS = 10**8
-_TINY = np.finfo(float).tiny
-# _exact_parts: Veltkamp's splitter, the largest |x| it cannot overflow on,
-# and values per bincount: cache-sized, under the 2**20 a bucket sums exactly
-_SPLIT = 2.0**27 + 1.0
-_HUGE = 2.0**996
-_BLOCK = 1 << 15
 # _certified_parts: the span maxima it splits, far from overflow and from
 # subnormal pieces, and the smallest subnormal, which rounds its bound up
 _EXTRACT_MIN = 2.0**-900
@@ -176,56 +170,6 @@ def _point_sinrs(picks, cfg: SystemConfig,
             instantaneous_sinr(cfg.lambda_s * ba, cfg.lambda_i * picks[-2]))
 
 
-def _subnormal_parts(sub: np.ndarray) -> list[float]:
-    """At most two floats whose exact sum is that of the subnormals sub:
-    each is k * 2**-1074, |k| < 2**52, and k's 26-bit halves sum exactly."""
-    k = np.ldexp(sub, 1074).astype(np.int64)
-    total = (int((k >> 26).sum()) << 26) + int((k & 0x3FFFFFF).sum())
-    return [p for p in (math.ldexp(total >> 26, -1048), math.ldexp(total & 0x3FFFFFF, -1074)) if p]
-
-
-def _exact_parts(x: np.ndarray) -> list[float]:
-    """Floats whose exact sum is the exact sum of the 1-D float64 array x.
-
-    Each value splits exactly into two pieces of at most 26 significant
-    bits (Veltkamp), in one buffer [hi | lo].  A normal piece with biased
-    exponent in [8b, 8b+7] is a multiple of 2**(8b-1048) below 2**(8b-1015),
-    so 2**20 such pieces sum exactly in floats.  One bincount per block of
-    at most _BLOCK values sums hi pieces into bucket b and lo pieces into
-    256 + b; the parts are the bucket sums and at most two parts of the
-    subnormal pieces, which break that bound (_subnormal_parts).  Huge or
-    non-finite input is its own parts.
-    math.fsum of the parts is math.fsum(x), and of the parts of consecutive
-    pieces of x, concatenated, too, as long as no running sum leaves the
-    float range: math.fsum raises OverflowError on the first one that does,
-    which depends on the order of the terms.
-    """
-    if x.size == 0 or not (-_HUGE < x.min() and x.max() < _HUGE):
-        return x.tolist()
-    parts = []
-    for start in range(0, x.size, _BLOCK):
-        block = x[start:start + _BLOCK]
-        n = block.size
-        pieces = np.empty(2 * n)
-        hi, lo = pieces[:n], pieces[n:]
-        np.multiply(block, _SPLIT, out=hi)
-        np.subtract(hi, block, out=lo)
-        hi -= lo
-        np.subtract(block, hi, out=lo)
-        bucket = pieces.view(np.int64) >> 55
-        bucket &= 0xFF
-        if bucket.min() == 0:
-            low = np.flatnonzero(bucket == 0)
-            sub = pieces[low]
-            subnormal = (sub != 0) & (np.abs(sub) < _TINY)
-            parts.extend(_subnormal_parts(sub[subnormal]))
-            pieces[low[subnormal]] = 0.0
-        bucket[n:] += 256
-        sums = np.bincount(bucket, weights=pieces, minlength=512)
-        parts.extend(sums[sums != 0].tolist())
-    return parts
-
-
 def _certified_parts(x: np.ndarray) -> tuple[list[float], float] | None:
     """(parts, err): floats whose exact sum is within err of the exact sum
     of the 1-D float64 array x, or None where x is not finite or its
@@ -257,7 +201,7 @@ def _certified_parts(x: np.ndarray) -> tuple[list[float], float] | None:
     return [high, low], err
 
 
-def _total(run, spans: list[np.ndarray], certified: list) -> float:
+def _total(spans: list[np.ndarray], certified: list) -> float:
     """math.fsum of the values of every span, bit for bit, from each
     span's _certified_parts.  The parts' rounded sum s stands when the
     exact total is certainly nearer s than any other float: the parts'
@@ -265,7 +209,7 @@ def _total(run, spans: list[np.ndarray], certified: list) -> float:
     half the gap to s's nearer neighbour.  Spans of zeros alone stand too:
     their zero parts keep whether every value is -0.0, all that fsum of
     zeros can depend on.  Otherwise, and where s is not finite or a 0 from
-    nonzero values, run sums the spans' _exact_parts again."""
+    nonzero values, the total is math.fsum of the values in trial order."""
     if None not in certified:
         parts = list(itertools.chain.from_iterable(p for p, _ in certified))
         s = math.fsum(parts)
@@ -276,7 +220,7 @@ def _total(run, spans: list[np.ndarray], certified: list) -> float:
             bound = math.fsum([abs(d), math.ulp(d), *(err for _, err in certified)])
             if bound < 0.5 * min(s - math.nextafter(s, -math.inf), math.nextafter(s, math.inf) - s):
                 return s
-    return math.fsum(itertools.chain.from_iterable(run(_exact_parts, spans)))
+    return math.fsum(itertools.chain.from_iterable(spans))
 
 
 def _point_estimate(picks: np.ndarray, cfg: SystemConfig, spans: list[slice], run,
@@ -295,9 +239,9 @@ def _point_estimate(picks: np.ndarray, cfg: SystemConfig, spans: list[slice], ru
         return _certified_parts(values)
 
     values, certified = zip(*run(first, spans))
-    mean = _total(run, values, certified) / trials
+    mean = _total(values, certified) / trials
     if trials > 1:
-        sq = _total(run, values, run(second, values))
+        sq = _total(values, run(second, values))
         std_error = math.sqrt(sq / (trials - 1)) / math.sqrt(trials)
     else:
         std_error = 0.0

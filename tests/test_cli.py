@@ -323,7 +323,7 @@ def test_main_rejects_unreadable_config(tmp_path, capsys, which):
     rc = main(["--metric", "wsr", "--config", str(path), "--trials", "50", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "validation error: cannot read config" in err
+    assert "fdlink: I/O error: cannot read config" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -143,6 +144,17 @@ def test_load_config_rejects_fractional_antenna_count(tmp_path):
     path = tmp_path / "sys.cfg"
     path.write_text("n_a = 2.7\nn_b = 3\nlambda_s = 10\neta = 0.1\nw = 0.7\n")
     with pytest.raises(InvalidRange):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("w = 0.2", "repeated key 'w'"),  # the second w would silently win
+    ("alpha_mod = three", "alpha_mod must be a number, got 'three'"),
+])
+def test_load_config_rejects_bad_line(tmp_path, line, message):
+    path = tmp_path / "sys.cfg"
+    path.write_text(f"n_a = 3\nn_b = 3\nlambda_s = 10\neta = 0.1\nw = 0.7\n{line}\n")
+    with pytest.raises(InvalidRange, match=re.escape(f"{path}:6: {message}")):
         load_config(str(path))
 
 

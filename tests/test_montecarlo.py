@@ -1,6 +1,5 @@
-import functools
-import itertools
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -460,18 +459,6 @@ def test_high_snr_ser_point_matches_fsum_oracle(snr_db):
     assert_shared_matches_oracle([cfg], 20_000, 5, "ser")
 
 
-exact_sum_elements = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(-(2.0**996), 2.0**996, exclude_min=True, exclude_max=True),
-    st.floats(-(2.0**-990), 2.0**-990),
-    st.floats(-20.0, 20.0),
-)
-
-
-def exact_sum(x):
-    return math.fsum(montecarlo._exact_parts(x))
-
-
 def sum_outcome(fsum, x):
     """The sum's bits, or the type of error it raises."""
     try:
@@ -480,42 +467,10 @@ def sum_outcome(fsum, x):
         return type(exc)
 
 
-def rational_outcome(x):
-    """The bits of x's exact sum rounded once, or OverflowError."""
-    try:
-        return bits(sum(map(Fraction, x.tolist()), Fraction(0)))
-    except OverflowError:
-        return OverflowError
-
-
-@settings(max_examples=300, deadline=None)
-@given(x=hnp.arrays(np.float64, st.integers(0, 3000), elements=exact_sum_elements),
-       mirror=st.booleans(), cuts=st.lists(st.integers(0, 6000), max_size=5))
-def test_exact_sum_matches_fsum(x, mirror, cuts):
-    if mirror:  # all but x[:3] cancel exactly
-        x = np.concatenate([x, -x[::-1][: len(x) - 3]])
-    expected = sum_outcome(math.fsum, x)
-    assert sum_outcome(exact_sum, x) == expected
-    # the parts of consecutive pieces, merged, as estimators merge chunks
-    pieces = np.split(x, sorted(cuts))
-    merged = sum_outcome(lambda _: math.fsum(itertools.chain.from_iterable(
-        montecarlo._exact_parts(piece) for piece in pieces)), x)
-    if merged != expected:
-        # math.fsum raises at the first running sum past the float range, and
-        # which running sums occur depends on the order of the terms: fsum of
-        # [-MAX, -1e292, 1e292] raises, though the exact sum is -MAX.  The
-        # other outcome is then the exact sum, rounded once.
-        assert OverflowError in (merged, expected)
-        assert {merged, expected} - {OverflowError} == {rational_outcome(x)}
-
-
 def bucket_fill_case():
-    """Values that fill one exponent bucket to its bound of 2**20 pieces
-    when _BLOCK is 2**20, across two blocks.  A normal piece in bucket b has biased exponent in
-    [8b, 8b + 7]; big, a 26-bit value at biased exponent 1039, tops bucket
-    129 and tiny_a at 1032 floors it, while tiny_b at 1024 floors the
-    16-exponent bucket 64.  The cancel term leaves tiny_a + tiny_b, so any
-    bucket sum that rounds away a low bit moves the result."""
+    """2**20 + 5 copies of big, a 26-bit value, their negated sum and two
+    values with a bit at 2**-16: the total is tiny_a + tiny_b, so a
+    partial sum that rounds away a low bit moves the result."""
     big = (2.0**26 - 1.0) * 2.0**-9
     tiny_a = (1.0 + 2.0**-25) * 2.0**9
     tiny_b = (1.0 + 2.0**-25) * 2.0
@@ -525,8 +480,7 @@ def bucket_fill_case():
 
 def bucket_zero_mix():
     """Full-mantissa normals near 2**-1016 and their negations, shuffled
-    with odd multiples of 2**-1074, which are subnormal: bucket 0 mixes
-    26-bit normal pieces with pieces 2**33 times finer."""
+    with odd multiples of 2**-1074, which are subnormal."""
     rng = np.random.default_rng(0)
     normals = (2**52 + rng.integers(0, 2**51, 1000) * 2 + 1) * 2.0**-1068
     odd = (2 * rng.integers(0, 2**40, 1000) + 1) * 2.0**-1074
@@ -535,44 +489,47 @@ def bucket_zero_mix():
     return x
 
 
-def veltkamp(x):
-    """The (hi, lo) pieces _exact_parts splits x into."""
-    hi = x * (2.0**27 + 1.0)
-    hi -= hi - x
-    return hi, x - hi
-
-
 def odd_mantissas(rng, k):
-    """k odd 53-bit integers, as floats: their lo pieces are never 0."""
+    """k odd 53-bit integers, as floats."""
     return (2**52 + rng.integers(0, 2**51, k) * 2 + 1).astype(float)
 
 
 def lo_only_in_bucket_0():
-    """Values whose hi pieces all lie above bucket 0 while their lo pieces
-    reach it: a's lo pieces are subnormal multiples of 2**-1066, b's normal
-    multiples of 2**-1041 of either sign, whose running sum in one bucket
-    would round a's low bits away.  The negated hi pieces leave the exact
-    sum of the lo pieces."""
+    """Values a, subnormal multiples of 2**-1066, and b, normal multiples
+    of 2**-1041 of either sign, shuffled with each value rounded to its
+    top 26 bits and negated: the total is that of the low bits, a's
+    subnormal, b's larger, so summing them in one float would round a's
+    bits away."""
     rng = np.random.default_rng(1)
     a = odd_mantissas(rng, 1000) * 2.0**-1066
     b = odd_mantissas(rng, 1000) * 2.0**-1041 * rng.choice([-1.0, 1.0], 1000)
-    hi, lo = veltkamp(np.concatenate([a, b]))
-    assert np.all(np.abs(hi) >= 2.0**-1015) and np.all(np.abs(lo) < 2.0**-1015)
-    assert np.all((lo[:1000] != 0) & (np.abs(lo[:1000]) < 2.0**-1022))
-    x = np.concatenate([a, b, -hi])
+    ab = np.concatenate([a, b])
+    hi = ab * (2.0**27 + 1.0)
+    hi -= hi - ab
+    x = np.concatenate([ab, -hi])
     rng.shuffle(x)
     return x
 
 
 def nothing_in_bucket_0():
-    """Values in [1, 2) and most of their negations: no piece is zero or
-    below 2**-1015, so the subnormal filter is skipped."""
+    """Values in [1, 2) and most of their negations: no value is zero or
+    subnormal, and seven survive the cancellation."""
     rng = np.random.default_rng(2)
     x = odd_mantissas(rng, 1000) * 2.0**-52
     x = np.concatenate([x, -x[:-7]])
     rng.shuffle(x)
-    assert all(np.all(np.abs(piece) >= 2.0**-1015) for piece in veltkamp(x))
     return x
+
+
+def subnormal_mixed():
+    """5000 odd multiples of 2**-1074 of either sign mixed with normals of
+    every scale, some of which cancel."""
+    rng = np.random.default_rng(3)
+    odd = (2 * rng.integers(0, 2**51, 5000) + 1) * 2.0**-1074 * rng.choice([-1.0, 1.0], 5000)
+    normals = rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000)
+    mixed = np.concatenate([odd, normals, -normals[:100], odd[:50]])
+    rng.shuffle(mixed)
+    return mixed
 
 
 HUGE_BELOW, HUGE_ABOVE = (math.nextafter(2.0**996, t) for t in (0.0, math.inf))
@@ -581,6 +538,9 @@ EXACT_SUM_CASES = {
     "bucket-0-mix": bucket_zero_mix,
     "lo-only-in-bucket-0": lo_only_in_bucket_0,
     "nothing-in-bucket-0": nothing_in_bucket_0,
+    # a point whose mean is near 1e-160 has subnormal squared deviations
+    "subnormal-equal": lambda: np.full(2**16, (2**52 - 1) * 2.0**-1074),
+    "subnormal-mixed": subnormal_mixed,
     "huge-1ulp-below": lambda: np.array([HUGE_BELOW, 1.0, -HUGE_BELOW, 2.0**-1074]),
     "huge": lambda: np.array([2.0**996, 1.0, -(2.0**996), 2.0**-1074]),
     "huge-1ulp-above": lambda: np.array([-HUGE_ABOVE, 1.0, HUGE_ABOVE, -(2.0**-1074)]),
@@ -592,46 +552,28 @@ EXACT_SUM_CASES = {
 }
 
 
-def subnormal_cases():
-    """name: (values, the most parts a block may take).  2**16 equal
-    subnormals and 5000 odd multiples of 2**-1074 of either sign have
-    pieces only in bucket 0 and below it; mixed with normals of every
-    scale, the pieces fill up to all 512 buckets."""
-    rng = np.random.default_rng(3)
-    odd = (2 * rng.integers(0, 2**51, 5000) + 1) * 2.0**-1074 * rng.choice([-1.0, 1.0], 5000)
-    normals = rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000)
-    mixed = np.concatenate([odd, normals, -normals[:100], odd[:50]])
-    rng.shuffle(mixed)
-    return {"equal": (np.full(2**16, (2**52 - 1) * 2.0**-1074), 3), "odd": (odd, 3),
-            "mixed": (mixed, 512 + 2)}
+def certified_sum(pieces):
+    """The estimators' total of consecutive pieces, each summed as a span."""
+    return montecarlo._total(pieces, [montecarlo._certified_parts(p) for p in pieces])
 
 
-@pytest.mark.parametrize("case", ["equal", "odd", "mixed"])
-def test_exact_sum_takes_subnormals_in_at_most_two_parts(case):
-    # a point whose mean is near 1e-160 has subnormal squared deviations
-    # on every trial of its second pass: per block they cost two parts
-    # beside the bucket sums, not one part each
-    x, per_block = subnormal_cases()[case]
-    for block in (montecarlo._BLOCK, 1 << 20):
-        with mock.patch.object(montecarlo, "_BLOCK", block):
-            parts = montecarlo._exact_parts(x)
-        assert len(parts) <= per_block * -(-x.size // block)
-        assert math.fsum(parts) == math.fsum(x)
+@contextmanager
+def fsum_fallbacks():
+    """A list that counts the calls of math.fsum on anything but a list:
+    _total sums lists of parts, and falls back to an iterator over the
+    values."""
+    fallbacks = []
+    with mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
+        yield fallbacks
+    fallbacks.extend(c for c in fsum.call_args_list if not isinstance(c.args[0], list))
 
 
 @pytest.mark.parametrize("case", sorted(EXACT_SUM_CASES))
 def test_exact_sum_matches_fsum_on_edge_cases(case):
     x = EXACT_SUM_CASES[case]()
-    # at the default block and at 2**20 values, where a bucket can fill
-    for block in (montecarlo._BLOCK, 1 << 20):
-        with mock.patch.object(montecarlo, "_BLOCK", block):
-            assert sum_outcome(exact_sum, x) == sum_outcome(math.fsum, x)
-
-
-def certified_sum(pieces):
-    """The estimators' total of consecutive pieces, each summed as a span."""
-    run = functools.partial(montecarlo._map, None)
-    return montecarlo._total(run, pieces, [montecarlo._certified_parts(p) for p in pieces])
+    # as one span, and cut into three
+    for pieces in ([x], np.array_split(x, 3)):
+        assert sum_outcome(lambda _: certified_sum(pieces), x) == sum_outcome(math.fsum, x)
 
 
 @st.composite
@@ -661,7 +603,7 @@ def certified_arrays(draw):
 @given(x=certified_arrays(), cuts=st.lists(st.integers(0, 4500), max_size=5))
 def test_certified_sum_matches_fsum(x, cuts):
     # spans cut anywhere merge to math.fsum of all the values, bit for bit,
-    # whether each total is certified or summed again exactly
+    # whether each total is certified or falls back to math.fsum
     pieces = np.split(x, sorted(cuts))
     assert sum_outcome(lambda _: certified_sum(pieces), x) == sum_outcome(math.fsum, x)
 
@@ -674,22 +616,23 @@ def test_certified_sum_falls_back_at_a_rounding_midpoint(pieces):
     pieces = [np.array(p) for p in pieces]
     x = np.concatenate(pieces)
     assert math.fsum(x) != sum(Fraction(v) for v in x.tolist())
-    with mock.patch.object(montecarlo, "_exact_parts", wraps=montecarlo._exact_parts) as exact:
-        assert bits(certified_sum(pieces)) == bits(math.fsum(x))
-    assert exact.call_count == len(pieces)
+    expected = bits(math.fsum(x))
+    with fsum_fallbacks() as fallbacks:
+        assert bits(certified_sum(pieces)) == expected
+    assert len(fallbacks) == 1
 
 
 def test_certified_sums_need_no_fallback_on_a_serial_max_sweep():
     # every total of a fixed 3x3 Serial-Max rate sweep is certified: were
-    # certification off, the output would not change but the exact sums
-    # would run
+    # certification off, the output would not change but every total
+    # would fall back to math.fsum of the values
     cfgs = [make_cfg(lambda_s=10.0 ** (snr_db / 10.0), eta=eta)
             for eta in (0.0, 0.02, 0.1) for snr_db in (0.0, 20.0, 40.0)]
-    with mock.patch.object(montecarlo, "_exact_parts", wraps=montecarlo._exact_parts) as exact, \
+    with fsum_fallbacks() as fallbacks, \
             mock.patch.object(montecarlo, "_certified_parts",
                               wraps=montecarlo._certified_parts) as certified:
         estimates = mc_weighted_sum_rate(cfgs, "serial_max", 20_000, 3)
-    assert exact.call_count == 0
+    assert not fallbacks
     assert certified.call_count >= 2 * len(cfgs)
     for cfg, est in zip(cfgs, estimates):
         assert (bits(est.value), bits(est.std_error)) == tuple(
