@@ -9,7 +9,9 @@ once per array size with Python ints (_coefficients).  The CDF and every
 average, ceiling and floor (which integrate it term by term) are each
 sum_c A_c K(c) / D with a kernel K that alone differs between them.  K
 depends on c and the config, never on the link, so each call evaluates
-K(1..nn) once and sums both links' tables from that one kernel vector:
+K(1..nn) once and sums both links' tables from that one kernel vector
+(_link_sums); a per-link function such as avg_rate_ba is one entry of
+that pair.  The kernels:
 
 - CDF:     e^(-c x/lambda_s) / (1 + c eta x);
 - rate:    [S(u) - S(x0)] / (1 - c eta) / ln 2, with S(x) = e^x E1(x),
@@ -132,40 +134,37 @@ def _coefficients(n_a: int, n_b: int, link: str) -> tuple[int, tuple[int, ...]]:
     return denom, tuple(table)
 
 
-def _cdf(x: float, cfg: SystemConfig, links: tuple[str, ...]) -> list[float]:
+def cdf_gammas(x: float, cfg: SystemConfig) -> tuple[float, float]:
+    """(first, second) pick's SINR CDFs at x, from one kernel vector."""
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
-    return [r.value for r in _link_sums(cfg, functools.partial(_cdf_kernel, x=x), links)]
+    return tuple(r.value for r in _link_sums(cfg, functools.partial(_cdf_kernel, x=x)))
 
 
 def cdf_gamma_ab(x: float, cfg: SystemConfig) -> float:
     """CDF of the first pick's SINR (first pick = the larger-weight direction)."""
-    return _cdf(x, cfg, ("ab",))[0]
+    return cdf_gammas(x, cfg)[0]
 
 
 def cdf_gamma_ba(x: float, cfg: SystemConfig) -> float:
     """CDF of the second pick's SINR (second pick = the smaller-weight direction)."""
-    return _cdf(x, cfg, ("ba",))[0]
-
-
-def cdf_gammas(x: float, cfg: SystemConfig) -> tuple[float, float]:
-    """(first, second) pick's SINR CDFs at x, from one kernel vector."""
-    return tuple(_cdf(x, cfg, ("ab", "ba")))
+    return cdf_gammas(x, cfg)[1]
 
 
 # ---------------------------------------------------------------------------
 # closed-form averages
 
 
-def _link_sums(cfg: SystemConfig, kernels, links=("ab", "ba")) -> list[AnalyticValue]:
-    """The CDF, rate, ceiling, SER or floor of each link: constant + sum_{c>=1}
-    A_c K(c) / D over the link's table, with K, constant = kernels(cfg).
-    K(c) depends on c and cfg alone, so K(1..nn) is evaluated once for every
-    link.  While a sum cancels more digits than its precision spares (a zero
-    sum too), K is evaluated again at twice the digits or more; this loops,
-    since a short sum returns noise that understates its cancellation.  A
-    sum still short at _MAX_DPS is flagged and +0.0: it is below 10^-940 (no
-    table term passes 10^43 up to MAX_NN_CLOSED_FORM), or exactly 0."""
+def _link_sums(cfg: SystemConfig, kernels) -> list[AnalyticValue]:
+    """[first, second] pick's CDF, rate, ceiling, SER or floor: constant +
+    sum_{c>=1} A_c K(c) / D over each link's table, with K, constant =
+    kernels(cfg).  K(c) depends on c and cfg alone, so K(1..nn) is
+    evaluated once for both links.  While a sum cancels more digits than
+    its precision spares (a zero sum too), K is evaluated again at twice
+    the digits or more; this loops, since a short sum returns noise that
+    understates its cancellation.  A sum still short at _MAX_DPS is
+    flagged and +0.0: it is below 10^-940 (no coefficient |A_c|/D passes
+    10^43 up to MAX_NN_CLOSED_FORM), or exactly 0."""
     _check_closed_form_size(cfg)
     dps = _DPS
     while True:
@@ -173,7 +172,7 @@ def _link_sums(cfg: SystemConfig, kernels, links=("ab", "ba")) -> list[AnalyticV
         with mpmath.workdps(dps):
             kernel, constant = kernels(cfg)
             vector = [kernel(c) for c in range(1, cfg.nn + 1)]
-            for link in links:
+            for link in ("ab", "ba"):
                 denom, table = _coefficients(cfg.n_a, cfg.n_b, link)
                 terms = [mpmath.mpf(constant)] + [a * k / denom for a, k in zip(table[1:], vector) if a]
                 value = mpmath.fsum(terms)
@@ -278,12 +277,12 @@ def _ser_kernel(cfg: SystemConfig, floor: bool = False):
 
 def avg_rate_ab(cfg: SystemConfig) -> AnalyticValue:
     """Average rate of the first pick (the larger-weight direction)."""
-    return _link_sums(cfg, _rate_kernel, ("ab",))[0]
+    return _link_sums(cfg, _rate_kernel)[0]
 
 
 def avg_rate_ba(cfg: SystemConfig) -> AnalyticValue:
     """Average rate of the second pick (the smaller-weight direction)."""
-    return _link_sums(cfg, _rate_kernel, ("ba",))[0]
+    return _link_sums(cfg, _rate_kernel)[1]
 
 
 def avg_weighted_sum_rate(cfg: SystemConfig) -> AnalyticValue:
@@ -303,12 +302,12 @@ def rate_ceiling(cfg: SystemConfig) -> float:
 
 def avg_ser_ab(cfg: SystemConfig) -> AnalyticValue:
     """Average SER of the first pick (the larger-weight direction)."""
-    return _link_sums(cfg, _ser_kernel, ("ab",))[0]
+    return _link_sums(cfg, _ser_kernel)[0]
 
 
 def avg_ser_ba(cfg: SystemConfig) -> AnalyticValue:
     """Average SER of the second pick (the smaller-weight direction)."""
-    return _link_sums(cfg, _ser_kernel, ("ba",))[0]
+    return _link_sums(cfg, _ser_kernel)[1]
 
 
 def avg_weighted_sum_ser(cfg: SystemConfig) -> AnalyticValue:

@@ -44,7 +44,6 @@ from .config import (
     db_to_linear,
     linear_to_db,
     load_config,
-    validate_config,
 )
 from .errors import FdlinkError, InvalidRange, IoError, UnknownPreset
 from .montecarlo import (
@@ -161,7 +160,7 @@ def preset(name: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
 
 
 def _cfg(n_a: int, n_b: int, snr_db: float, eta: float, w: float) -> SystemConfig:
-    return validate_config(SystemConfig(n_a, n_b, db_to_linear(snr_db), eta, w, BPSK))
+    return SystemConfig(n_a, n_b, db_to_linear(snr_db), eta, w, BPSK)
 
 
 def _rows_for_size(spec: SweepSpec, n_a: int, n_b: int):
@@ -190,13 +189,12 @@ def _rows_for_size(spec: SweepSpec, n_a: int, n_b: int):
 
     if spec.metric == "cdf":
         grids = [np.linspace(0.0, 5.0 * cfg.lambda_s, 50)[1:] for cfg in cfgs]
-        links = ("gamma_ab", "gamma_ba")
-        all_emps = mc_empirical_cdfs(cfgs, links, spec.trials, spec.seed, grids)
+        all_emps = mc_empirical_cdfs(cfgs, spec.trials, spec.seed, grids)
         for cfg, common, grid, emps in zip(cfgs, commons, grids, all_emps):
             # cdf_gammas gives the (first, second) pick; by_weight puts each on its link
             analytic = zip(*(by_weight(*cdf_gammas(float(x), cfg), spec.w) if closed_form_ok
                              else (None, None) for x in grid))
-            for which, emp, analytic_values in zip(links, emps, analytic):
+            for which, emp, analytic_values in zip(("gamma_ab", "gamma_ba"), emps, analytic):
                 for x, p, analytic_value in zip(emp.grid, emp.probabilities, analytic_values):
                     yield ResultRow(policy=which, x=float(x), trials=spec.trials,
                                     seed=spec.seed, mc_value=float(p),
@@ -312,29 +310,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                         help="Monte Carlo trials per point")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
-    parser.add_argument("--config", help="flat key-value config file with defaults")
+    parser.add_argument("--config", help="flat key-value config file: one point over the "
+                        "preset or defaults; other flags override it")
     parser.add_argument("--out", required=True, help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
 def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
-    defaults: dict = {}
+    """The sweep the arguments ask for: the preset or the --metric
+    defaults, then the --config point, then each flag given."""
+    if args.preset:
+        spec = preset(args.preset, trials=args.trials, seed=args.seed)
+    elif args.metric is None:
+        raise InvalidRange("either --preset or --metric is required")
+    else:
+        spec = SweepSpec(metric=args.metric, policies=["serial_max"], snr_db=[10.0], eta=[0.05],
+                         sizes=[(3, 3)], w=0.7, trials=args.trials, seed=args.seed, out="")
     if args.config:
         cfg = load_config(args.config)
         if cfg.modulation != BPSK:  # rows and sidecar record no modulation
             raise InvalidRange(f"{args.config}: sweeps run BPSK only, got {cfg.modulation}")
-        defaults = dict(sizes=[(cfg.n_a, cfg.n_b)], eta=[cfg.eta], w=cfg.w,
-                        snr_db=[linear_to_db(cfg.lambda_s)])
-    if args.preset:
-        spec = preset(args.preset, trials=args.trials, seed=args.seed)
-    else:
-        if args.metric is None:
-            raise InvalidRange("either --preset or --metric is required")
-        spec = SweepSpec(metric=args.metric, policies=["serial_max"],
-                         snr_db=defaults.get("snr_db", [10.0]), eta=defaults.get("eta", [0.05]),
-                         sizes=defaults.get("sizes", [(3, 3)]), w=defaults.get("w", 0.7),
-                         trials=args.trials, seed=args.seed, out="")
+        spec.sizes, spec.eta, spec.w = [(cfg.n_a, cfg.n_b)], [cfg.eta], cfg.w
+        spec.snr_db = [linear_to_db(cfg.lambda_s)]
     if args.metric:
         spec.metric = args.metric
     if args.policy is not None:

@@ -26,7 +26,8 @@ BPSK = ModulationParams(alpha_mod=1.0, beta_mod=2.0)
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Immutable system configuration; pass it through validate_config before use.
+    """Immutable system configuration, checked by validate_config when built:
+    an invalid value raises InvalidAntennaCount or InvalidRange.
 
     n_a, n_b: antenna counts at the two nodes (>= 2 each).
     lambda_s: linear-scale average SNR (> 0).
@@ -41,6 +42,9 @@ class SystemConfig:
     eta: float
     w: float
     modulation: ModulationParams = field(default_factory=lambda: BPSK)
+
+    def __post_init__(self):
+        validate_config(self)
 
     @property
     def nn(self) -> int:
@@ -140,7 +144,7 @@ def load_config(path: str) -> SystemConfig:
             alpha_mod=values.get("alpha_mod", BPSK.alpha_mod),
             beta_mod=values.get("beta_mod", BPSK.beta_mod),
         )
-    cfg = SystemConfig(
+    return SystemConfig(
         n_a=int(values["n_a"]),
         n_b=int(values["n_b"]),
         lambda_s=values["lambda_s"],
@@ -148,5 +152,3 @@ def load_config(path: str) -> SystemConfig:
         w=values["w"],
         modulation=mod,
     )
-    return validate_config(cfg)
-

@@ -26,9 +26,10 @@ over (x - mean)**2.  Counts (empirical CDFs, P_not) are integers and
 merge exactly.
 
 The estimators take one SystemConfig or a sequence of them of one array
-size.  Every policy draws at unit means the candidate SNRs M, S, R and C
-(fdlink.channel) and the INRs, which a point scales by lambda_s and
-lambda_i = eta * lambda_s, bit for bit as a draw at its means.  Serial-Max
+size; mc_empirical_cdfs gives both links' CDFs per config.  Every policy
+draws at unit means the candidate SNRs M, S, R and C (fdlink.channel) and
+the INRs, which a point scales by lambda_s and lambda_i = eta *
+lambda_s, bit for bit as a draw at its means.  Serial-Max
 picks (M, S); exhaustive policies score the four candidate pairs on each
 point's obtainable SINRs where R and C both exceed S, and take (M, S)
 elsewhere (fdlink.selection).  Each point averages selection.weighted_sum
@@ -289,31 +290,25 @@ def mc_weighted_sum_ser(
 
 
 def _point_cdfs(picks: np.ndarray, cfg: SystemConfig, spans: list[slice], run,
-                which: tuple[str, ...], trials: int, grid: np.ndarray) -> list[EmpiricalCdf]:
-    """cfg's empirical CDF on grid per name in which, from each span's
-    count of samples <= each grid value."""
+                trials: int, grid: np.ndarray) -> tuple[EmpiricalCdf, EmpiricalCdf]:
+    """cfg's empirical CDFs of (gamma_ab, gamma_ba) on grid, from each
+    span's count of samples <= each grid value."""
     def counts(span):
-        gammas = dict(zip(("gamma_ab", "gamma_ba"), _point_sinrs(picks[:, span], cfg)))
-        return np.array([np.searchsorted(np.sort(gammas[name]), grid, side="right")
-                         for name in which])
+        return np.array([np.searchsorted(np.sort(gamma), grid, side="right")
+                         for gamma in _point_sinrs(picks[:, span], cfg)])
 
-    return [EmpiricalCdf(grid=grid, probabilities=row / trials) for row in sum(run(counts, spans))]
+    return tuple(EmpiricalCdf(grid=grid, probabilities=n / trials) for n in sum(run(counts, spans)))
 
 
 def mc_empirical_cdfs(
-    cfg: SystemConfig | Sequence[SystemConfig],
-    which: tuple[str, ...],
-    trials: int,
-    seed: int,
-    grid,
-) -> list:
-    """Empirical CDFs of the Serial-Max instantaneous SINRs named in which,
-    all from one draw and selection per chunk: "gamma_ab" is the A->B
-    link and "gamma_ba" the B->A link, whichever pick serves each.
+    cfg: SystemConfig | Sequence[SystemConfig], trials: int, seed: int, grid
+) -> tuple[EmpiricalCdf, EmpiricalCdf] | list[tuple[EmpiricalCdf, EmpiricalCdf]]:
+    """Empirical CDFs (gamma_ab, gamma_ba) of the Serial-Max instantaneous
+    SINRs of the A->B and B->A links, whichever pick serves each, both
+    from one draw and selection per chunk.
 
-    One SystemConfig and one grid give a list of EmpiricalCdf, one per
-    name; a sequence of configs and one grid per config give one such
-    list per config."""
+    One SystemConfig and one grid give one such pair of EmpiricalCdf; a
+    sequence of configs and one grid per config give a list of pairs."""
     single = isinstance(cfg, SystemConfig)
     grids = [np.asarray(x, dtype=float) for x in ([grid] if single else grid)]
     if len(grids) != (1 if single else len(cfg)):
@@ -321,10 +316,7 @@ def mc_empirical_cdfs(
     for x in grids:
         if x.ndim != 1 or np.isnan(x).any() or np.any(np.diff(x) < 0):
             raise ValueError("grid must be one-dimensional and ascending")
-    for name in which:
-        if name not in ("gamma_ab", "gamma_ba"):
-            raise ValueError(f"which must be 'gamma_ab' or 'gamma_ba', got {name!r}")
-    return _estimates(cfg, "serial_max", trials, seed, _point_cdfs, which, trials, each=grids)
+    return _estimates(cfg, "serial_max", trials, seed, _point_cdfs, trials, each=grids)
 
 
 def _p_not_estimate(picks: np.ndarray, cfg: SystemConfig, spans: list[slice], run,

@@ -99,6 +99,21 @@ def test_mu_coefficient_marginal():
         assert mu_coefficient(k, 9, 0, 3, 3) == pytest.approx(p[k - 1], rel=1e-14)
 
 
+def test_no_coefficient_passes_the_bound_behind_a_flagged_zero():
+    # a sum flagged at _MAX_DPS cancels all but 10^-(_MAX_DPS - 17) of its
+    # largest term, so it lies below 10^-940, and is returned as +0.0, only
+    # while no |A_c|/D passes 10^43; the largest is 12x12's second link's
+    cap = analytic.MAX_NN_CLOSED_FORM
+    sizes = [(n_a, n_b) for n_a in range(2, cap // 2 + 1) for n_b in range(2, cap // n_a + 1)]
+    ratios = {(n_a, n_b, link): Fraction(max(abs(a) for a in table), denom)
+              for n_a, n_b in sizes for link in ("ab", "ba")
+              for denom, table in [analytic._coefficients.__wrapped__(n_a, n_b, link)]}
+    assert len(ratios) == 918
+    largest = max(ratios, key=ratios.get)
+    assert largest == (12, 12, "ba")
+    assert 7.78e42 < ratios[largest] < 10**43
+
+
 def test_order_statistic_cdf_max_and_min():
     lam = 3.0
     for x in (0.5, 2.0, 10.0):

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from conftest import counting_mpmath
-from fdlink import SystemConfig, cli, db_to_linear, montecarlo
+from fdlink import SystemConfig, cli, db_to_linear, linear_to_db, montecarlo
 from fdlink.cli import FIELDS, SweepSpec, main, preset, run_sweep
 from fdlink.errors import InvalidRange, UnknownPreset
 from fdlink.montecarlo import MAX_TRIALS
@@ -290,6 +290,22 @@ def test_main_config_file_defaults(tmp_path):
     assert (row["n_a"], row["n_b"], row["w"]) == ("2", "3", "0.6")
     assert float(row["eta"]) == 0.1
     assert float(row["snr_db"]) == 10.0
+
+
+@pytest.mark.parametrize("flags,size", [([], ("4", "4")), (["--na", "5"], ("5", "4"))])
+def test_main_config_overrides_a_preset_and_flags_override_both(tmp_path, flags, size):
+    # the preset's grid, then the --config point, then each flag given
+    cfg_file = tmp_path / "sys.cfg"
+    cfg_file.write_text("n_a = 4\nn_b = 4\nlambda_s = 3\neta = 0.05\nw = 0.6\n")
+    out = tmp_path / "pnot.csv"
+    rc = main(["--preset", "pnot", "--config", str(cfg_file), *flags, "--trials", "50",
+               "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["metric"], row["n_a"], row["n_b"], row["w"]) == ("p_not", *size, "0.6")
+    assert float(row["eta"]) == 0.05
+    assert float(row["snr_db"]) == linear_to_db(3.0)
 
 
 def test_main_rejects_config_with_other_modulation(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -74,6 +75,20 @@ def test_lambda_s_whose_draws_overflow_rejected():
         for lam in (math.nextafter(bound, math.inf), db_to_linear(3075.0), math.inf, math.nan):
             with pytest.raises(InvalidRange):
                 validate_config(cfg(n_a=n, n_b=n, lambda_s=lam))
+
+
+@pytest.mark.parametrize("kw,error", [
+    (dict(n_a=1, n_b=3), InvalidAntennaCount),
+    (dict(eta=1.5), InvalidRange),
+    (dict(w=1.5), InvalidRange),
+    (dict(lambda_s=-100.0), InvalidRange),
+], ids=["1x3", "eta", "w", "lambda_s"])
+def test_invalid_config_raises_when_built(kw, error):
+    # no estimator or closed form ever sees, and computes on, such a config
+    with pytest.raises(error):
+        cfg(**kw)
+    with pytest.raises(error):
+        replace(cfg(), **kw)
 
 
 def test_bad_modulation_rejected():

@@ -151,18 +151,18 @@ def test_unknown_policy(monkeypatch):
 def test_empirical_cdf_endpoints_and_monotonicity():
     cfg = make_cfg()
     grid = np.concatenate(([0.0], np.geomspace(0.01, 2000.0, 60)))
-    cdf = mc_empirical_cdfs(cfg, ("gamma_ab",), 20_000, 21, grid)[0]
-    p = cdf.probabilities
-    assert p[0] == 0.0
-    assert p[-1] == 1.0
-    assert np.all(np.diff(p) >= 0)
+    for cdf in mc_empirical_cdfs(cfg, 20_000, 21, grid):
+        p = cdf.probabilities
+        assert p[0] == 0.0
+        assert p[-1] == 1.0
+        assert np.all(np.diff(p) >= 0)
 
 
 def test_empirical_cdf_matches_model():
     cfg = make_cfg()
     n = 100_000
     grid = np.geomspace(0.05, 500.0, 80)
-    cdf = mc_empirical_cdfs(cfg, ("gamma_ab",), n, 31, grid)[0]
+    cdf = mc_empirical_cdfs(cfg, n, 31, grid)[0]
     model = np.array([cdf_gamma_ab(x, cfg) for x in grid])
     assert np.max(np.abs(cdf.probabilities - model)) < 1.36 / math.sqrt(n)
 
@@ -170,21 +170,19 @@ def test_empirical_cdf_matches_model():
 def test_empirical_cdf_validation():
     cfg = make_cfg()
     with pytest.raises(ValueError):
-        mc_empirical_cdfs(cfg, ("gamma_ab",), 10, 0, np.array([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        mc_empirical_cdfs(cfg, ("gamma_xx",), 10, 0, np.array([1.0, 2.0]))
+        mc_empirical_cdfs(cfg, 10, 0, np.array([2.0, 1.0]))
 
 
 @pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0, 50.0], [1.0, math.nan, 0.5], [math.nan]])
 def test_empirical_cdf_rejects_nan_grids(grid):
     # np.diff(grid) < 0 is False at a NaN, so a NaN grid needs its own check
     with pytest.raises(ValueError, match="grid must be one-dimensional and ascending"):
-        mc_empirical_cdfs(make_cfg(), ("gamma_ab",), 10, 0, np.array(grid))
+        mc_empirical_cdfs(make_cfg(), 10, 0, np.array(grid))
 
 
 def test_empirical_cdf_rejects_zero_trials():
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        mc_empirical_cdfs(make_cfg(), ("gamma_ab",), 0, 0, np.array([1.0, 2.0]))
+        mc_empirical_cdfs(make_cfg(), 0, 0, np.array([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -243,7 +241,7 @@ def assert_shared_matches_oracle(cfgs, trials, seed, metric):
     for metric "cdf", both links' empirical CDFs on a grid down to 1e-320."""
     if metric == "cdf":
         grids = [np.geomspace(1e-320, 5.0 * cfg.lambda_s, 40) for cfg in cfgs]
-        shared = montecarlo.mc_empirical_cdfs(cfgs, ("gamma_ab", "gamma_ba"), trials, seed, grids)
+        shared = montecarlo.mc_empirical_cdfs(cfgs, trials, seed, grids)
         for cfg, grid, cdfs in zip(cfgs, grids, shared):
             for k, cdf in enumerate(cdfs):
                 samples = np.sort(np.concatenate(
@@ -332,7 +330,7 @@ def estimator_outputs(cfgs, trials, seed):
     out += [mc_p_not(cfgs[0], trials, seed), *mc_p_not(cfgs, trials, seed)]
     out = [(bits(est.value), bits(est.std_error)) for est in out]
     grids = [np.geomspace(1e-3, 5.0 * cfg.lambda_s, 40) for cfg in cfgs]
-    for cdfs in montecarlo.mc_empirical_cdfs(cfgs, ("gamma_ab", "gamma_ba"), trials, seed, grids):
+    for cdfs in montecarlo.mc_empirical_cdfs(cfgs, trials, seed, grids):
         out += [[bits(p) for p in cdf.probabilities] for cdf in cdfs]
     return out
 
@@ -354,7 +352,7 @@ def one_point_outputs(cfg, trials, seed):
            for policy in montecarlo.POLICIES] + [mc_p_not(cfg, trials, seed)]
     out = [(bits(est.value), bits(est.std_error)) for est in out]
     grid = np.geomspace(1e-3, 5.0 * cfg.lambda_s, 40)
-    cdfs = montecarlo.mc_empirical_cdfs(cfg, ("gamma_ab", "gamma_ba"), trials, seed, grid)
+    cdfs = montecarlo.mc_empirical_cdfs(cfg, trials, seed, grid)
     return out + [[bits(p) for p in cdf.probabilities] for cdf in cdfs]
 
 
@@ -428,7 +426,7 @@ def test_a_warning_inside_a_task_fails_the_call(monkeypatch):
         lambda: mc_weighted_sum_rate(cfgs[0], "max_wsr", 300, 0),
         lambda: mc_weighted_sum_ser(cfgs, "serial_max", 300, 0),
         lambda: mc_p_not(cfgs[0], 300, 0),
-        lambda: montecarlo.mc_empirical_cdfs(cfgs, ("gamma_ab",), 300, 0, [np.ones(2)] * 2),
+        lambda: montecarlo.mc_empirical_cdfs(cfgs, 300, 0, [np.ones(2)] * 2),
     ]
     for call in calls:
         with pytest.raises(RuntimeWarning, match="divide by zero"):
@@ -448,7 +446,7 @@ def test_point_lists_return_one_estimate_per_point():
     with pytest.raises(ValueError, match="one array size"):
         mc_p_not([make_cfg(), make_cfg(n_a=2, n_b=4)], 10, 0)
     with pytest.raises(ValueError, match="one grid per config"):
-        montecarlo.mc_empirical_cdfs(cfgs, ("gamma_ab",), 10, 0, [np.ones(3)])
+        montecarlo.mc_empirical_cdfs(cfgs, 10, 0, [np.ones(3)])
 
 
 @pytest.mark.parametrize("snr_db", [27.0, 30.0, 40.0])
