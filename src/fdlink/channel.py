@@ -33,8 +33,8 @@ _PER_TRIAL = 8
 
 
 def _candidates(x: np.ndarray, n_a: int, n_b: int, mean: float) -> np.ndarray:
-    """(M, S, R, C) at mean from the (4, T) logs x of their uniforms, in place."""
-    x /= np.array([[n_a * n_b], [(n_a - 1) * (n_b - 1)], [n_b - 1], [n_a - 1]], dtype=float)
+    """The first len(x) of (M, S, R, C) at mean from the logs x of their uniforms, in place."""
+    x /= np.array([[n_a * n_b], [(n_a - 1) * (n_b - 1)], [n_b - 1], [n_a - 1]], dtype=float)[:len(x)]
     p = np.exp(x[0])
     np.expm1(x, out=x)
     np.negative(x, out=x)  # row 0 is now q, rows 1.. are 1 - u**(1/k)
@@ -53,22 +53,29 @@ def largest_unit_draw(n_a: int, n_b: int) -> float:
 
 
 def draw_trial_batch(
-    master_seed: int, start_trial: int, count: int, cfg: SystemConfig, lambda_i: float
+    master_seed: int, start_trial: int, count: int, cfg: SystemConfig, lambda_i: float,
+    candidates: int = 4,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draws for trials [start_trial, start_trial + count) at cfg's size: the
-    (4, count) candidate SNRs M, S, R and C at mean cfg.lambda_s, and the
-    (count,) INRs at mean lambda_i consumed at node A and at node B."""
+    (candidates, count) candidate SNRs at mean cfg.lambda_s, (M, S) or
+    (M, S, R, C), and the (count,) INRs at mean lambda_i consumed at node A
+    and at node B.  The rows do not depend on candidates."""
+    if candidates not in (2, 4):
+        raise ValueError(f"candidates must be 2 or 4, got {candidates!r}")
     bitgen = Philox(key=master_seed)
     bitgen.advance(start_trial * _PER_TRIAL // 4)
-    words = bitgen.random_raw(count * _PER_TRIAL).reshape(count, _PER_TRIAL)[:, :6].T
-    # the top 52 bits j of a word give the uniform (2j + 1) * 2**-53
+    # the top 52 bits j of a word give the uniform (2j + 1) * 2**-53; j
+    # fits an int64, which converts to float faster than a uint64
+    words = bitgen.random_raw(count * _PER_TRIAL)
     words >>= np.uint64(11)
     words |= np.uint64(1)
-    log_u = np.multiply(words, 2.0**-53, order="C")
+    words = words.view(np.int64).reshape(count, _PER_TRIAL)[:, slice(6) if candidates == 4 else [0, 1, 4, 5]]
+    log_u = words.T.astype(float, order="C")
+    log_u *= 2.0**-53
     np.log(log_u, out=log_u)
-    inr = log_u[4:]
+    inr = log_u[candidates:]
     inr *= -lambda_i
-    return _candidates(log_u[:4], cfg.n_a, cfg.n_b, cfg.lambda_s), inr[0], inr[1]
+    return _candidates(log_u[:candidates], cfg.n_a, cfg.n_b, cfg.lambda_s), inr[0], inr[1]
 
 
 def instantaneous_sinr(gamma_s, gamma_ri):

@@ -40,7 +40,6 @@ from fdlink import (
     rate_ceiling,
     ser_floor,
     serial_max,
-    validate_config,
 )
 from fdlink import montecarlo
 from fdlink.analytic import cdf_gamma_ab, cdf_gamma_ba
@@ -59,7 +58,7 @@ def _report(num: int, title: str, ok: bool, detail: str) -> None:
 
 
 def make_cfg(n_a, n_b, lambda_s, eta, w=0.7):
-    return validate_config(SystemConfig(n_a=n_a, n_b=n_b, lambda_s=lambda_s, eta=eta, w=w))
+    return SystemConfig(n_a=n_a, n_b=n_b, lambda_s=lambda_s, eta=eta, w=w)
 
 
 # -- high-precision CDF oracles (needed where the average SER is so small

@@ -31,7 +31,6 @@ from fdlink import (
     mixture_weights,
     rate_ceiling,
     ser_floor,
-    validate_config,
 )
 import fdlink
 from fdlink import analytic
@@ -43,7 +42,7 @@ from oracles import mu_coefficient, order_statistic_cdf, quadrature_avg_rate, qu
 def make_cfg(**kw):
     base = dict(n_a=3, n_b=3, lambda_s=10.0, eta=0.1, w=0.7)
     base.update(kw)
-    return validate_config(SystemConfig(**base))
+    return SystemConfig(**base)
 
 
 # ---------------------------------------------------------------------------

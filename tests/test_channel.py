@@ -11,7 +11,6 @@ from fdlink import (
     instantaneous_sinr,
     mc_weighted_sum_rate,
     mc_weighted_sum_ser,
-    validate_config,
 )
 from fdlink.channel import draw_trial_batch
 from fdlink.selection import POLICIES, candidates, select, weighted_sum
@@ -20,7 +19,7 @@ from oracles import draw_matrix_batch, order_statistic_cdf
 
 @pytest.fixture
 def cfg():
-    return validate_config(SystemConfig(n_a=3, n_b=3, lambda_s=10.0, eta=0.1, w=0.7))
+    return SystemConfig(n_a=3, n_b=3, lambda_s=10.0, eta=0.1, w=0.7)
 
 
 def one_trial(seed, k, cfg, lam_i):
@@ -74,10 +73,25 @@ def test_batch_matches_per_trial_draws(cfg):
                 assert inr_b0[k] == np.ravel(d_inr_b)[0]
 
 
+@pytest.mark.parametrize("n_a,n_b", [(2, 2), (3, 3), (2, 7), (12, 12), (10**6, 10**6)])
+def test_serial_max_draw_is_the_full_draw_without_r_and_c(n_a, n_b):
+    # Serial-Max reads (M, S) and the INRs; its lean draw gives those rows
+    # of the full draw bit for bit
+    cfg = SystemConfig(n_a, n_b, lambda_s=3.7, eta=0.1, w=0.7)
+    for start, count in ((0, 1), (5, 999), (12_345, 8192)):
+        full = draw_trial_batch(9, start, count, cfg, 0.37)
+        lean = draw_trial_batch(9, start, count, cfg, 0.37, candidates=2)
+        assert lean[0].shape == (2, count)
+        for a, b in zip([*full[0][:2], *full[1:]], [*lean[0], *lean[1:]]):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    with pytest.raises(ValueError, match="candidates must be 2 or 4"):
+        draw_trial_batch(9, 0, 1, cfg, 0.37, candidates=3)
+
+
 def test_candidates_are_ordered_and_finite_at_every_size():
     # M is the largest, and S, R and C lie in [0, M], up to 10**6 x 10**6
     for n_a, n_b in ((2, 2), (2, 5), (12, 12), (1000, 3), (10**6, 10**6)):
-        cfg = validate_config(SystemConfig(n_a, n_b, 1.0, 0.0, 0.7))
+        cfg = SystemConfig(n_a, n_b, 1.0, 0.0, 0.7)
         cands, _, _ = draw_trial_batch(3, 0, 20_000, cfg, 0.0)
         assert np.all(np.isfinite(cands)) and np.all(cands >= 0.0)
         assert np.all(cands[1:] <= cands[0])
@@ -129,12 +143,12 @@ def test_obtainable_sinr_scaling(cfg):
     assert np.allclose(g, snr / (cfg.lambda_i + 1.0))
     assert np.argmax(g) == np.argmax(snr)
 
-    eta0 = validate_config(SystemConfig(3, 3, 10.0, 0.0, 0.7))
+    eta0 = SystemConfig(3, 3, 10.0, 0.0, 0.7)
     assert np.array_equal(snr * eta0.scale, snr)
 
 
 def test_obtainable_sinr_example():
-    cfg = validate_config(SystemConfig(2, 2, 100.0, 0.05, 0.7))
+    cfg = SystemConfig(2, 2, 100.0, 0.05, 0.7)
     assert cfg.lambda_i == 5.0
     assert 12.0 * cfg.scale == pytest.approx(2.0)
 
@@ -210,7 +224,7 @@ def oracle_law(cfg, trials, seed):
 
 @pytest.mark.parametrize("n_a,n_b", [(2, 2), (2, 5), (3, 3), (6, 6), (12, 12)])
 def test_sampler_law_matches_the_full_matrix_oracle(n_a, n_b):
-    cfg = validate_config(SystemConfig(n_a, n_b, lambda_s=10.0, eta=0.05, w=0.7))
+    cfg = SystemConfig(n_a, n_b, lambda_s=10.0, eta=0.05, w=0.7)
     seed = 1000 + 100 * n_a + n_b
     drawn, _, _ = draw_trial_batch(seed, 0, LAW_TRIALS, replace(cfg, lambda_s=1.0), 0.0)
     oracle, values = oracle_law(cfg, LAW_TRIALS, seed + 1)

@@ -33,7 +33,6 @@ from fdlink import (
     mc_weighted_sum_rate,
     rate_ceiling,
     ser_floor,
-    validate_config,
 )
 from fdlink import analytic
 from fdlink.errors import DomainError
@@ -64,7 +63,7 @@ def grid(n_a, n_b):
 
 
 def make_cfg(n_a, n_b, lambda_s, eta):
-    return validate_config(SystemConfig(n_a=n_a, n_b=n_b, lambda_s=lambda_s, eta=eta, w=W))
+    return SystemConfig(n_a=n_a, n_b=n_b, lambda_s=lambda_s, eta=eta, w=W)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -18,7 +22,6 @@ from fdlink import (
     mc_weighted_sum_rate,
     mc_weighted_sum_ser,
     p_not_upper_bound,
-    validate_config,
 )
 from fdlink import instantaneous_sinr, montecarlo
 from fdlink.analytic import cdf_gamma_ab
@@ -29,7 +32,7 @@ from oracles import quadrature_avg_rate, quadrature_avg_ser
 def make_cfg(**kw):
     base = dict(n_a=3, n_b=3, lambda_s=10.0, eta=0.1, w=0.7)
     base.update(kw)
-    return validate_config(SystemConfig(**base))
+    return SystemConfig(**base)
 
 
 def test_rate_of_values():
@@ -218,18 +221,34 @@ def per_point_sinrs(cfg, trials, seed, policy="serial_max"):
         yield instantaneous_sinr(ab, inr_b), instantaneous_sinr(ba, inr_a)
 
 
-def per_point_estimate(cfg, trials, seed, metric, policy="serial_max"):
-    """(mean, stderr) of one point on its own, by the same two fsum passes."""
+def per_point_values(cfg, trials, seed, metric, policy="serial_max"):
+    """One point's values on its own, trial by trial."""
     parts = []
     for gammas in per_point_sinrs(cfg, trials, seed, policy):
         f_ab, f_ba = (rate_map(x) if metric == "rate" else ser_map(x, cfg.modulation)
                       for x in gammas)
         parts.append(cfg.w * f_ab + (1.0 - cfg.w) * f_ba)
-    values = np.concatenate(parts)
+    return np.concatenate(parts)
+
+
+def per_point_estimate(cfg, trials, seed, metric, policy="serial_max"):
+    """(mean, stderr) of one point on its own: fsum of the values over
+    trials, and the standard error from fsum of the deviations d from the
+    value at trial 0 and of their squares, sqrt(max(S2 - S1**2 / n, 0) /
+    (n - 1)) / sqrt(n)."""
+    values = per_point_values(cfg, trials, seed, metric, policy)
     mean = math.fsum(values) / trials
     if trials == 1:
         return mean, 0.0
-    return mean, math.sqrt(math.fsum((values - mean) ** 2) / (trials - 1)) / math.sqrt(trials)
+    d = values - values[0]
+    s1, s2 = math.fsum(d), math.fsum(d * d)
+    return mean, math.sqrt(max(s2 - s1 * s1 / trials, 0.0) / (trials - 1)) / math.sqrt(trials)
+
+
+def two_pass_sum_of_squares(values):
+    """fsum of the squared deviations from the fsum mean: the second pass
+    the standard error once took."""
+    return math.fsum((values - math.fsum(values) / values.size) ** 2)
 
 
 def bits(x):
@@ -284,12 +303,31 @@ def test_shared_exhaustive_matches_per_point_oracle(n_a, n_b, grid, trials, seed
     # unit draw, and each scores the candidates on its own g
     cfgs = [make_cfg(n_a=n_a, n_b=n_b, lambda_s=lam, eta=eta, w=w) for lam, eta, w in grid]
     fn = mc_weighted_sum_rate if metric == "rate" else mc_weighted_sum_ser
-    with mock.patch.object(montecarlo, "_CHUNK", 97), mock.patch.object(montecarlo, "_SPAN", 40):
+    with mock.patch.object(montecarlo, "_CHUNK", 97):
         shared = fn(cfgs, policy, trials, seed)
         assert len(shared) == len(cfgs)
         for cfg, est in zip(cfgs, shared):
             mean, std_error = per_point_estimate(cfg, trials, seed, metric, policy)
             assert (bits(est.value), bits(est.std_error)) == (bits(mean), bits(std_error)), cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_a=st.integers(2, 6), n_b=st.integers(2, 6), point=points, trials=st.integers(2, 300),
+       seed=st.integers(0, 2**64 - 1), policy=st.sampled_from(montecarlo.POLICIES),
+       metric=st.sampled_from(["rate", "ser"]))
+def test_shifted_stderr_agrees_with_the_two_pass_formula(n_a, n_b, point, trials, seed, policy,
+                                                         metric):
+    # the one-pass standard error, from the sums of the deviations from the
+    # value at trial 0 and of their squares, is the two-pass one within
+    # 1e-12 relative; where the squares fall below the normal range both
+    # round them to the subnormal grid, which the absolute term allows for
+    lambda_s, eta, w = point
+    cfg = make_cfg(n_a=n_a, n_b=n_b, lambda_s=lambda_s, eta=eta, w=w)
+    fn = mc_weighted_sum_rate if metric == "rate" else mc_weighted_sum_ser
+    est = fn(cfg, policy, trials, seed)
+    values = per_point_values(cfg, trials, seed, metric, policy)
+    two_pass = math.sqrt(two_pass_sum_of_squares(values) / (trials - 1)) / math.sqrt(trials)
+    assert est.std_error == pytest.approx(two_pass, rel=1e-12, abs=1e-161)
 
 
 # lambda_s = 1.1 rounds some neighbouring SNRs to one value, at lambda_s =
@@ -308,13 +346,14 @@ def test_shared_serial_max_picks_scale_the_unit_candidates(point, metric):
     # per-point oracle's, alone or beside another point
     lambda_s, eta = SCALED_POINTS[point]
     cfg = make_cfg(lambda_s=lambda_s, eta=eta)
-    unit = montecarlo._chunk_picks(cfg, "max_wsr", 5, 3, 200)
+    unit, unit_a, unit_b = montecarlo._chunk_picks(cfg, "max_wsr", 5, 3, 200)
     cands, inr_a, inr_b = montecarlo.draw_trial_batch(5, 3, 200, cfg, eta * lambda_s)
     for drawn, scaled in zip([*cands, inr_a, inr_b],
-                             [lambda_s * x for x in unit[:4]] + [eta * lambda_s * x for x in unit[4:]]):
+                             [lambda_s * x for x in unit] + [eta * lambda_s * x for x in (unit_a, unit_b)]):
         assert np.array_equal(drawn.view(np.int64), scaled.view(np.int64))
-    assert all(np.array_equal(a, b) for a, b in zip(
-        montecarlo._chunk_picks(cfg, "serial_max", 5, 3, 200), unit[:2] + unit[4:]))
+    serial = montecarlo._chunk_picks(cfg, "serial_max", 5, 3, 200)
+    assert all(np.array_equal(a, b) for a, b in zip([*serial[0], *serial[1:]],
+                                                    [*unit[:2], unit_a, unit_b]))
     other = make_cfg(lambda_s=1.0, eta=0.0)
     for cfgs in ([other, cfg], [cfg, other], [cfg]):
         assert_shared_matches_oracle(cfgs, 200, 5, metric)
@@ -356,52 +395,53 @@ def one_point_outputs(cfg, trials, seed):
     return out + [[bits(p) for p in cdf.probabilities] for cdf in cdfs]
 
 
+def record_blocks(monkeypatch):
+    """The (start, count) of every block _chunk_picks draws, trial 0's
+    draw for the shifts included."""
+    blocks = []
+    chunk_picks = montecarlo._chunk_picks
+
+    def recording(cfg, policy, seed, start, count):
+        blocks.append((start, count))
+        return chunk_picks(cfg, policy, seed, start, count)
+
+    monkeypatch.setattr(montecarlo, "_chunk_picks", recording)
+    return blocks
+
+
 @pytest.mark.parametrize("trials", [1, 2, 3, 5, 3 * montecarlo._CHUNK + 5])
 def test_one_point_calls_split_their_passes_over_every_worker(monkeypatch, trials):
-    # a call with fewer points than workers runs each reduction pass of its
-    # point as one task per span; the spans merge exactly, so the bits do
-    # not depend on the worker count.  A call with a point per worker keeps
-    # one task per point
+    # blocks are whole chunks, a worker's share of them at most and their
+    # picks at most _BLOCK_BYTES, so a lone point spreads over every worker;
+    # the blocks merge exactly, so the bits do not depend on the worker count
     cfg = make_cfg(n_a=4, n_b=4, lambda_s=100.0, eta=0.05)
-    map_ = montecarlo._map
-    passes = []
-
-    def counted(pool, fn, items):
-        items = list(items)
-        # a reduction pass on the pool maps over spans or their values; the
-        # draws map over (start, count) chunks, and the points over tuples
-        if pool is not None and not isinstance(items[0], tuple):
-            passes.append(len(items))
-        return map_(pool, fn, items)
-
-    monkeypatch.setattr(montecarlo, "_map", counted)
     outputs = []
     for workers in (1, 2, 8):
         monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
-        passes.clear()
         outputs.append(one_point_outputs(cfg, trials, 5))
-        if workers == 2:
-            # six weighted sums of one pass, or two after the first trial,
-            # and two counts of one pass each
-            assert len(passes) == 6 * (1 + (trials > 1)) + 2
-            assert min(passes) >= min(trials, 2)
     assert outputs[0] == outputs[1] == outputs[2]
     monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
-    passes.clear()
-    mc_weighted_sum_rate([cfg, make_cfg(n_a=4, n_b=4)], "max_wsr", trials, 5)
-    assert passes == []
+    blocks = record_blocks(monkeypatch)
+    chunk, chunks = montecarlo._CHUNK, -(-trials // montecarlo._CHUNK)
+    for policy, rows in (("serial_max", 4), ("max_wsr", 6)):
+        blocks.clear()
+        mc_weighted_sum_rate(cfg, policy, trials, 5)
+        step = chunk * max(1, min(montecarlo._BLOCK_BYTES // (8 * rows * chunk), chunks // 2))
+        assert sorted(blocks) == [(0, 1)] + [(start, min(step, trials - start))
+                                             for start in range(0, trials, step)]
 
 
-@pytest.mark.parametrize("span,trials", [(1, 250), (150, 400), (10_000, 10_300)])
-def test_output_does_not_depend_on_the_span(monkeypatch, span, trials):
-    # every point reduces over spans of _SPAN trials of the shared picks,
-    # which chunks of _CHUNK trials fill; spans that cut across chunks give
+@pytest.mark.parametrize("block_bytes,trials", [(1, 250), (13_968, 400), (10**9, 10_300)])
+def test_output_does_not_depend_on_the_task_blocks(monkeypatch, block_bytes, trials):
+    # tasks draw blocks of whole chunks, here one chunk, three or four
+    # (13,968 bytes is 3 chunks of 97 trials of 6 rows), or a worker's
+    # share, and reduce each block in one piece; blocks of any length give
     # the unpatched run's bits at any worker count
     cfgs = [make_cfg(lambda_s=lam, eta=eta) for lam, eta in ((10.0, 0.1), (1.0, 0.0), (1e4, 0.02))]
     expected = estimator_outputs(cfgs, trials, 11)
     monkeypatch.setattr(montecarlo, "_CHUNK", 97)
-    monkeypatch.setattr(montecarlo, "_SPAN", span)
-    for workers in (1, 8):
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_bytes)
+    for workers in (1, 2, 8):
         monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
         assert estimator_outputs(cfgs, trials, 11) == expected
 
@@ -410,15 +450,16 @@ def test_trial_counts_past_the_cap_are_refused():
     cap = montecarlo.MAX_TRIALS
     for trials in (cap + 1, 10**20):
         with pytest.raises(ValueError, match=f"at most MAX_TRIALS = {cap:,}, got"):
-            montecarlo._spans(trials)
+            mc_weighted_sum_rate(make_cfg(), "serial_max", trials, 0)
 
 
 def test_a_warning_inside_a_task_fails_the_call(monkeypatch):
     draw = montecarlo.draw_trial_batch
 
-    def warning_draw(*args):
-        np.log(np.zeros(1))  # a divide-by-zero RuntimeWarning, an error under pytest
-        return draw(*args)
+    def warning_draw(seed, start, count, *args, **kwargs):
+        if count > 1:  # a task's draw, not that of trial 0 alone for the shifts
+            np.log(np.zeros(1))  # a divide-by-zero RuntimeWarning, an error under pytest
+        return draw(seed, start, count, *args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "draw_trial_batch", warning_draw)
     cfgs = [make_cfg(), make_cfg(lambda_s=100.0)]
@@ -551,8 +592,8 @@ EXACT_SUM_CASES = {
 
 
 def certified_sum(pieces):
-    """The estimators' total of consecutive pieces, each summed as a span."""
-    return montecarlo._total(pieces, [montecarlo._certified_parts(p) for p in pieces])
+    """The estimators' total of consecutive pieces, each summed as a block."""
+    return montecarlo._total([montecarlo._certified_parts(p) for p in pieces], lambda: pieces)
 
 
 @contextmanager
@@ -569,7 +610,7 @@ def fsum_fallbacks():
 @pytest.mark.parametrize("case", sorted(EXACT_SUM_CASES))
 def test_exact_sum_matches_fsum_on_edge_cases(case):
     x = EXACT_SUM_CASES[case]()
-    # as one span, and cut into three
+    # as one block, and cut into three
     for pieces in ([x], np.array_split(x, 3)):
         assert sum_outcome(lambda _: certified_sum(pieces), x) == sum_outcome(math.fsum, x)
 
@@ -600,7 +641,7 @@ def certified_arrays(draw):
 @settings(max_examples=300, deadline=None)
 @given(x=certified_arrays(), cuts=st.lists(st.integers(0, 4500), max_size=5))
 def test_certified_sum_matches_fsum(x, cuts):
-    # spans cut anywhere merge to math.fsum of all the values, bit for bit,
+    # blocks cut anywhere merge to math.fsum of all the values, bit for bit,
     # whether each total is certified or falls back to math.fsum
     pieces = np.split(x, sorted(cuts))
     assert sum_outcome(lambda _: certified_sum(pieces), x) == sum_outcome(math.fsum, x)
@@ -635,3 +676,92 @@ def test_certified_sums_need_no_fallback_on_a_serial_max_sweep():
     for cfg, est in zip(cfgs, estimates):
         assert (bits(est.value), bits(est.std_error)) == tuple(
             map(bits, per_point_estimate(cfg, 20_000, 3, "rate"))), cfg
+
+
+def test_certificate_failures_redraw_the_point_in_trial_order(monkeypatch):
+    # with no block certified, every sum is math.fsum of the point's terms
+    # drawn again in trial order, and the bits are those of the oracle.
+    # At 40 dB and eta = 0 the SER at trial 0 is 0, so the terms x - 0 of
+    # S1 are those of S0, and the point draws again for two sums, not three
+    cfgs = [make_cfg(lambda_s=lam, eta=eta) for lam, eta in ((10.0, 0.1), (1e4, 0.0))]
+    monkeypatch.setattr(montecarlo, "_CHUNK", 97)
+    monkeypatch.setattr(montecarlo, "_certified_parts", lambda x: None)
+    for policy in ("serial_max", "min_wser"):
+        shifts = [per_point_values(cfg, 1, 9, "ser", policy)[0] for cfg in cfgs]
+        assert shifts[0] > 0 and shifts[1] == 0
+        with fsum_fallbacks() as fallbacks:
+            estimates = mc_weighted_sum_ser(cfgs, policy, 1000, 9)
+        assert len(fallbacks) == 3 + 2
+        for cfg, est in zip(cfgs, estimates):
+            assert (bits(est.value), bits(est.std_error)) == tuple(
+                map(bits, per_point_estimate(cfg, 1000, 9, "ser", policy))), cfg
+
+
+def test_the_pool_is_made_on_first_use_and_again_for_a_new_worker_count(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_POOL", {})
+    cfg = make_cfg()
+    expected = mc_weighted_sum_rate(cfg, "max_wsr", 3000, 2)
+    pools = []
+    for workers in (1, 3, 3):
+        monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+        assert mc_weighted_sum_rate(cfg, "max_wsr", 3000, 2) == expected
+        ((count, pool),) = montecarlo._POOL.items()
+        assert count == workers
+        pools.append(pool)
+    assert pools[0] is not pools[1] and pools[1] is pools[2]
+
+
+def test_callers_on_several_threads_share_the_pool(monkeypatch):
+    # more workers than cores and a short switch interval: calls from
+    # several threads at once interleave their tasks on the one pool, and
+    # each gets the bits it gets alone
+    monkeypatch.setattr(montecarlo, "_CHUNK", 97)
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 8)
+    cfgs = [make_cfg(lambda_s=lam, eta=eta) for lam, eta in ((10.0, 0.1), (1e4, 0.0))]
+    calls = [lambda seed=seed: estimator_outputs(cfgs, 500, seed) for seed in range(4)]
+    expected = [call() for call in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            futures = [callers.submit(call) for call in calls]
+            outputs = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs == expected
+
+
+def test_a_forked_child_runs_an_estimator(monkeypatch):
+    # the child has none of the parent's pool threads: it makes a pool of
+    # its own and gets the parent's bits
+    cfg = make_cfg()
+    expected = mc_weighted_sum_ser(cfg, "min_wser", 20_000, 4)
+    assert montecarlo._POOL
+    pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            ok = not montecarlo._POOL and mc_weighted_sum_ser(cfg, "min_wser", 20_000, 4) == expected
+        finally:
+            os._exit(0 if ok else 1)  # never back into the parent's test run
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+PEAK_RSS = """
+import resource, sys
+from fdlink import SystemConfig, mc_weighted_sum_rate, montecarlo
+assert not montecarlo._POOL  # no pool, and no thread, at import
+cfg = SystemConfig(n_a=3, n_b=3, lambda_s=10.0, eta=0.05, w=0.7)
+mc_weighted_sum_rate(cfg, "serial_max", int(sys.argv[1]), 1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_peak_memory_does_not_grow_with_the_trial_count():
+    # each task keeps only its own block: no array holds every trial
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    peaks = [int(subprocess.run([sys.executable, "-c", PEAK_RSS, str(trials)], env=env, check=True,
+                                capture_output=True, text=True).stdout) / 1024
+             for trials in (10**5, 2 * 10**6)]
+    assert abs(peaks[1] - peaks[0]) < 15.0, peaks

@@ -24,7 +24,7 @@ from fdlink import (
     weighted_combine_rate,
     weighted_combine_ser,
 )
-from fdlink.config import SystemConfig, validate_config
+from fdlink.config import SystemConfig
 from fdlink.errors import DegenerateSize, MatrixTooSmall
 from fdlink.selection import (
     POLICIES,
@@ -465,8 +465,7 @@ def test_min_wser_picks_the_optimum_where_sers_underflow():
     # dominated pair; scored in the log domain, every pick is the optimum
     w = 0.7
     for snr_db in (25.0, 30.0, 40.0):
-        cfg = validate_config(SystemConfig(n_a=6, n_b=6, lambda_s=10 ** (snr_db / 10),
-                                           eta=0.0, w=w))
+        cfg = SystemConfig(n_a=6, n_b=6, lambda_s=10 ** (snr_db / 10), eta=0.0, w=w)
         snr, _, _ = draw_matrix_batch(1, 0, 100, cfg, 0.0)
         g = snr * cfg.scale
         picks = select(g, w, "min_wser", BPSK)
@@ -670,8 +669,7 @@ def test_cross_kernel_matches_all_pairs_on_drawn_stacks(w):
     # where the log score still tells the pairs apart
     for n_a, n_b, snr_db, eta in ((4, 4, 20.0, 0.05), (5, 5, 18.0, 0.02), (6, 6, 25.0, 0.0),
                                   (6, 6, 30.0, 0.0), (6, 6, 40.0, 0.0), (4, 6, 10.0, 0.1)):
-        cfg = validate_config(SystemConfig(n_a=n_a, n_b=n_b, lambda_s=10 ** (snr_db / 10),
-                                           eta=eta, w=0.7))
+        cfg = SystemConfig(n_a=n_a, n_b=n_b, lambda_s=10 ** (snr_db / 10), eta=eta, w=0.7)
         snr, _, _ = draw_matrix_batch(1, 0, 2000, cfg, cfg.lambda_i)
         assert_exhaustive_contract(snr * cfg.scale, w)
 
