@@ -5,13 +5,15 @@ the defining integrals live with the tests (tests/oracles.py).
 Numerical strategy: the CDF of either selected link is a sum
 F(x) = sum_c A_c e^(-c x/lambda_s) / (1 + c eta x) / D over c = 0..nn = n_a*n_b,
 with exact integer coefficients A_c over a shared denominator D, built
-once per array size with Python ints (_coefficients).  The CDF and every
-average, ceiling and floor (which integrate it term by term) are each
-sum_c A_c K(c) / D with a kernel K that alone differs between them.  K
-depends on c and the config, never on the link, so each call evaluates
-K(1..nn) once and sums both links' tables from that one kernel vector
-(_link_sums); a per-link function such as avg_rate_ba is one entry of
-that pair.  The kernels:
+once per array size with Python ints (_coefficients) from the law of one
+maximum: at eta = 0 the first link's CDF is f^nn, f = 1 - e^(-x/lambda_s),
+and the second's (nn f^k - k f^nn) / (nn - k), k = (n_a-1)(n_b-1).  The
+CDF and every average, ceiling and floor (which integrate it term by
+term) are each sum_c A_c K(c) / D with a kernel K that alone differs
+between them.  K depends on c and the config, never on the link, so each
+call evaluates K(1..nn) once and sums both links' tables from that one
+kernel vector (_link_sums); a per-link function such as avg_rate_ba is
+one entry of that pair.  The kernels:
 
 - CDF:     e^(-c x/lambda_s) / (1 + c eta x);
 - rate:    [S(u) - S(x0)] / (1 - c eta) / ln 2, with S(x) = e^x E1(x),
@@ -94,19 +96,12 @@ def _check_closed_form_size(cfg: SystemConfig) -> None:
                           "use the Monte Carlo estimators instead")
 
 
-@functools.lru_cache(maxsize=None)
-def _rank_counts(n_a: int, n_b: int) -> tuple[int, tuple[int, ...]]:
-    """Exact (D, counts) of the second link's rank mixture: its (nn-k)-th order
-    statistic has probability C(nn-k-1, n_a+n_b-k-1) / D, D = C(nn-1, n_a+n_b-2)."""
-    nn, m = n_a * n_b, n_a + n_b
-    return math.comb(nn - 1, m - 2), tuple(math.comb(nn - k - 1, m - k - 1) for k in range(1, m))
-
-
 def mixture_weights(n_a: int, n_b: int) -> np.ndarray:
     """p[k-1] = probability that the second selected link's SNR is the
-    (n_a*n_b - k)-th order statistic of the full matrix, k = 1..n_a+n_b-1."""
-    denom, counts = _rank_counts(n_a, n_b)
-    return np.array([count / denom for count in counts])
+    (n_a*n_b - k)-th order statistic of the full matrix, k = 1..n_a+n_b-1:
+    C(nn-k-1, n_a+n_b-k-1) / C(nn-1, n_a+n_b-2)."""
+    nn, m = n_a * n_b, n_a + n_b
+    return np.array([math.comb(nn - k - 1, m - k - 1) / math.comb(nn - 1, m - 2) for k in range(1, m)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,23 +110,20 @@ def _coefficients(n_a: int, n_b: int, link: str) -> tuple[int, tuple[int, ...]]:
 
         F(x) = sum_c A_c e^(-c x/lam) / (1 + c eta x) / D,   c = 0..nn.
 
-    At eta = 0, F = sum_l B_l f^l (1-f)^(nn-l) / D with f = 1 - e^(-x/lam):
-    the first link is the largest of nn entries, F = f^nn; the second is
-    the rank mixture of _rank_counts.  A follows from B by expanding f^l
-    binomially, and conditioning on the residual interference turns each
-    e^(-c x/lam) into the eta form."""
-    nn = n_a * n_b
+    At eta = 0 the first link is the largest of nn entries, F = f^nn with
+    f = 1 - e^(-x/lam).  Given it, the others are i.i.d. below it (David &
+    Nagaraja, Order Statistics, 3rd ed., sec. 2.4); the second link is the
+    largest of the k = (n_a-1)(n_b-1) off its row and column, F = (nn f^k -
+    k f^nn) / (nn - k).  With f^n = sum_c row(n)_c e^(-c x/lam), row(n)_c =
+    (-1)^c C(n, c), the first link's A is row(nn) over D = 1, the second's
+    (nn row(k) - k row(nn)) D / (nn - k), exact, over D = C(nn-1, k).
+    Conditioning on the residual interference gives the eta form."""
+    nn, k = n_a * n_b, (n_a - 1) * (n_b - 1)
     if link == "ab":
-        denom, b_coefs = 1, [0] * nn + [1]
-    else:
-        denom, ranks = _rank_counts(n_a, n_b)
-        # the (nn-k)-th order statistic is below x when at least nn-k entries are
-        b_coefs = [math.comb(nn, l) * sum(ranks[max(nn - l, 1) - 1:]) for l in range(nn + 1)]
-    table = [0] * (nn + 1)
-    for l, b in enumerate(b_coefs):
-        for m in range(l + 1):
-            table[nn - l + m] += (-1) ** m * math.comb(l, m) * b
-    return denom, tuple(table)
+        return 1, tuple((-1) ** c * math.comb(nn, c) for c in range(nn + 1))
+    denom = math.comb(nn - 1, k)
+    return denom, tuple((-1) ** c * (nn * math.comb(k, c) - k * math.comb(nn, c)) * denom // (nn - k)
+                        for c in range(nn + 1))
 
 
 def cdf_gammas(x: float, cfg: SystemConfig) -> tuple[float, float]:
@@ -352,6 +344,7 @@ def asymptotic_ser_perfect_cancellation(
     nn, m = cfg.nn, (cfg.n_a - 1) * (cfg.n_b - 1)
     small_w = by_weight(cfg.w, 1.0 - cfg.w, cfg.w)[1]
     with mpmath.workdps(_DPS):
-        zeta_ba = mpmath.mpf(m * math.comb(nn, m)) / math.comb(nn - 1, cfg.n_a + cfg.n_b - 2)
+        # the density of (nn f^m - m f^nn) / (nn - m) opens as nn m / (nn - m) x^(m-1)/lam^m
+        zeta_ba = mpmath.mpf(nn * m) / (nn - m)
         return tuple(asymptotic_ser_generic(n, zeta, lambda_s, cfg.modulation)
                      for n, zeta in ((nn - 1, nn), (m - 1, zeta_ba), (m - 1, zeta_ba * small_w)))

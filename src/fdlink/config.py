@@ -7,6 +7,7 @@ dB enters only at the CLI boundary via db_to_linear / linear_to_db.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .channel import largest_unit_draw
@@ -45,6 +46,8 @@ class SystemConfig:
 
     def __post_init__(self):
         validate_config(self)
+        for name in ("n_a", "n_b"):  # plain ints: exact integer arithmetic, one cache key per size
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
     def nn(self) -> int:
@@ -64,10 +67,9 @@ class SystemConfig:
 
 def validate_config(raw: SystemConfig) -> SystemConfig:
     """Check all invariants; returns the config unchanged when valid."""
-    if raw.n_a < 2 or raw.n_b < 2:
-        raise InvalidAntennaCount(
-            f"need at least 2 antennas per node, got n_a={raw.n_a}, n_b={raw.n_b}"
-        )
+    if not all(isinstance(n, numbers.Integral) and n >= 2 for n in (raw.n_a, raw.n_b)):
+        raise InvalidAntennaCount(f"need a whole number of at least 2 antennas per node, "
+                                  f"got n_a={raw.n_a}, n_b={raw.n_b}")
     top = largest_unit_draw(raw.n_a, raw.n_b)  # lambda_s * top is the largest draw
     if not (0 < raw.lambda_s and raw.lambda_s * top < math.inf):
         raise InvalidRange(f"lambda_s must be positive, with lambda_s * {top:.6g} finite, "

@@ -49,6 +49,8 @@ _CHUNK = 1 << 13
 # mean fewer numpy calls, and interpreter-lock hand-offs, per trial; this
 # bound keeps a task's working set, picks and temporaries, a few MB
 _BLOCK_BYTES = 1 << 20
+# rows of candidate SNRs each policy draws: (M, S) or (M, S, R, C)
+_CANDIDATES = {policy: 2 if policy == "serial_max" else 4 for policy in POLICIES}
 # the most trials per point: the largest run the ROADMAP plans for
 MAX_TRIALS = 10**8
 # _certified_parts: the block maxima it splits, far from overflow and from
@@ -104,6 +106,8 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's t
 def _points(cfg, policy: str, trials: int) -> list[SystemConfig]:
     """The call's configs, checked with its policy and trial count."""
     cfgs = [cfg] if isinstance(cfg, SystemConfig) else list(cfg)
+    if not cfgs:
+        raise ValueError("give at least one config")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     if len({(c.n_a, c.n_b) for c in cfgs}) != 1:
@@ -126,7 +130,7 @@ def _chunk_picks(cfg: SystemConfig, policy: str, seed: int, start: int,
     """Trials [start, start + count) drawn at unit means and cfg's size, a
     chunk at a time, as draw_trial_batch gives them: the candidates policy
     reads, (M, S) or (M, S, R, C), then inr_a and inr_b."""
-    unit, k = replace(cfg, lambda_s=1.0), 2 if policy == "serial_max" else 4
+    unit, k = replace(cfg, lambda_s=1.0), _CANDIDATES[policy]
     if count <= _CHUNK:
         return draw_trial_batch(seed, start, count, unit, 1.0, candidates=k)
     picks = np.empty((k, count)), np.empty(count), np.empty(count)
@@ -160,7 +164,7 @@ def _per_block(cfgs: list[SystemConfig], policy: str, trials: int, seed: int, po
     caller; on an error, or when the caller stops early, the call's tasks
     not yet started are cancelled and its running ones finish."""
     pool, workers = _executor()
-    rows = 4 if policy == "serial_max" else 6
+    rows = _CANDIDATES[policy] + 2  # and inr_a, inr_b
     step = _CHUNK * max(1, min(_BLOCK_BYTES // (8 * rows * _CHUNK), -(-trials // _CHUNK) // workers))
 
     def task(start):

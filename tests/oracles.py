@@ -71,8 +71,8 @@ def draw_matrix_batch(master_seed: int, start_trial: int, count: int, cfg,
 
 def mu_coefficient(k: int, l: int, m: int, n_a: int, n_b: int) -> float:
     """Coefficient of the (k, l, m) term of the second-link CDF triple sum,
-    as the source derivation writes it; fdlink.analytic._coefficients
-    collects these by c = n_a*n_b - l + m."""
+    as the source derivation writes it; collected by c = n_a*n_b - l + m,
+    with sign (-1)^m, they give the A_c / D of fdlink.analytic._coefficients."""
     nn = n_a * n_b
     num = math.comb(nn - k - 1, n_a + n_b - k - 1) * math.comb(nn, l) * math.comb(l, m)
     return num / math.comb(nn - 1, n_a + n_b - 2)

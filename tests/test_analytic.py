@@ -646,6 +646,19 @@ def test_asymptote_keeps_its_value_where_the_power_fits():
                         perfect_cancellation_reference(cfg, 1e8))
 
 
+def test_asymptotes_match_the_rank_mixture_zeta_at_every_supported_size():
+    # the package takes zeta_ba = nn m / (nn - m) from the two-term law of one
+    # maximum; the reference takes m C(nn, m) / C(nn - 1, n_a + n_b - 2) from
+    # the rank mixture
+    cap = analytic.MAX_NN_CLOSED_FORM
+    sizes = [(n_a, n_b) for n_a in range(2, cap // 2 + 1) for n_b in range(2, cap // n_a + 1)]
+    assert len(sizes) == 459
+    for n_a, n_b in sizes:
+        cfg = make_cfg(n_a=n_a, n_b=n_b, eta=0.0)
+        assert_rounded_once(asymptotic_ser_perfect_cancellation(cfg, 10.0),
+                            perfect_cancellation_reference(cfg, 10.0))
+
+
 MOMENT_SIZES = [(a, b) for a in range(2, 7) for b in range(2, 7)] + [(4, 9), (12, 12), (2, 72)]
 
 

@@ -256,6 +256,16 @@ def test_cdfs_match_reference_down_to_the_float_range(n_a, n_b):
     assert max(worst)[0] <= REL_TOL, max(worst)
 
 
+@pytest.mark.parametrize("n_a,n_b", CDF_SIZES, ids=size_ids(CDF_SIZES))
+def test_tables_are_the_derivations_terms(n_a, n_b):
+    # the package builds its tables from the two-term law of one maximum,
+    # the derivation from the rank mixture's (k, l, m) terms: the same
+    # integers over the same denominator
+    for link in ("ab", "ba"):
+        denom, terms = derivation_terms(n_a, n_b, link)
+        assert analytic._coefficients(n_a, n_b, link) == (denom, tuple(coef for coef, _ in terms))
+
+
 @pytest.mark.parametrize("n,t", [(2, 0.0), (6, 0.0), (12, 0.0), (12, 1e-7)])
 def test_cdf_below_the_float_range_is_positive_zero(n, t):
     # each CDF is 0 (x = 0) or below the float range; a sum that still

@@ -3,12 +3,16 @@ import re
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fdlink import (
     BPSK,
     ModulationParams,
     SystemConfig,
+    analytic,
+    avg_weighted_sum_rate,
+    cdf_gammas,
     db_to_linear,
     linear_to_db,
     load_config,
@@ -79,16 +83,35 @@ def test_lambda_s_whose_draws_overflow_rejected():
 
 @pytest.mark.parametrize("kw,error", [
     (dict(n_a=1, n_b=3), InvalidAntennaCount),
+    (dict(n_a=2.5, n_b=3), InvalidAntennaCount),
+    (dict(n_a=3.0, n_b=3), InvalidAntennaCount),
     (dict(eta=1.5), InvalidRange),
     (dict(w=1.5), InvalidRange),
     (dict(lambda_s=-100.0), InvalidRange),
-], ids=["1x3", "eta", "w", "lambda_s"])
+], ids=["1x3", "2.5x3", "3.0x3", "eta", "w", "lambda_s"])
 def test_invalid_config_raises_when_built(kw, error):
     # no estimator or closed form ever sees, and computes on, such a config
     with pytest.raises(error):
         cfg(**kw)
     with pytest.raises(error):
         replace(cfg(), **kw)
+
+
+def test_numpy_integer_antenna_counts_accepted():
+    c = cfg(n_a=np.int64(3), n_b=np.int32(4))
+    assert c.nn == 12 and c == replace(cfg(n_b=4), n_a=3)
+    assert type(c.n_a) is type(c.n_b) is int
+
+
+def test_numpy_integer_counts_give_the_plain_int_closed_forms():
+    # the 6x6 second-link table passes 4e19 on its way, past int64; each
+    # closed form is built with an empty table cache, so neither reuses the other's
+    def closed_forms(n):
+        analytic._coefficients.cache_clear()
+        c = cfg(n_a=n, n_b=n)
+        return cdf_gammas(100.0, c), avg_weighted_sum_rate(c)
+
+    assert closed_forms(np.int64(6)) == closed_forms(6)
 
 
 def test_bad_modulation_rejected():

@@ -490,6 +490,18 @@ def test_point_lists_return_one_estimate_per_point():
         montecarlo.mc_empirical_cdfs(cfgs, 10, 0, [np.ones(3)])
 
 
+def test_an_empty_point_list_is_refused():
+    calls = [
+        lambda: mc_weighted_sum_rate([], "serial_max", 10, 1),
+        lambda: mc_weighted_sum_ser([], "max_wsr", 10, 1),
+        lambda: mc_p_not([], 10, 1),
+        lambda: montecarlo.mc_empirical_cdfs([], 10, 1, []),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="give at least one config"):
+            call()
+
+
 @pytest.mark.parametrize("snr_db", [27.0, 30.0, 40.0])
 def test_high_snr_ser_point_matches_fsum_oracle(snr_db):
     # at eta = 0 the per-trial SERs underflow: at 27 dB about 47 % are 0
