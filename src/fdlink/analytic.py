@@ -49,13 +49,11 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-# exp_e1_scaled and erfcx are not called here; they stay bound because
-# perfbench/spans.py counts calls made through these module attributes
-from scipy.special import erfcx  # noqa: F401
-
 from .config import ModulationParams, SystemConfig
 from .errors import DomainError, RequiresPerfectCancellation
 from .selection import by_weight
+# exp_e1_scaled is not called here; it stays bound, as erfcx does through
+# __getattr__, because perfbench/spans.py counts calls made through both
 from .special import exp_e1_scaled  # noqa: F401
 
 # the reference tests check every closed form up to 12x12 and the CDFs up
@@ -72,12 +70,16 @@ _ERFCX_SERIES = mpmath.mpf(10**4)
 
 
 def __getattr__(name: str):
-    # nothing here integrates numerically, so slow-to-import scipy.integrate
-    # loads only on a read of analytic.quad, which perfbench/spans.py makes
-    if name != "quad":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.integrate import quad
-    return quad
+    # nothing here integrates numerically or calls erfcx, so scipy.integrate
+    # and scipy.special, about 0.2 s of import, load only on a read of
+    # analytic.quad or analytic.erfcx, which perfbench/spans.py makes
+    if name == "quad":
+        from scipy.integrate import quad
+        return quad
+    if name == "erfcx":
+        from scipy.special import erfcx
+        return erfcx
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ def _coefficients(n_a: int, n_b: int, link: str) -> tuple[int, tuple[int, ...]]:
 
 def cdf_gammas(x: float, cfg: SystemConfig) -> tuple[float, float]:
     """(first, second) pick's SINR CDFs at x, from one kernel vector."""
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"x must be >= 0, got {x}")
     return tuple(r.value for r in _link_sums(cfg, functools.partial(_cdf_kernel, x=x)))
 
@@ -324,7 +326,7 @@ def asymptotic_ser_generic(n_order: int, zeta, lam: float, mod: ModulationParams
     alpha zeta (2N+1)!! / (2 (N+1) (beta lam)^(N+1)), since Gamma(N + 3/2) =
     sqrt(pi) (2N+1)!! / 2^(N+1).  Evaluated in mpmath and rounded once, so
     it is inf or 0.0 past the float range; zeta may be an mpf."""
-    if n_order < 0 or lam <= 0:
+    if n_order < 0 or not lam > 0:
         raise DomainError("need n_order >= 0 and lam > 0")
     with mpmath.workdps(_DPS):
         power = (mpmath.mpf(mod.beta_mod) * lam) ** (n_order + 1)

@@ -23,7 +23,6 @@ import functools
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.random import Philox
 
 if TYPE_CHECKING:
     from .config import SystemConfig
@@ -62,6 +61,7 @@ def draw_trial_batch(
     and at node B.  The rows do not depend on candidates."""
     if candidates not in (2, 4):
         raise ValueError(f"candidates must be 2 or 4, got {candidates!r}")
+    from numpy.random import Philox  # here, not at import: about 15 ms that only draws need
     bitgen = Philox(key=master_seed)
     bitgen.advance(start_trial * _PER_TRIAL // 4)
     # the top 52 bits j of a word give the uniform (2j + 1) * 2**-53; j

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-import scipy
 
 from . import __version__
 from .analytic import (
@@ -262,6 +261,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
         # keeps a sweep's sidecar the same wherever it is written
         recorded = dataclasses.asdict(spec)
         del recorded["out"]
+        import scipy  # only for its version: not at import, where it adds to every start-up
         sidecar = {
             "tool": "fdlink",
             "version": __version__,

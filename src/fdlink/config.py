@@ -78,8 +78,8 @@ def validate_config(raw: SystemConfig) -> SystemConfig:
         raise InvalidRange(f"eta must lie in [0, 1), got {raw.eta}")
     if not 0 < raw.w < 1:
         raise InvalidRange(f"w must lie in (0, 1), got {raw.w}")
-    if raw.modulation.alpha_mod <= 0 or raw.modulation.beta_mod <= 0:
-        raise InvalidRange("modulation constants must be positive")
+    if not all(0 < v < math.inf for v in (raw.modulation.alpha_mod, raw.modulation.beta_mod)):
+        raise InvalidRange(f"modulation constants must be positive and finite, got {raw.modulation}")
     return raw
 
 

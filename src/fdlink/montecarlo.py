@@ -53,8 +53,8 @@ _BLOCK_BYTES = 1 << 20
 _CANDIDATES = {policy: 2 if policy == "serial_max" else 4 for policy in POLICIES}
 # the most trials per point: the largest run the ROADMAP plans for
 MAX_TRIALS = 10**8
-# _certified_parts: the block maxima it splits, far from overflow and from
-# subnormal pieces, and the smallest subnormal, which rounds its bound up
+# _certified_parts: the block maxima it splits unscaled, far from overflow
+# and from subnormal pieces, and the smallest subnormal, which rounds its bound up
 _EXTRACT_MIN = 2.0**-900
 _EXTRACT_MAX = 2.0**900
 _EPS = np.finfo(float).eps
@@ -189,27 +189,35 @@ def _per_block(cfgs: list[SystemConfig], policy: str, trials: int, seed: int, po
 
 def _certified_parts(x: np.ndarray) -> tuple[list[float], float] | None:
     """(parts, err): floats whose exact sum is within err of that of the
-    1-D array x, or None where x is not finite or its largest |x| is
-    outside (_EXTRACT_MIN, _EXTRACT_MAX); zeros are one zero part,
-    negative if all are, with err 0.  With |x| < 2**e and n + 1 < 2**k,
-    sigma = 2**(e + k) splits each x exactly into q = (x + sigma) - sigma,
-    a multiple of 2**-53 sigma, and r = x - q (Rump, Ogita and Oishi, SIAM
-    J. Sci. Comput. 31(1), 2008): sum(q) is exact in any order, and err,
-    n * eps * sum|r| plus the smallest subnormal, bounds the error of
-    sum(r) with room for its own rounding and underflow."""
+    1-D array x, or None where x is not finite or its largest |x| is not
+    below _EXTRACT_MAX; zeros are one zero part, negative if all are, with
+    err 0.  With |x| < 2**e and n + 1 < 2**k, sigma = 2**(e + k) splits
+    each x exactly into q = (x + sigma) - sigma, a multiple of 2**-53
+    sigma, and r = x - q (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
+    31(1), 2008): sum(q) is exact in any order, and err, n * eps * sum|r|
+    plus the smallest subnormal, bounds the error of sum(r) with room for
+    its own rounding and underflow.  Where the largest |x| is at most
+    _EXTRACT_MIN, the split is of x * 2**shift, exact, with |x| * 2**shift
+    in [1/2, 1); scaling the parts and err back rounds each by at most half
+    the smallest subnormal, which err then covers."""
     n = x.size
     if n == 0:
         return [], 0.0
     m = max(x.max(), -x.min())  # NaN if any value is NaN
-    if not _EXTRACT_MIN < m < _EXTRACT_MAX:
+    if not 0 < m < _EXTRACT_MAX:
         return ([-0.0 if np.signbit(x).all() else 0.0], 0.0) if m == 0 else None
-    sigma = math.ldexp(1.0, math.frexp(m)[1] + (n + 1).bit_length())
+    shift = -math.frexp(m)[1] if m <= _EXTRACT_MIN else 0
+    x = np.ldexp(x, shift) if shift else x
+    sigma = math.ldexp(1.0, math.frexp(m)[1] + shift + (n + 1).bit_length())
     q = x + sigma
     q -= sigma
     high = float(q.sum())
     r = np.subtract(x, q, out=q)
     low = float(r.sum())
     err = float(np.abs(r, out=r).sum()) * (n * _EPS) + _SUBNORMAL
+    if shift:  # nextafter rounds up the sum of err and the scale-back roundings
+        high, low = math.ldexp(high, -shift), math.ldexp(low, -shift)
+        err = math.nextafter(math.ldexp(err, -shift) + 2 * _SUBNORMAL, math.inf)
     return [high, low], err
 
 

@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, log_ndtr
 
 from .config import ModulationParams
 from .errors import DegenerateSize, MatrixTooSmall
@@ -84,6 +83,7 @@ def rate_map(gamma):
 
 def ser_map(gamma, mod: ModulationParams):
     """Per-link conditional SER alpha * Q(sqrt(beta * gamma)), elementwise."""
+    from scipy.special import erfc  # here, not at import: about 0.2 s that only SERs need
     x = np.multiply(mod.beta_mod, gamma, out=np.empty(np.shape(gamma)))
     x /= 2.0
     np.sqrt(x, out=x)
@@ -140,6 +140,7 @@ def best_pairs(x: np.ndarray, g: np.ndarray, w: float, policy: str,
             # at w = 0 or 1 the zero-weight link is left out: 0 * inf is NaN
             score = w_first * h + w_second * h[_PARTNER] if w_second else h
         else:
+            from scipy.special import log_ndtr  # about 0.2 s of import, as in ser_map
             h = np.log(mod.alpha_mod) + log_ndtr(-np.sqrt(mod.beta_mod * g[:, trials]))
             with np.errstate(divide="ignore"):  # log 0 = -inf where w is 0 or 1
                 score = -np.logaddexp(np.log(w_first) + h, np.log(w_second) + h[_PARTNER])

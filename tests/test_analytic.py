@@ -208,9 +208,10 @@ def test_cdf_gamma_ba_perfect_cancellation_is_rank_mixture():
 
 def test_cdf_domain_and_size_guards():
     cfg = make_cfg()
-    for cdf in (cdf_gamma_ab, cdf_gamma_ba):
-        with pytest.raises(DomainError):
-            cdf(-0.1, cfg)
+    for cdf in (cdf_gamma_ab, cdf_gamma_ba, cdf_gammas):
+        for x in (-0.1, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                cdf(x, cfg)
     # 13 x 12 = 156 > MAX_NN_CLOSED_FORM = 144: every closed form refuses
     big = make_cfg(n_a=13, n_b=12)
     for closed_form in (lambda c: cdf_gamma_ab(1.0, c), lambda c: cdf_gamma_ba(1.0, c),
@@ -393,17 +394,51 @@ def test_precision_escalates_until_the_sum_keeps_its_digits(monkeypatch):
     assert counts["workdps"] >= 3
 
 
-def test_scipy_integrate_stays_off_the_import_path():
-    code = (
-        "import sys\n"
-        "import fdlink, fdlink.cli\n"
-        "assert 'scipy.integrate' not in sys.modules\n"
-        "assert callable(fdlink.analytic.quad)\n"
-    )
+# the first SER estimate, on a pool of two workers, printed as bits
+SER_ESTIMATE = """
+montecarlo._workers = lambda: 2
+est = montecarlo.mc_weighted_sum_ser(fdlink.SystemConfig(3, 3, 100.0, 0.05, 0.7), "min_wser", 40_000, 3)
+print(est.value.hex(), est.std_error.hex())
+"""
+IMPORTS_AS_NEEDED = """
+import sys
+from dataclasses import replace
+import fdlink, fdlink.cli
+from fdlink import analytic, montecarlo
+loaded = lambda: [m for m in ("scipy", "scipy.special", "scipy.integrate", "numpy.random")
+                  if m in sys.modules]
+assert not loaded(), loaded()
+cfg = fdlink.SystemConfig(3, 3, 100.0, 0.05, 0.7)
+for closed_form in (analytic.avg_weighted_sum_rate, analytic.avg_weighted_sum_ser,
+                    analytic.rate_ceiling, analytic.ser_floor, lambda c: analytic.cdf_gammas(1.0, c)):
+    closed_form(cfg)
+analytic.asymptotic_ser_perfect_cancellation(replace(cfg, eta=0.0), 1e4)
+montecarlo.mc_weighted_sum_rate(cfg, "max_wsr", 20_000, 1)
+montecarlo.mc_p_not(cfg, 20_000, 1)
+assert fdlink.cli.main(["--preset", "table1", "--out", sys.argv[1]]) == 0
+assert "scipy.special" not in sys.modules, loaded()
+""" + SER_ESTIMATE + """
+assert "scipy.special" in sys.modules
+import scipy.special
+assert analytic.erfcx is scipy.special.erfcx and callable(analytic.quad)
+"""
+IMPORTS_FIRST = "import scipy.special\nimport fdlink\nfrom fdlink import montecarlo\n" + SER_ESTIMATE
+
+
+def test_heavy_modules_load_where_first_needed(tmp_path):
+    # import fdlink loads no scipy and no numpy.random, and closed forms,
+    # rate and P_not estimates and the table1 preset load no scipy.special;
+    # the first SER estimate loads it from the pool's worker threads, and
+    # gets the bits of a process that imported it first
     src = str(pathlib.Path(fdlink.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    outputs = []
+    for code in (IMPORTS_AS_NEEDED, IMPORTS_FIRST):
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.splitlines()[-1])
+    assert outputs[0] == outputs[1]
     rate = quadrature_avg_rate(lambda x: -math.expm1(-x))
     assert rate == pytest.approx(exp_e1_scaled(1.0) / math.log(2.0), rel=1e-9)
 
@@ -569,8 +604,11 @@ def test_asymptotic_guards():
         asymptotic_ser_perfect_cancellation(make_cfg(eta=0.1), 100.0)
     with pytest.raises(DomainError):
         asymptotic_ser_generic(-1, 1.0, 10.0, BPSK)
-    with pytest.raises(DomainError):
-        asymptotic_ser_generic(2, 1.0, 0.0, BPSK)
+    for lam in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            asymptotic_ser_generic(2, 1.0, lam, BPSK)
+        with pytest.raises(DomainError):
+            asymptotic_ser_perfect_cancellation(make_cfg(eta=0.0), lam)
 
 
 def reference_asymptote(prefactor, lam, power):

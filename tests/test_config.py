@@ -115,8 +115,12 @@ def test_numpy_integer_counts_give_the_plain_int_closed_forms():
 
 
 def test_bad_modulation_rejected():
-    with pytest.raises(InvalidRange):
-        validate_config(cfg(modulation=ModulationParams(alpha_mod=0.0, beta_mod=2.0)))
+    # each constant must lie in (0, inf): a NaN or an infinity fails the
+    # range, where a test of v <= 0 alone let it through to NaN SERs
+    for alpha, beta in ((0.0, 2.0), (1.0, -2.0), (math.nan, 2.0), (1.0, math.nan),
+                        (math.inf, 2.0), (1.0, math.inf)):
+        with pytest.raises(InvalidRange):
+            cfg(modulation=ModulationParams(alpha_mod=alpha, beta_mod=beta))
 
 
 @pytest.mark.parametrize(

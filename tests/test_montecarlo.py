@@ -583,6 +583,18 @@ def subnormal_mixed():
     return mixed
 
 
+def tiny_mixed():
+    """3000 odd multiples of 2**-1074 and 3000 values of every scale below
+    2**-1030, of either sign, some of which cancel: each block is split
+    scaled up, and its low part rounds as it is scaled back."""
+    rng = np.random.default_rng(4)
+    odd = (2 * rng.integers(0, 2**51, 3000) + 1) * 2.0**-1074 * rng.choice([-1.0, 1.0], 3000)
+    small = rng.uniform(-1.0, 1.0, 3000) * 2.0 ** rng.integers(-1073, -1030, 3000)
+    mixed = np.concatenate([odd, small, -small[:100]])
+    rng.shuffle(mixed)
+    return mixed
+
+
 HUGE_BELOW, HUGE_ABOVE = (math.nextafter(2.0**996, t) for t in (0.0, math.inf))
 EXACT_SUM_CASES = {
     "bucket-fill": bucket_fill_case,
@@ -592,6 +604,7 @@ EXACT_SUM_CASES = {
     # a point whose mean is near 1e-160 has subnormal squared deviations
     "subnormal-equal": lambda: np.full(2**16, (2**52 - 1) * 2.0**-1074),
     "subnormal-mixed": subnormal_mixed,
+    "tiny-mixed": tiny_mixed,
     "huge-1ulp-below": lambda: np.array([HUGE_BELOW, 1.0, -HUGE_BELOW, 2.0**-1074]),
     "huge": lambda: np.array([2.0**996, 1.0, -(2.0**996), 2.0**-1074]),
     "huge-1ulp-above": lambda: np.array([-HUGE_ABOVE, 1.0, HUGE_ABOVE, -(2.0**-1074)]),
@@ -688,6 +701,23 @@ def test_certified_sums_need_no_fallback_on_a_serial_max_sweep():
     for cfg, est in zip(cfgs, estimates):
         assert (bits(est.value), bits(est.std_error)) == tuple(
             map(bits, per_point_estimate(cfg, 20_000, 3, "rate"))), cfg
+
+
+def test_a_block_of_tiny_values_is_certified_without_a_redraw(monkeypatch):
+    # at 40 dB and eta = 0 one 32,768-trial block of this 3x3 SER point
+    # peaks near 2.6e-299, below _EXTRACT_MIN: split as its values times a
+    # power of two, it is certified, and the point is not drawn again
+    certify, peaks = montecarlo._certified_parts, []
+    monkeypatch.setattr(montecarlo, "_certified_parts",
+                        lambda x: peaks.append(np.abs(x).max()) or certify(x))
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    cfg, trials = make_cfg(lambda_s=1e4, eta=0.0), (1 << 17) + (1 << 13)
+    with fsum_fallbacks() as fallbacks:
+        est = mc_weighted_sum_ser(cfg, "serial_max", trials, 7)
+    assert any(0 < m <= montecarlo._EXTRACT_MIN for m in peaks)
+    assert not fallbacks
+    assert (bits(est.value), bits(est.std_error)) == tuple(
+        map(bits, per_point_estimate(cfg, trials, 7, "ser")))
 
 
 def test_certificate_failures_redraw_the_point_in_trial_order(monkeypatch):
