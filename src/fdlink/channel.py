@@ -78,10 +78,10 @@ def draw_trial_batch(
     return _candidates(log_u[:candidates], cfg.n_a, cfg.n_b, cfg.lambda_s), inr[0], inr[1]
 
 
-def instantaneous_sinr(gamma_s, gamma_ri):
+def instantaneous_sinr(gamma_s, gamma_ri, out=None):
     """gamma_s / (gamma_ri + 1) with the actual residual-interference draw,
-    elementwise, in one new array (x[()] is a scalar for scalar input)."""
-    x = np.empty(np.broadcast_shapes(np.shape(gamma_s), np.shape(gamma_ri)))
+    elementwise, in out or one new array (x[()] is a scalar for scalar input)."""
+    x = np.empty(np.broadcast_shapes(np.shape(gamma_s), np.shape(gamma_ri))) if out is None else out
     np.add(gamma_ri, 1.0, out=x)
     np.divide(gamma_s, x, out=x)
     return x[()]

@@ -1,19 +1,20 @@
 """Monte Carlo estimators of average weighted sum rate, sum SER, empirical
 CDFs, and the Serial-Max optimality-gap frequency.
 
-Every estimator makes one pass (_per_block) over blocks of whole chunks of
-_CHUNK trials, one task each, on one process-wide thread pool with a
+Every estimator makes one pass (_per_block) over blocks of whole units of
+_UNIT trials, one task each, on one process-wide thread pool with a
 worker per CPU the process may use (_workers).  A task draws its block
-once for every point, one draw_trial_batch call per chunk, and reduces it
-for every point, so memory stays flat in the trial count.  A block is at
-most a worker's share of the trials and its picks at most _BLOCK_BYTES.
+once, _CHUNK trials a call, and reduces it for every point, so memory
+stays flat in the trial count.  A block is at most a worker's share of
+the units and its picks at most _BLOCK_BYTES.
 
-A point's mean and standard error come from the sums of its values x, of
-x - c and of (x - c)**2, with c its value at trial 0.  Each sum equals
-math.fsum of its terms bit for bit, whatever the blocks or the worker
-count: the blocks' certified parts (_certified_parts, _total) where their
-error bound allows, else math.fsum of the point's terms drawn again in
-trial order.  Counts (empirical CDFs, P_not) merge exactly.
+A point's mean is math.fsum of its values over the trial count, bit for
+bit: the blocks' certified parts (_certified_parts, _total) where their
+error bound allows, else math.fsum of its values drawn again in trial
+order.  Its standard error merges the moments of each unit in unit order
+(_moments, _merge), squares scaled so that they cannot underflow: it
+depends on _UNIT, not on _CHUNK, _BLOCK_BYTES or the worker count.
+Counts (empirical CDFs, P_not) merge exactly.
 
 Every policy draws at unit means the candidate SNRs it reads
 (fdlink.channel), (M, S) for Serial-Max and (M, S, R, C) for exhaustive
@@ -44,7 +45,10 @@ from .selection import POLICIES, best_pairs, by_weight, weighted_sum
 
 # trials per draw_trial_batch call
 _CHUNK = 1 << 13
-# the most bytes of picks per task, in whole chunks: 4 chunks under
+# trials per unit of the standard error's moments, in trial order; task
+# blocks are whole units
+_UNIT = 1 << 13
+# the most bytes of picks per task, in whole units: 4 units under
 # Serial-Max (4 rows), 2 under exhaustive search (6 rows).  Longer blocks
 # mean fewer numpy calls, and interpreter-lock hand-offs, per trial; this
 # bound keeps a task's working set, picks and temporaries, a few MB
@@ -125,35 +129,31 @@ def _scaled(x, cfg: SystemConfig):
     return g
 
 
-def _chunk_picks(cfg: SystemConfig, policy: str, seed: int, start: int,
-                 count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chunk_picks(cfg: SystemConfig, policy: str, seed: int, start: int, count: int) -> np.ndarray:
     """Trials [start, start + count) drawn at unit means and cfg's size, a
-    chunk at a time, as draw_trial_batch gives them: the candidates policy
-    reads, (M, S) or (M, S, R, C), then inr_a and inr_b."""
+    chunk at a time, as draw_trial_batch gives them, in one (k + 2, count)
+    array: the k candidates policy reads, (M, S) or (M, S, R, C), then
+    inr_a and inr_b."""
     unit, k = replace(cfg, lambda_s=1.0), _CANDIDATES[policy]
-    if count <= _CHUNK:
-        return draw_trial_batch(seed, start, count, unit, 1.0, candidates=k)
-    picks = np.empty((k, count)), np.empty(count), np.empty(count)
+    picks = np.empty((k + 2, count))
     for lo in range(0, count, _CHUNK):
         n = min(_CHUNK, count - lo)
-        for out, rows in zip(picks, draw_trial_batch(seed, start + lo, n, unit, 1.0, candidates=k)):
-            out[..., lo:lo + n] = rows
+        picks[:k, lo:lo + n], picks[k, lo:lo + n], picks[k + 1, lo:lo + n] = draw_trial_batch(
+            seed, start + lo, n, unit, 1.0, candidates=k)
     return picks
 
 
-def _point_sinrs(picks, cfg: SystemConfig,
-                 policy: str = "serial_max") -> tuple[np.ndarray, np.ndarray]:
-    """cfg's (gamma_ab, gamma_ba) from _chunk_picks: the unit SNRs of
-    policy's (first, second) pick, the best of the four candidate pairs on
-    cfg's own g for exhaustive policies, over the unit INRs, scaled to
-    cfg's means."""
-    cands, inr_a, inr_b = picks
-    first, second = cands[0], cands[1]
-    if policy != "serial_max":
-        first, second = best_pairs(cands, _scaled(cands, cfg), cfg.w, policy, cfg.modulation)
-    ab, ba = by_weight(first, second, cfg.w)
-    return (instantaneous_sinr(cfg.lambda_s * ab, cfg.lambda_i * inr_b),
-            instantaneous_sinr(cfg.lambda_s * ba, cfg.lambda_i * inr_a))
+def _point_sinrs(picks: np.ndarray, cfg: SystemConfig, policy: str = "serial_max") -> np.ndarray:
+    """cfg's (gamma_ab, gamma_ba) from _chunk_picks, as one (2, n) array:
+    the unit SNRs of policy's (first, second) pick, the best of the four
+    candidate pairs on cfg's own g for exhaustive policies, in by_weight's
+    order, over the unit INRs at B and at A, scaled to cfg's means."""
+    k = _CANDIDATES[policy]
+    pair = picks[:2] if policy == "serial_max" else best_pairs(
+        picks[:k], _scaled(picks[:k], cfg), cfg.w, policy, cfg.modulation)
+    ab_ba = by_weight(pair, pair[::-1], cfg.w)[0]  # the pair, or its rows swapped
+    inr = cfg.lambda_i * picks[k:][::-1]  # at B, then at A
+    return instantaneous_sinr(cfg.lambda_s * ab_ba, inr, out=inr)
 
 
 def _per_block(cfgs: list[SystemConfig], policy: str, trials: int, seed: int, point_fn,
@@ -165,7 +165,7 @@ def _per_block(cfgs: list[SystemConfig], policy: str, trials: int, seed: int, po
     not yet started are cancelled and its running ones finish."""
     pool, workers = _executor()
     rows = _CANDIDATES[policy] + 2  # and inr_a, inr_b
-    step = _CHUNK * max(1, min(_BLOCK_BYTES // (8 * rows * _CHUNK), -(-trials // _CHUNK) // workers))
+    step = _UNIT * max(1, min(_BLOCK_BYTES // (8 * rows * _UNIT), -(-trials // _UNIT) // workers))
 
     def task(start):
         picks = _chunk_picks(cfgs[0], policy, seed, start, min(step, trials - start))
@@ -242,38 +242,54 @@ def _total(certified: list, values) -> float:
     return math.fsum(itertools.chain.from_iterable(values()))
 
 
-def _terms(picks, cfg: SystemConfig, shift: float, policy: str, metric: str):
-    """The terms of cfg's three sums over picks, in turn, in one array: its
-    values x, selection.weighted_sum of rates or SERs, x - shift and
-    (x - shift)**2."""
-    x = weighted_sum(*_point_sinrs(picks, cfg, policy), cfg.w,
-                     cfg.modulation if metric == "ser" else None)
-    yield x
-    yield np.subtract(x, shift, out=x)
-    yield np.square(x, out=x)
+def _moments(x: np.ndarray) -> list[tuple[int, float, int, float]]:
+    """(count, mean, e, sum(((x - mean) * 2**e)**2)) of each _UNIT trials
+    of the block x in turn, the last maybe short, with 2**e * its largest
+    value (or the smallest normal) in [1/2, 1); values are not negative,
+    so no scaled square underflows.  x is overwritten."""
+    full = x.size - x.size % _UNIT
+    out = []
+    for units in (x[:full].reshape(-1, _UNIT), x[full:].reshape(1, -1)):
+        if units.size:
+            means = units.sum(axis=1) / units.shape[1]
+            e = -np.frexp(np.maximum(units.max(axis=1), np.finfo(float).tiny))[1]
+            units -= means[:, None]
+            units *= np.ldexp(1.0, e)[:, None]
+            s = np.square(units, out=units).sum(axis=1)
+            out += zip(itertools.repeat(units.shape[1]), means.tolist(), e.tolist(), s.tolist())
+    return out
+
+
+def _merge(moments, unit):
+    """(count, mean, e, s) of moments and then unit, s the sum of squared
+    deviations times 4**e at e = min(e_a, e_b), by Chan, Golub and
+    LeVeque's update (Am. Stat. 37(3), 1983); (0, 0.0, 1023, 0.0), at a
+    scale above every unit's, is no trials."""
+    n, mean, e, s = moments
+    c, unit_mean, f, t = unit
+    g, delta, total = min(e, f), unit_mean - mean, n + c
+    s = math.ldexp(s, 2 * (g - e)) + math.ldexp(t, 2 * (g - f)) + math.ldexp(delta, g)**2 * (n * c / total)
+    return total, mean + delta * (c / total), g, s
 
 
 def _estimates(cfg, policy: str, metric: str, trials: int, seed: int):
-    """Each config's mean S0 / n and standard error sqrt(max(S2 - S1**2 /
-    n, 0) / (n - 1)) / sqrt(n) from the sums of its _terms, shifted by its
-    value at trial 0; each sum is _total of the blocks' certified parts,
-    or math.fsum of the point's terms drawn again in trial order."""
+    """Each config's mean, _total of its values' certified parts over trials,
+    and standard error from its unit moments, merged as the blocks arrive."""
     cfgs = _points(cfg, policy, trials)
-    first = _chunk_picks(cfgs[0], policy, seed, 0, 1)
-    args = [(float(next(_terms(first, c, 0.0, policy, metric))[0]), policy, metric) for c in cfgs]
-    sums = _per_block(cfgs, policy, trials, seed, lambda picks, c, *a: [
-        _certified_parts(t) for t in _terms(picks, c, *a)], args)
+    values = lambda picks, c: weighted_sum(  # of rates or SERs, in the SINRs' own array
+        g := _point_sinrs(picks, c, policy), c.w, c.modulation if metric == "ser" else None, g)
+    # _moments overwrites the values, after _certified_parts has read them
+    reduce = lambda picks, c: (_certified_parts(x := values(picks, c)), _moments(x))
+    certified, moments = [[] for _ in cfgs], [(0, 0.0, 1023, 0.0)] * len(cfgs)
+    for block in _per_block(cfgs, policy, trials, seed, reduce, [()] * len(cfgs)):
+        for i, (parts, units) in enumerate(block):
+            certified[i].append(parts)
+            moments[i] = functools.reduce(_merge, units, moments[i])
     out = []
-    for c, a, blocks in zip(cfgs, args, zip(*sums)):
-        def terms(k, c=c, a=a):
-            kth = lambda picks, *b: next(itertools.islice(_terms(picks, *b), k, None))
-            return (t for (t,) in _per_block([c], policy, trials, seed, kth, [a]))
-
-        ks = (0, 0, 2) if a[0] == 0 else (0, 1, 2)  # x - 0 is x: S1 is S0, summed once
-        totals = {k: _total([b[k] for b in blocks], functools.partial(terms, k)) for k in set(ks)}
-        s0, s1, s2 = (totals[k] for k in ks)
-        var = max(s2 - s1 * s1 / trials, 0.0) / (trials - 1) if trials > 1 else 0.0
-        out.append(MetricEstimate(s0 / trials, math.sqrt(var) / math.sqrt(trials), trials, seed))
+    for c, parts, (n, _, e, s) in zip(cfgs, certified, moments):
+        redraw = lambda c=c: (x for (x,) in _per_block([c], policy, trials, seed, values, [()]))
+        std_error = math.ldexp(math.sqrt(s / (n - 1)) / math.sqrt(n), -e) if n > 1 else 0.0
+        out.append(MetricEstimate(_total(parts, redraw) / trials, std_error, trials, seed))
     return out[0] if isinstance(cfg, SystemConfig) else out
 
 
@@ -327,10 +343,10 @@ def _misses(picks, cfg: SystemConfig) -> int:
     """cfg's count of strict exhaustive wins over the four candidates'
     picks, rated only where exhaustive search left (M, S), elsewhere equal
     bit for bit."""
-    g = _scaled(picks[0], cfg)
+    g = _scaled(picks[:4], cfg)
     best = best_pairs(g, g, cfg.w, "max_wsr", None)
     moved = np.flatnonzero((best != g[:2]).any(axis=0))
-    exh, ser = (weighted_sum(*by_weight(*pair[:, moved], cfg.w), cfg.w) for pair in (best, g[:2]))
+    exh, ser = (weighted_sum(by_weight(*pair[:, moved], cfg.w), cfg.w) for pair in (best, g[:2]))
     return int(np.count_nonzero(exh - ser > 1e-12 * np.abs(exh)))
 
 

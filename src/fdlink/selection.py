@@ -71,20 +71,20 @@ class SelectionOutcome:
 
 
 # rate_map and ser_map take the steps of their formulas in that order, in
-# one new array; x[()] is a scalar for scalar input and x itself otherwise
+# out or one new array; x[()] is a scalar for scalar input and x otherwise
 
 
-def rate_map(gamma):
+def rate_map(gamma, out=None):
     """Per-link rate log2(1 + gamma), elementwise."""
-    x = np.add(1.0, gamma, out=np.empty(np.shape(gamma)))
+    x = np.add(1.0, gamma, out=np.empty(np.shape(gamma)) if out is None else out)
     np.log2(x, out=x)
     return x[()]
 
 
-def ser_map(gamma, mod: ModulationParams):
+def ser_map(gamma, mod: ModulationParams, out=None):
     """Per-link conditional SER alpha * Q(sqrt(beta * gamma)), elementwise."""
     from scipy.special import erfc  # here, not at import: about 0.2 s that only SERs need
-    x = np.multiply(mod.beta_mod, gamma, out=np.empty(np.shape(gamma)))
+    x = np.multiply(mod.beta_mod, gamma, out=np.empty(np.shape(gamma)) if out is None else out)
     x /= 2.0
     np.sqrt(x, out=x)
     erfc(x, out=x)
@@ -92,15 +92,14 @@ def ser_map(gamma, mod: ModulationParams):
     return x[()]
 
 
-def weighted_sum(ab, ba, w: float, mod: ModulationParams | None = None):
-    """w*f(ab) + (1-w)*f(ba) of A->B and B->A SINRs, f = rate_map or, under a
-    modulation mod, ser_map; the products, then one add, in f(ab)'s new array."""
-    link = rate_map if mod is None else lambda gamma: ser_map(gamma, mod)
-    values, second = link(ab), link(ba)
-    values *= w
-    second *= 1.0 - w
-    values += second
-    return values
+def weighted_sum(gammas, w: float, mod: ModulationParams | None = None, out=None):
+    """w*f(ab) + (1-w)*f(ba) of A->B and B->A SINRs gammas = (ab, ba), f = rate_map
+    or, under a modulation mod, ser_map; in row 0 of f(gammas) in out or a new array."""
+    x = rate_map(gammas, out) if mod is None else ser_map(gammas, mod, out)
+    x[0] *= w
+    x[1] *= 1.0 - w
+    x[0] += x[1]
+    return x[0]
 
 
 # trials per step of finding and of scoring the candidates: temporaries
@@ -236,14 +235,14 @@ def serial_max(sinr: np.ndarray, w: float = 1.0) -> SelectionOutcome:
 
 def weighted_combine_rate(gamma_first: float, gamma_second: float, w: float) -> float:
     """w*R(gamma_ab) + (1-w)*R(gamma_ba) of the first and second pick's SINRs."""
-    return weighted_sum(*by_weight(gamma_first, gamma_second, w), w)
+    return weighted_sum(by_weight(gamma_first, gamma_second, w), w)
 
 
 def weighted_combine_ser(
     gamma_first: float, gamma_second: float, w: float, mod: ModulationParams
 ) -> float:
     """w*SER(gamma_ab) + (1-w)*SER(gamma_ba) of the first and second pick's SINRs."""
-    return weighted_sum(*by_weight(gamma_first, gamma_second, w), w, mod)
+    return weighted_sum(by_weight(gamma_first, gamma_second, w), w, mod)
 
 
 def p_not_upper_bound(n_a: int, n_b: int) -> float:

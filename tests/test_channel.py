@@ -217,7 +217,7 @@ def oracle_law(cfg, trials, seed):
         for policy in POLICIES:
             ab, ba = select(g, cfg.w, policy, cfg.modulation)
             values[policy][cols] = weighted_sum(
-                instantaneous_sinr(flat[rows, ab], inr_b), instantaneous_sinr(flat[rows, ba], inr_a),
+                (instantaneous_sinr(flat[rows, ab], inr_b), instantaneous_sinr(flat[rows, ba], inr_a)),
                 cfg.w, cfg.modulation if policy == "min_wser" else None)
     return cands, values
 

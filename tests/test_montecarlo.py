@@ -233,22 +233,38 @@ def per_point_values(cfg, trials, seed, metric, policy="serial_max"):
 
 def per_point_estimate(cfg, trials, seed, metric, policy="serial_max"):
     """(mean, stderr) of one point on its own: fsum of the values over
-    trials, and the standard error from fsum of the deviations d from the
-    value at trial 0 and of their squares, sqrt(max(S2 - S1**2 / n, 0) /
-    (n - 1)) / sqrt(n)."""
+    trials, and the standard error from the moments of each unit of
+    montecarlo._UNIT trials, one unit at a time: its count c, its mean,
+    the f that puts its largest value (or the smallest normal) in
+    [1/2, 1) times 2**f, and t = sum(((x - mean) * 2**f)**2); merged in
+    unit order by Chan, Golub and LeVeque's update at the scale e of the
+    larger values, then sqrt(s / (n - 1)) / sqrt(n) / 2**e."""
     values = per_point_values(cfg, trials, seed, metric, policy)
     mean = math.fsum(values) / trials
     if trials == 1:
         return mean, 0.0
-    d = values - values[0]
-    s1, s2 = math.fsum(d), math.fsum(d * d)
-    return mean, math.sqrt(max(s2 - s1 * s1 / trials, 0.0) / (trials - 1)) / math.sqrt(trials)
+    n, running, e, s = 0, 0.0, 1023, 0.0
+    for lo in range(0, trials, montecarlo._UNIT):
+        unit = values[lo:lo + montecarlo._UNIT]
+        c, unit_mean = unit.size, unit.sum() / unit.size
+        f = -math.frexp(max(unit.max(), 2.0**-1022))[1]
+        t = np.square(np.ldexp(unit - unit_mean, f)).sum()
+        g, delta = min(e, f), unit_mean - running
+        s = (math.ldexp(s, 2 * (g - e)) + math.ldexp(t, 2 * (g - f))
+             + math.ldexp(delta, g) ** 2 * (n * c / (n + c)))
+        n, running, e = n + c, running + delta * (c / (n + c)), g
+    return mean, math.ldexp(math.sqrt(s / (n - 1)) / math.sqrt(n), -e)
 
 
-def two_pass_sum_of_squares(values):
-    """fsum of the squared deviations from the fsum mean: the second pass
-    the standard error once took."""
-    return math.fsum((values - math.fsum(values) / values.size) ** 2)
+def two_pass_stderr(values):
+    """sqrt(fsum of the squared deviations from the fsum mean / (n - 1)) /
+    sqrt(n): the second pass the standard error once took, on the values
+    times the 2**f that puts the largest in [1/2, 1), so no square
+    underflows, then scaled back."""
+    f = -math.frexp(values.max())[1] if values.max() > 0 else 0
+    x = np.ldexp(values, f)
+    squares = math.fsum((x - math.fsum(x) / x.size) ** 2)
+    return math.ldexp(math.sqrt(squares / (x.size - 1)) / math.sqrt(x.size), -f)
 
 
 def bits(x):
@@ -315,19 +331,17 @@ def test_shared_exhaustive_matches_per_point_oracle(n_a, n_b, grid, trials, seed
 @given(n_a=st.integers(2, 6), n_b=st.integers(2, 6), point=points, trials=st.integers(2, 300),
        seed=st.integers(0, 2**64 - 1), policy=st.sampled_from(montecarlo.POLICIES),
        metric=st.sampled_from(["rate", "ser"]))
-def test_shifted_stderr_agrees_with_the_two_pass_formula(n_a, n_b, point, trials, seed, policy,
-                                                         metric):
-    # the one-pass standard error, from the sums of the deviations from the
-    # value at trial 0 and of their squares, is the two-pass one within
-    # 1e-12 relative; where the squares fall below the normal range both
-    # round them to the subnormal grid, which the absolute term allows for
+def test_unit_moment_stderr_agrees_with_the_two_pass_formula(n_a, n_b, point, trials, seed,
+                                                             policy, metric):
+    # the one-pass standard error, from unit moments of squares scaled by a
+    # power of two, is the two-pass one within 1e-12 relative, also where
+    # unscaled squares would fall below the normal range
     lambda_s, eta, w = point
     cfg = make_cfg(n_a=n_a, n_b=n_b, lambda_s=lambda_s, eta=eta, w=w)
     fn = mc_weighted_sum_rate if metric == "rate" else mc_weighted_sum_ser
     est = fn(cfg, policy, trials, seed)
     values = per_point_values(cfg, trials, seed, metric, policy)
-    two_pass = math.sqrt(two_pass_sum_of_squares(values) / (trials - 1)) / math.sqrt(trials)
-    assert est.std_error == pytest.approx(two_pass, rel=1e-12, abs=1e-161)
+    assert est.std_error == pytest.approx(two_pass_stderr(values), rel=1e-12)
 
 
 # lambda_s = 1.1 rounds some neighbouring SNRs to one value, at lambda_s =
@@ -346,14 +360,13 @@ def test_shared_serial_max_picks_scale_the_unit_candidates(point, metric):
     # per-point oracle's, alone or beside another point
     lambda_s, eta = SCALED_POINTS[point]
     cfg = make_cfg(lambda_s=lambda_s, eta=eta)
-    unit, unit_a, unit_b = montecarlo._chunk_picks(cfg, "max_wsr", 5, 3, 200)
+    *unit, unit_a, unit_b = montecarlo._chunk_picks(cfg, "max_wsr", 5, 3, 200)
     cands, inr_a, inr_b = montecarlo.draw_trial_batch(5, 3, 200, cfg, eta * lambda_s)
     for drawn, scaled in zip([*cands, inr_a, inr_b],
                              [lambda_s * x for x in unit] + [eta * lambda_s * x for x in (unit_a, unit_b)]):
         assert np.array_equal(drawn.view(np.int64), scaled.view(np.int64))
     serial = montecarlo._chunk_picks(cfg, "serial_max", 5, 3, 200)
-    assert all(np.array_equal(a, b) for a, b in zip([*serial[0], *serial[1:]],
-                                                    [*unit[:2], unit_a, unit_b]))
+    assert np.array_equal(serial, [*unit[:2], unit_a, unit_b])
     other = make_cfg(lambda_s=1.0, eta=0.0)
     for cfgs in ([other, cfg], [cfg, other], [cfg]):
         assert_shared_matches_oracle(cfgs, 200, 5, metric)
@@ -396,8 +409,7 @@ def one_point_outputs(cfg, trials, seed):
 
 
 def record_blocks(monkeypatch):
-    """The (start, count) of every block _chunk_picks draws, trial 0's
-    draw for the shifts included."""
+    """The (start, count) of every block _chunk_picks draws."""
     blocks = []
     chunk_picks = montecarlo._chunk_picks
 
@@ -411,7 +423,7 @@ def record_blocks(monkeypatch):
 
 @pytest.mark.parametrize("trials", [1, 2, 3, 5, 3 * montecarlo._CHUNK + 5])
 def test_one_point_calls_split_their_passes_over_every_worker(monkeypatch, trials):
-    # blocks are whole chunks, a worker's share of them at most and their
+    # blocks are whole units, a worker's share of them at most and their
     # picks at most _BLOCK_BYTES, so a lone point spreads over every worker;
     # the blocks merge exactly, so the bits do not depend on the worker count
     cfg = make_cfg(n_a=4, n_b=4, lambda_s=100.0, eta=0.05)
@@ -422,21 +434,21 @@ def test_one_point_calls_split_their_passes_over_every_worker(monkeypatch, trial
     assert outputs[0] == outputs[1] == outputs[2]
     monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
     blocks = record_blocks(monkeypatch)
-    chunk, chunks = montecarlo._CHUNK, -(-trials // montecarlo._CHUNK)
+    unit, units = montecarlo._UNIT, -(-trials // montecarlo._UNIT)
     for policy, rows in (("serial_max", 4), ("max_wsr", 6)):
         blocks.clear()
         mc_weighted_sum_rate(cfg, policy, trials, 5)
-        step = chunk * max(1, min(montecarlo._BLOCK_BYTES // (8 * rows * chunk), chunks // 2))
-        assert sorted(blocks) == [(0, 1)] + [(start, min(step, trials - start))
-                                             for start in range(0, trials, step)]
+        step = unit * max(1, min(montecarlo._BLOCK_BYTES // (8 * rows * unit), units // 2))
+        assert sorted(blocks) == [(start, min(step, trials - start))
+                                  for start in range(0, trials, step)]
 
 
 @pytest.mark.parametrize("block_bytes,trials", [(1, 250), (13_968, 400), (10**9, 10_300)])
 def test_output_does_not_depend_on_the_task_blocks(monkeypatch, block_bytes, trials):
-    # tasks draw blocks of whole chunks, here one chunk, three or four
-    # (13,968 bytes is 3 chunks of 97 trials of 6 rows), or a worker's
-    # share, and reduce each block in one piece; blocks of any length give
-    # the unpatched run's bits at any worker count
+    # tasks draw blocks of whole units, one unit where _BLOCK_BYTES holds
+    # less than a unit's picks, or a worker's share, 97 trials a draw, and
+    # reduce each block in one piece; blocks of any length give the
+    # unpatched run's bits at any worker count
     cfgs = [make_cfg(lambda_s=lam, eta=eta) for lam, eta in ((10.0, 0.1), (1.0, 0.0), (1e4, 0.02))]
     expected = estimator_outputs(cfgs, trials, 11)
     monkeypatch.setattr(montecarlo, "_CHUNK", 97)
@@ -444,6 +456,35 @@ def test_output_does_not_depend_on_the_task_blocks(monkeypatch, block_bytes, tri
     for workers in (1, 2, 8):
         monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
         assert estimator_outputs(cfgs, trials, 11) == expected
+
+
+@pytest.mark.parametrize("chunk", [3000, 97])
+def test_chunks_that_straddle_units_do_not_change_the_output(monkeypatch, chunk):
+    # _CHUNK sets only how many trials a draw call takes: chunks of 3,000
+    # or 97 trials straddle the 8,192-trial units of the standard error,
+    # and every output keeps its bits, at any worker count
+    cfgs = [make_cfg(lambda_s=lam, eta=eta) for lam, eta in ((10.0, 0.1), (1e4, 0.0))]
+    trials = 3 * montecarlo._UNIT + 5
+    expected = estimator_outputs(cfgs, trials, 11)
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    for workers in (1, 2):
+        monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+        assert estimator_outputs(cfgs, trials, 11) == expected
+    for metric in ("rate", "ser"):
+        assert_shared_matches_oracle(cfgs, trials, 11, metric)
+
+
+def test_a_positive_mean_has_a_positive_standard_error():
+    # at 40 dB and eta = 0 the 3x3 SERs that are not 0 lie far below 1e-162,
+    # where their squared deviations underflow to 0 unscaled; scaled by a
+    # power of two of each unit's largest value they do not
+    cfg = make_cfg(lambda_s=1e4, eta=0.0, w=0.7)
+    estimates = [mc_weighted_sum_ser(cfg, "serial_max", 139_264, seed) for seed in range(1, 9)]
+    assert any(est.value > 0 for est in estimates)
+    for seed, est in enumerate(estimates, 1):
+        assert est.std_error > 0 or est.value == 0, (seed, est)
+    assert (bits(estimates[0].value), bits(estimates[0].std_error)) == tuple(
+        map(bits, per_point_estimate(cfg, 139_264, 1, "ser")))
 
 
 def test_trial_counts_past_the_cap_are_refused():
@@ -456,10 +497,9 @@ def test_trial_counts_past_the_cap_are_refused():
 def test_a_warning_inside_a_task_fails_the_call(monkeypatch):
     draw = montecarlo.draw_trial_batch
 
-    def warning_draw(seed, start, count, *args, **kwargs):
-        if count > 1:  # a task's draw, not that of trial 0 alone for the shifts
-            np.log(np.zeros(1))  # a divide-by-zero RuntimeWarning, an error under pytest
-        return draw(seed, start, count, *args, **kwargs)
+    def warning_draw(*args, **kwargs):
+        np.log(np.zeros(1))  # a divide-by-zero RuntimeWarning, an error under pytest
+        return draw(*args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "draw_trial_batch", warning_draw)
     cfgs = [make_cfg(), make_cfg(lambda_s=100.0)]
@@ -697,7 +737,7 @@ def test_certified_sums_need_no_fallback_on_a_serial_max_sweep():
                               wraps=montecarlo._certified_parts) as certified:
         estimates = mc_weighted_sum_rate(cfgs, "serial_max", 20_000, 3)
     assert not fallbacks
-    assert certified.call_count >= 2 * len(cfgs)
+    assert certified.call_count >= len(cfgs)
     for cfg, est in zip(cfgs, estimates):
         assert (bits(est.value), bits(est.std_error)) == tuple(
             map(bits, per_point_estimate(cfg, 20_000, 3, "rate"))), cfg
@@ -721,19 +761,16 @@ def test_a_block_of_tiny_values_is_certified_without_a_redraw(monkeypatch):
 
 
 def test_certificate_failures_redraw_the_point_in_trial_order(monkeypatch):
-    # with no block certified, every sum is math.fsum of the point's terms
-    # drawn again in trial order, and the bits are those of the oracle.
-    # At 40 dB and eta = 0 the SER at trial 0 is 0, so the terms x - 0 of
-    # S1 are those of S0, and the point draws again for two sums, not three
+    # with no block certified, each point's mean is math.fsum of its values
+    # drawn again in trial order, once per point, and the bits are those of
+    # the oracle; the standard error needs no sum certified
     cfgs = [make_cfg(lambda_s=lam, eta=eta) for lam, eta in ((10.0, 0.1), (1e4, 0.0))]
     monkeypatch.setattr(montecarlo, "_CHUNK", 97)
     monkeypatch.setattr(montecarlo, "_certified_parts", lambda x: None)
     for policy in ("serial_max", "min_wser"):
-        shifts = [per_point_values(cfg, 1, 9, "ser", policy)[0] for cfg in cfgs]
-        assert shifts[0] > 0 and shifts[1] == 0
         with fsum_fallbacks() as fallbacks:
             estimates = mc_weighted_sum_ser(cfgs, policy, 1000, 9)
-        assert len(fallbacks) == 3 + 2
+        assert len(fallbacks) == len(cfgs)
         for cfg, est in zip(cfgs, estimates):
             assert (bits(est.value), bits(est.std_error)) == tuple(
                 map(bits, per_point_estimate(cfg, 1000, 9, "ser", policy))), cfg
