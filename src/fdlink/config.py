@@ -21,6 +21,10 @@ class ModulationParams:
     alpha_mod: float = 1.0
     beta_mod: float = 2.0
 
+    def __post_init__(self):
+        if not all(0 < v < math.inf for v in (self.alpha_mod, self.beta_mod)):
+            raise InvalidRange(f"modulation constants must be positive and finite, got {self}")
+
 
 BPSK = ModulationParams(alpha_mod=1.0, beta_mod=2.0)
 
@@ -78,8 +82,6 @@ def validate_config(raw: SystemConfig) -> SystemConfig:
         raise InvalidRange(f"eta must lie in [0, 1), got {raw.eta}")
     if not 0 < raw.w < 1:
         raise InvalidRange(f"w must lie in (0, 1), got {raw.w}")
-    if not all(0 < v < math.inf for v in (raw.modulation.alpha_mod, raw.modulation.beta_mod)):
-        raise InvalidRange(f"modulation constants must be positive and finite, got {raw.modulation}")
     return raw
 
 

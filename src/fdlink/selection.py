@@ -102,8 +102,8 @@ def weighted_sum(gammas, w: float, mod: ModulationParams | None = None, out=None
     return x[0]
 
 
-# trials per step of finding and of scoring the candidates: temporaries
-# stay in cache, and memory does not grow with the trial count
+# trials per step of scoring the candidates, and a quarter of the values
+# per step of finding them (one matrix at least): temporaries stay in cache
 _BLOCK = 4096
 
 
@@ -152,27 +152,25 @@ def candidates(g: np.ndarray, policy: str) -> np.ndarray:
     """(k, T) flat positions of the links policy reads in a (T, n_a, n_b)
     stack: M, then S for serial_max, or S, R and C for exhaustive search;
     each the first maximum of its links (S outside M's row and column),
-    _BLOCK trials at a time."""
+    found in a float copy of 4 * _BLOCK values, or one matrix, at a time."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    g = np.asarray(g, dtype=float)  # R and C are masked with -inf in place
+    g = np.asarray(g)
     t, n_a, n_b = g.shape
-    flat = g.reshape(t, n_a * n_b)
-    i, j = np.divmod(np.arange(n_a * n_b), n_b)
-    cross = (i[:, None] == i) | (j[:, None] == j)  # [p, q]: q in p's row or column
     out = np.empty((2 if policy == "serial_max" else 4, t), np.intp)
-    out[0] = flat.argmax(axis=1)
-    for lo in range(0, t, _BLOCK):
-        m = out[0, lo:lo + _BLOCK]
-        out[1, lo:lo + _BLOCK] = np.where(cross[m], -np.inf, flat[lo:lo + _BLOCK]).argmax(axis=1)
+    step = max(1, 4 * _BLOCK // (n_a * n_b))
+    for lo in range(0, t, step):
+        x = g[lo:lo + step].astype(float, order="C")  # masked with -inf in place
+        flat, k = x.reshape(len(x), -1), np.arange(len(x))
+        m = out[0, lo:lo + step] = flat.argmax(axis=1)
+        r, c = np.divmod(m, n_b)
+        flat[k, m] = -np.inf
         if len(out) == 4:
             # R and C are the first maxima of M's row and of M's column, M left out
-            r, c = np.divmod(m, n_b)
-            k = np.arange(len(m))
-            row, col = g[lo + k, r], g[lo + k, :, c]
-            row[k, c] = col[k, r] = -np.inf
-            out[2, lo:lo + _BLOCK] = r * n_b + row.argmax(axis=1)
-            out[3, lo:lo + _BLOCK] = col.argmax(axis=1) * n_b + c
+            out[2, lo:lo + step] = r * n_b + x[k, r].argmax(axis=1)
+            out[3, lo:lo + step] = x[k, :, c].argmax(axis=1) * n_b + c
+        x[k, r] = x[k, :, c] = -np.inf
+        out[1, lo:lo + step] = flat.argmax(axis=1)
     return out
 
 
@@ -180,8 +178,10 @@ def select(
     g: np.ndarray, w: float, policy: str, mod: ModulationParams | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (A->B, B->A) flat positions that policy picks in a
-    (T, n_a, n_b) stack; w in [0, 1] weights A->B, and mod is used by
-    min_wser only.  A w outside [0, 1] or a NaN entry raises ValueError."""
+    (T, n_a, n_b) stack; w in [0, 1] weights A->B.  A w outside [0, 1], a
+    NaN entry or min_wser without its modulation mod raises ValueError."""
+    if policy == "min_wser" and mod is None:
+        raise ValueError("min_wser needs a modulation")
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w must lie in [0, 1], got {w}")
     if np.isnan(g).any():

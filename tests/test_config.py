@@ -14,11 +14,13 @@ from fdlink import (
     avg_weighted_sum_rate,
     cdf_gammas,
     db_to_linear,
+    exhaustive_min_wser,
     linear_to_db,
     load_config,
     validate_config,
 )
 from fdlink.channel import largest_unit_draw
+from fdlink.cli import main
 from fdlink.errors import InvalidAntennaCount, InvalidRange, IoError
 
 
@@ -114,13 +116,26 @@ def test_numpy_integer_counts_give_the_plain_int_closed_forms():
     assert closed_forms(np.int64(6)) == closed_forms(6)
 
 
-def test_bad_modulation_rejected():
+def test_bad_modulation_rejected(tmp_path, capsys):
     # each constant must lie in (0, inf): a NaN or an infinity fails the
-    # range, where a test of v <= 0 alone let it through to NaN SERs
+    # range, where a test of v <= 0 alone let it through to NaN SERs.  The
+    # modulation checks itself when built, so the scalar selection, which
+    # builds no SystemConfig, never sees a bad one, and a --config file
+    # holding one exits 2
     for alpha, beta in ((0.0, 2.0), (1.0, -2.0), (math.nan, 2.0), (1.0, math.nan),
-                        (math.inf, 2.0), (1.0, math.inf)):
+                        (math.inf, 2.0), (1.0, math.inf), (-1.0, 2.0)):
         with pytest.raises(InvalidRange):
             cfg(modulation=ModulationParams(alpha_mod=alpha, beta_mod=beta))
+        with pytest.raises(InvalidRange):
+            exhaustive_min_wser([[5, 4, 0.1], [3, 0.2, 0.3], [0.4, 0.5, 0.6]], 0.7,
+                                ModulationParams(alpha_mod=alpha, beta_mod=beta))
+    path = tmp_path / "sys.cfg"
+    path.write_text("n_a = 3\nn_b = 3\nlambda_s = 10\neta = 0.1\nw = 0.7\nalpha_mod = -1\n")
+    out = tmp_path / "cfg.csv"
+    assert main(["--metric", "wsr", "--config", str(path), "--trials", "50",
+                 "--out", str(out)]) == 2
+    assert "modulation constants must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

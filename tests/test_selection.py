@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -264,6 +265,18 @@ def test_select_rejects_unknown_policy():
         select(np.ones((1, 3, 3)), 0.7, "exhaustive", BPSK)
 
 
+def test_select_refuses_min_wser_without_a_modulation():
+    # refused before any work: only a contested trial scores SERs, so a
+    # stack without one would otherwise return positions
+    for g, contested in (([[5, 4, 0.1], [3, 0.2, 0.3], [0.4, 0.5, 0.6]], True),
+                         ([[5, 0.1, 0.2], [0.3, 4, 0.5], [0.6, 0.7, 0.8]], False)):
+        g = np.array([g])
+        x = g.reshape(-1)[masked_candidates(g)[:, 0]]
+        assert (x[2] > x[1] and x[3] > x[1]) == contested
+        with pytest.raises(ValueError, match="min_wser needs a modulation"):
+            select(g, 0.7, "min_wser", None)
+
+
 @pytest.mark.parametrize("w", [0.7, 0.3])
 def test_first_pick_serves_the_larger_weight_direction(w):
     # every policy: gamma_first is the link of the larger-weight direction,
@@ -424,11 +437,53 @@ def test_batched_kernels_match_oracles(g, w):
 @given(g=st.one_of(integer_stacks(3, trials=(7, 24)), integer_stacks(10**6, trials=(7, 24))),
        w=st.floats(0.0, 1.0), block=st.integers(1, 5))
 def test_blocked_kernels_match_oracles_across_block_edges(g, w, block):
-    # the candidates are found and scored _BLOCK trials at a time; a small
-    # _BLOCK puts several block edges, and a partial last block, inside
-    # every stack
+    # the candidates are found 4 * _BLOCK values (one matrix at least) and
+    # scored _BLOCK trials at a time; a small _BLOCK puts several step
+    # edges, and a partial last step, inside every stack
     with mock.patch.object(selection, "_BLOCK", block):
         assert_kernels_match_oracles(g, w)
+
+
+@pytest.mark.parametrize("shape", [(1, 130, 130), (5000, 3, 3)],
+                         ids=["one-matrix-past-the-step", "short-last-step"])
+def test_candidates_match_the_oracle_across_steps_of_the_real_block(shape):
+    # a step of finding the candidates takes 4 * _BLOCK = 16,384 values, one
+    # matrix at least: a 130x130 matrix exceeds it alone, and 5,000 3x3
+    # matrices split into steps of 1,820 and a short last one
+    rng = np.random.default_rng(5)
+    for g in (rng.exponential(1.0, shape), rng.integers(0, 3, shape).astype(float)):
+        want = masked_candidates(g)
+        for policy in POLICIES:
+            got = candidates(g, policy)
+            assert np.array_equal(got, want[:len(got)]), policy
+
+
+def test_candidates_memory_is_one_masked_copy():
+    # one 100x100 matrix: a table of which of its 10^4 links share a row or
+    # a column would take 10^8 bools; the masked copy of the matrix is 80 kB
+    g = np.random.default_rng(6).exponential(1.0, (1, 100, 100))
+    tracemalloc.start()
+    try:
+        for policy in POLICIES:
+            candidates(g, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
+
+
+def test_candidates_leave_their_input_unchanged():
+    # the masking writes to a C-ordered float copy: a float stack, an
+    # integer one and a transposed view are read, never written
+    rng = np.random.default_rng(7)
+    g = rng.exponential(1.0, (50, 4, 5))
+    for stack in (g, rng.integers(0, 3, (50, 4, 5)), g.transpose(0, 2, 1)):
+        before = stack.copy()
+        want = masked_candidates(stack)
+        for policy in POLICIES:
+            got = candidates(stack, policy)
+            assert np.array_equal(got, want[:len(got)]), policy
+        assert np.array_equal(stack, before)
 
 
 def mp_ser(x, mod=BPSK):
