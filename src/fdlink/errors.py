@@ -38,12 +38,12 @@ class IoError(FdlinkError):
 
 
 class SingularTermWarning(UserWarning):
-    """No longer raised: a vanishing 1 - c*eta denominator is evaluated
-    through its exact limit.  Kept because perfbench/worker.py imports it
-    to count fdlink's numerical warnings."""
+    """No longer raised: the closed forms are quadratures with no singular
+    eta.  Kept because perfbench/worker.py imports it to count fdlink's
+    numerical warnings."""
 
 
 class CancellationWarning(UserWarning):
-    """No longer raised: closed-form sums are evaluated at 50 digits or more
-    and report lost digits in AnalyticValue.  Kept because
+    """No longer raised: the closed forms sum positive terms in double
+    precision, and no AnalyticValue is flagged.  Kept because
     perfbench/worker.py imports it to count fdlink's numerical warnings."""

@@ -179,7 +179,9 @@ def select(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (A->B, B->A) flat positions that policy picks in a
     (T, n_a, n_b) stack; w in [0, 1] weights A->B.  A w outside [0, 1], a
-    NaN entry or min_wser without its modulation mod raises ValueError."""
+    NaN entry or min_wser without its modulation mod raises ValueError.  g
+    may be any array-like, a nested list too."""
+    g = np.asarray(g)
     if policy == "min_wser" and mod is None:
         raise ValueError("min_wser needs a modulation")
     if not 0.0 <= w <= 1.0:

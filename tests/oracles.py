@@ -2,9 +2,9 @@
 
 The quadrature oracles integrate a CDF's defining rate and SER integrals
 numerically, independently of fdlink.analytic's closed forms;
-mu_coefficient and order_statistic_cdf write the second-link CDF's terms
-as the source derivation does; second_link_rank ranks a pick within its
-full matrix.  A quadrature that does not converge raises RuntimeError.
+derivation_terms, mu_coefficient and order_statistic_cdf write the
+second-link CDF's terms as the source derivation does; second_link_rank
+ranks a pick within its full matrix.  A quadrature that does not converge raises RuntimeError.
 
 The full-matrix channel draw is the law oracle of fdlink.channel's
 candidate sampler.
@@ -21,6 +21,7 @@ sampler draws directly.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -69,10 +70,28 @@ def draw_matrix_batch(master_seed: int, start_trial: int, count: int, cfg,
     return snr, inr_a, inr_b
 
 
+@functools.lru_cache(maxsize=None)
+def derivation_terms(n_a: int, n_b: int, link: str) -> tuple[int, list[tuple[int, int]]]:
+    """Shared denominator and (exact signed numerator, c) of the link's CDF
+    sum_c coef * e^(-c x/lam) / (1 + c eta x), the derivation's terms
+    collected by c: the rank mixture's (k, l, m) terms for the second link,
+    each with its exact math.comb numerator."""
+    nn = n_a * n_b
+    if link == "ab":
+        return 1, [((-1) ** k * math.comb(nn, k), k) for k in range(nn + 1)]
+    coefs = [0] * (nn + 1)
+    for k in range(1, n_a + n_b):
+        rank = math.comb(nn - k - 1, n_a + n_b - k - 1)
+        for l in range(nn - k, nn + 1):
+            for m in range(l + 1):
+                coefs[nn - l + m] += (-1) ** m * rank * math.comb(nn, l) * math.comb(l, m)
+    return math.comb(nn - 1, n_a + n_b - 2), [(coef, c) for c, coef in enumerate(coefs)]
+
+
 def mu_coefficient(k: int, l: int, m: int, n_a: int, n_b: int) -> float:
     """Coefficient of the (k, l, m) term of the second-link CDF triple sum,
     as the source derivation writes it; collected by c = n_a*n_b - l + m,
-    with sign (-1)^m, they give the A_c / D of fdlink.analytic._coefficients."""
+    with sign (-1)^m, they give derivation_terms."""
     nn = n_a * n_b
     num = math.comb(nn - k - 1, n_a + n_b - k - 1) * math.comb(nn, l) * math.comb(l, m)
     return num / math.comb(nn - 1, n_a + n_b - 2)

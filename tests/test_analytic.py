@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import pathlib
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import counting_mpmath
 from fdlink import (
     BPSK,
     SystemConfig,
@@ -34,9 +34,9 @@ from fdlink import (
 )
 import fdlink
 from fdlink import analytic
-from fdlink.analytic import AnalyticValue
 from fdlink.errors import DomainError, RequiresPerfectCancellation
-from oracles import mu_coefficient, order_statistic_cdf, quadrature_avg_rate, quadrature_avg_ser
+from oracles import (derivation_terms, mu_coefficient, order_statistic_cdf, quadrature_avg_rate,
+                     quadrature_avg_ser)
 
 
 def make_cfg(**kw):
@@ -96,21 +96,6 @@ def test_mu_coefficient_marginal():
     p = mixture_weights(3, 3)
     for k in range(1, 6):
         assert mu_coefficient(k, 9, 0, 3, 3) == pytest.approx(p[k - 1], rel=1e-14)
-
-
-def test_no_coefficient_passes_the_bound_behind_a_flagged_zero():
-    # a sum flagged at _MAX_DPS cancels all but 10^-(_MAX_DPS - 17) of its
-    # largest term, so it lies below 10^-940, and is returned as +0.0, only
-    # while no |A_c|/D passes 10^43; the largest is 12x12's second link's
-    cap = analytic.MAX_NN_CLOSED_FORM
-    sizes = [(n_a, n_b) for n_a in range(2, cap // 2 + 1) for n_b in range(2, cap // n_a + 1)]
-    ratios = {(n_a, n_b, link): Fraction(max(abs(a) for a in table), denom)
-              for n_a, n_b in sizes for link in ("ab", "ba")
-              for denom, table in [analytic._coefficients.__wrapped__(n_a, n_b, link)]}
-    assert len(ratios) == 918
-    largest = max(ratios, key=ratios.get)
-    assert largest == (12, 12, "ba")
-    assert 7.78e42 < ratios[largest] < 10**43
 
 
 def test_order_statistic_cdf_max_and_min():
@@ -280,15 +265,13 @@ def test_avg_rate_closed_forms_match_quadrature(n, lam, eta):
 @pytest.mark.parametrize("n,lam,eta", GRID)
 def test_avg_ser_closed_forms_match_quadrature(n, lam, eta):
     cfg = make_cfg(n_a=n, n_b=n, lambda_s=lam, eta=eta)
-    # the alternating sums lose a few digits at the best-conditioned spots
-    # and ~8 at the worst in this grid, so 1e-7 relative is the honest bar
     ab = avg_ser_ab(cfg)
     assert ab.value == pytest.approx(
-        quadrature_avg_ser(lambda x: cdf_gamma_ab(x, cfg), BPSK), rel=1e-7
+        quadrature_avg_ser(lambda x: cdf_gamma_ab(x, cfg), BPSK), rel=1e-8
     )
     ba = avg_ser_ba(cfg)
     assert ba.value == pytest.approx(
-        quadrature_avg_ser(lambda x: cdf_gamma_ba(x, cfg), BPSK), rel=1e-7
+        quadrature_avg_ser(lambda x: cdf_gamma_ba(x, cfg), BPSK), rel=1e-8
     )
     assert ab.value < ba.value
 
@@ -322,13 +305,14 @@ def test_weighted_sum_combines_components():
 
 
 def test_singular_denominator_is_perturbed_not_fatal():
-    # eta = 0.5 makes the k = 2 rate denominator 1 - k*eta vanish exactly
+    # eta = 0.5 made the c = 2 denominator 1 - c*eta of earlier versions'
+    # alternating rate sums vanish exactly; the quadrature has no such point
     cfg = make_cfg(n_a=2, n_b=2, lambda_s=10.0, eta=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         val = avg_rate_ab(cfg).value
     quad_val = quadrature_avg_rate(lambda x: cdf_gamma_ab(x, cfg))
-    assert val == pytest.approx(quad_val, rel=1e-4)
+    assert val == pytest.approx(quad_val, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +332,7 @@ def test_rate_ceiling_is_approached():
 def test_rate_ceiling_orderings():
     base = rate_ceiling(make_cfg(eta=0.1))
     assert rate_ceiling(make_cfg(eta=0.02)) > base  # less interference, higher ceiling
-    # 4x4 at eta = 0.1 hits the k = 10 singular denominator on purpose
+    # 4x4 at eta = 0.1 = 1/10, where earlier versions' sums were singular
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bigger = rate_ceiling(make_cfg(n_a=4, n_b=4, eta=0.1))
@@ -375,23 +359,6 @@ def test_limits_require_residual_interference():
         rate_ceiling(make_cfg(eta=0.0))
     with pytest.raises(DomainError):
         ser_floor(make_cfg(eta=0.0))
-
-
-def test_precision_escalates_until_the_sum_keeps_its_digits(monkeypatch):
-    # the 4x4 first-link SER at eta = 0 cancels ~86 digits; at 100 digits
-    # its noise understates that, so a single step from 50 is not enough
-    cfg = make_cfg(n_a=4, n_b=4, lambda_s=7.6e5, eta=0.0)
-    with mpmath.workdps(400):
-        lam, beta = mpmath.mpf(cfg.lambda_s), mpmath.mpf(BPSK.beta_mod)
-        # F = (1 - e^(-x/lam))^16 expanded binomially, integrated term by term
-        terms = [(-1) ** k * math.comb(16, k) * mpmath.sqrt(mpmath.pi / (k / lam + beta / 2))
-                 for k in range(17)]
-        exact = mpmath.fsum(terms) * mpmath.sqrt(beta) / (2 * mpmath.sqrt(2 * mpmath.pi))
-    counts = counting_mpmath(monkeypatch, ("workdps",))
-    ser = avg_ser_ab(cfg)
-    assert not ser.cancellation_flag
-    assert ser.value == pytest.approx(float(exact), rel=1e-14)
-    assert counts["workdps"] >= 3
 
 
 # the first SER estimate, on a pool of two workers, printed as bits
@@ -444,101 +411,75 @@ def test_heavy_modules_load_where_first_needed(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# one kernel vector for both links, against one kernel call per c per link
+# one kernel vector for both links, in double precision
 
 
-def per_link_sum(cfg, link, kernel, constant=0):
-    """constant + sum_{c>=1} A_c K(c) / D of one link, calling kernel(c) for
-    that link alone, term by term as the closed forms sum."""
-    denom, table = analytic._coefficients(cfg.n_a, cfg.n_b, link)
-    terms = [mpmath.mpf(constant)]
-    terms += [a * kernel(c) / denom for c, a in enumerate(table) if c and a]
-    value = mpmath.fsum(terms)
-    max_term = max(abs(t) for t in terms)
-    spare = analytic._DPS - analytic._DOUBLE_DIGITS
-    return AnalyticValue(float(value), float(max_term), max_term > abs(value) * 10**spare)
+def test_exp_e1_scaled_array_is_within_8_ulp():
+    # e^x E1(x) from the series and the continued fraction, against mpmath's
+    # E1 at 40 digits, over the whole positive float range and through the
+    # switch at x = 1
+    x = np.concatenate([np.geomspace(5e-324, 1e-3, 60), np.linspace(1e-3, 8.0, 1500),
+                        np.geomspace(8.0, 1.7e308, 200)])
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.exp(v) * mpmath.e1(v)) for v in map(mpmath.mpf, x)])
+    got = fdlink.special.exp_e1_scaled_array(x)
+    assert np.max(np.abs(got - exact) / np.spacing(exact)) <= 8
+    assert fdlink.special.exp_e1_scaled_array(np.inf) == 0.0
+    assert got.shape == x.shape
 
 
-def per_link_rate(cfg, link):
-    with mpmath.workdps(analytic._DPS):
-        eta, lam = mpmath.mpf(cfg.eta), mpmath.mpf(cfg.lambda_s)
-        s = lambda x: mpmath.exp(x) * mpmath.e1(x)  # noqa: E731
-        s_u = s(1 / (eta * lam))
-
-        def kernel(c):
-            x0, d = c / lam, 1 - c * eta
-            return ((s_u - s(x0)) / d if d else x0 * s(x0) - 1) / mpmath.ln2
-
-        return per_link_sum(cfg, link, kernel)
-
-
-def per_link_ceiling(cfg, link):
-    with mpmath.workdps(analytic._DPS):
-        eta = mpmath.mpf(cfg.eta)
-
-        def kernel(c):
-            d = 1 - c * eta
-            return (mpmath.log(c * eta) / d if d else -1) / mpmath.ln2
-
-        return per_link_sum(cfg, link, kernel)
+def test_closed_forms_make_no_mpmath_call(monkeypatch):
+    # only the eta = 0 asymptotes use mpmath
+    monkeypatch.setattr(analytic, "mpmath", None)
+    for eta in (0.0, 1e-300, 0.05, 0.25):
+        cfg = make_cfg(n_a=4, n_b=5, lambda_s=1e3, eta=eta)
+        for closed_form in (avg_weighted_sum_rate, avg_weighted_sum_ser,
+                            lambda c: cdf_gammas(30.0, c)):
+            closed_form(cfg)
+        if eta:
+            rate_ceiling(cfg)
+            ser_floor(cfg)
 
 
-def per_link_ser(cfg, link, floor=False):
-    mod = cfg.modulation
-    with mpmath.workdps(analytic._DPS):
-        alpha, beta = mpmath.mpf(mod.alpha_mod), mpmath.mpf(mod.beta_mod)
-        eta = mpmath.mpf(cfg.eta)
-        a = 0 if floor else 1 / (eta * mpmath.mpf(cfg.lambda_s))
-        pre = alpha * mpmath.sqrt(beta * mpmath.pi / 2) / 2
-
-        def kernel(c):
-            z = mpmath.sqrt(a + beta / (2 * c * eta))
-            erfcx_z = mpmath.exp(mpmath.fmul(z, z, exact=True)) * mpmath.erfc(z)
-            return pre * erfcx_z / mpmath.sqrt(c * eta)
-
-        return per_link_sum(cfg, link, kernel, constant=alpha / 2)
+def kernel_pair(kernel, cfg):
+    """(first, second) pick's value from kernel Q(n) evaluated alone at
+    n = nn and at n = k."""
+    nn, k = cfg.nn, (cfg.n_a - 1) * (cfg.n_b - 1)
+    q_nn, q_k = (float(kernel(cfg, (n,))[0]) for n in (nn, k))
+    return q_nn, (nn * q_k - k * q_nn) / (nn - k)
 
 
-def bits(result):
-    return result.value.hex(), result.max_term_magnitude.hex(), result.cancellation_flag
-
-
-def vouched_result(limit, cfg, monkeypatch):
-    """The AnalyticValue a ceiling or floor vouches for, and its return value."""
-    seen = []
-    with monkeypatch.context() as m:
-        m.setattr(analytic, "_vouched", lambda result, what: seen.append(result) or result.value)
-        value = limit(cfg)
-    assert value == seen[0].value
-    return seen[0]
+def weighted_hex(cfg, pair):
+    ab, ba = pair if cfg.w >= 0.5 else pair[::-1]
+    return (cfg.w * ab + (1.0 - cfg.w) * ba).hex()
 
 
 KERNEL_SIZES = [(n_a, n_b) for n_a in range(2, 7) for n_b in range(2, 7)] + [(4, 9)]
 
 
 @pytest.mark.parametrize("n_a,n_b", KERNEL_SIZES, ids=[f"{a}x{b}" for a, b in KERNEL_SIZES])
-def test_shared_kernel_vector_matches_per_link_kernels_bitwise(n_a, n_b, monkeypatch):
-    # 0.25 = 1/4 exactly, so 1 - 4*eta vanishes and the rate takes its limit
-    links = ("ab", "ba")
+def test_shared_kernel_vector_matches_per_link_kernels_bitwise(n_a, n_b):
+    # every closed form evaluates the kernel vector (Q(nn), Q(k)) once; the
+    # first pick is Q(nn), the second (nn Q(k) - k Q(nn)) / (nn - k), bit
+    # for bit what each Q evaluated alone gives.  eta = 0.25 = 1/4 exactly,
+    # where earlier versions' alternating sums took a limit
     for eta in (0.02, 0.05, 0.1, 0.11, 0.2, 0.25):
-        cfg = make_cfg(n_a=n_a, n_b=n_b, eta=eta)
-        limits = ((rate_ceiling, [per_link_ceiling(cfg, link) for link in links]),
-                  (ser_floor, [per_link_ser(cfg, link, floor=True) for link in links]))
+        floor = functools.partial(analytic._q_ser, floor=True)
         for w in (0.3, 0.7):
             cfg_w = make_cfg(n_a=n_a, n_b=n_b, eta=eta, w=w)
-            for limit, per_link in limits:
-                expected = analytic._combine(cfg_w, *per_link)
-                assert bits(vouched_result(limit, cfg_w, monkeypatch)) == bits(expected)
+            assert rate_ceiling(cfg_w).hex() == weighted_hex(
+                cfg_w, kernel_pair(analytic._q_ceiling, cfg_w))
+            assert ser_floor(cfg_w).hex() == weighted_hex(cfg_w, kernel_pair(floor, cfg_w))
         for lam in (10.0, 1e3, 1e8):
             cfg = make_cfg(n_a=n_a, n_b=n_b, lambda_s=lam, eta=eta)
-            rates = [per_link_rate(cfg, link) for link in links]
-            sers = [per_link_ser(cfg, link) for link in links]
-            assert [bits(avg_rate_ab(cfg)), bits(avg_rate_ba(cfg))] == [bits(r) for r in rates]
-            assert [bits(avg_ser_ab(cfg)), bits(avg_ser_ba(cfg))] == [bits(r) for r in sers]
+            rates = kernel_pair(analytic._q_rate, cfg)
+            sers = kernel_pair(analytic._q_ser, cfg)
+            assert [avg_rate_ab(cfg).value.hex(), avg_rate_ba(cfg).value.hex()] == [r.hex() for r in rates]
+            assert [avg_ser_ab(cfg).value.hex(), avg_ser_ba(cfg).value.hex()] == [r.hex() for r in sers]
             for w in (0.3, 0.7):
                 cfg_w = make_cfg(n_a=n_a, n_b=n_b, lambda_s=lam, eta=eta, w=w)
-                assert bits(avg_weighted_sum_rate(cfg_w)) == bits(analytic._combine(cfg_w, *rates))
-                assert bits(avg_weighted_sum_ser(cfg_w)) == bits(analytic._combine(cfg_w, *sers))
+                assert avg_weighted_sum_rate(cfg_w).value.hex() == weighted_hex(cfg_w, rates)
+                assert avg_weighted_sum_ser(cfg_w).value.hex() == weighted_hex(cfg_w, sers)
 
 
 @pytest.mark.parametrize("n_a,n_b", [(3, 3), (6, 6), (4, 9), (8, 8)])
@@ -551,19 +492,6 @@ def test_both_cdfs_from_one_kernel_vector_match_per_link_calls_bitwise(n_a, n_b)
                 pair = cdf_gammas(x, cfg)
                 assert [v.hex() for v in pair] == [cdf_gamma_ab(x, cfg).hex(),
                                                    cdf_gamma_ba(x, cfg).hex()], (eta, lam, t)
-
-
-@pytest.mark.parametrize("closed_form,kernel_fn,most", [
-    (avg_weighted_sum_ser, "erfc", 36),
-    (ser_floor, "erfc", 36),
-    (avg_weighted_sum_rate, "e1", 37),  # S(u) and one S(c/lambda_s) per c
-    (rate_ceiling, "log", 36),
-])
-def test_each_kernel_is_evaluated_once_for_both_links(closed_form, kernel_fn, most, monkeypatch):
-    counts = counting_mpmath(monkeypatch, (kernel_fn, "workdps"))
-    closed_form(make_cfg(n_a=6, n_b=6, lambda_s=1e3, eta=0.1))
-    assert 0 < counts[kernel_fn] <= most
-    assert counts["workdps"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +629,8 @@ MOMENT_SIZES = [(a, b) for a in range(2, 7) for b in range(2, 7)] + [(4, 9), (12
 
 
 def test_asymptote_coefficients_are_the_tables_leading_moments():
-    # at eta = 0, F(x) = sum_c A_c e^(-c x/lam) / D = sum_k (-x/lam)^k M_k / (k! D)
+    # at eta = 0 the derivation's CDF is F(x) = sum_c A_c e^(-c x/lam) / D =
+    # sum_k (-x/lam)^k M_k / (k! D)
     # with M_k = sum_c A_c c^k, so F opens as kappa (x/lam)^d where M_k = 0 for
     # k < d and kappa = (-1)^d M_d / (D d!); its density opens as d kappa
     # x^(d-1)/lam^d, which is the asymptote's zeta
@@ -710,8 +639,8 @@ def test_asymptote_coefficients_are_the_tables_leading_moments():
         kappas = {"ab": (nn, 1),
                   "ba": (m, Fraction(math.comb(nn, m), math.comb(nn - 1, n_a + n_b - 2)))}
         for link, (d, kappa) in kappas.items():
-            denom, table = analytic._coefficients(n_a, n_b, link)
-            moments = [sum(a * c**k for c, a in enumerate(table)) for k in range(d + 1)]
+            denom, terms = derivation_terms(n_a, n_b, link)
+            moments = [sum(a * c**k for a, c in terms) for k in range(d + 1)]
             lead = Fraction((-1) ** d * moments[d], denom * math.factorial(d))
             assert (moments[:d], lead) == ([0] * d, kappa), (n_a, n_b, link)
 

@@ -3,16 +3,15 @@ the whole supported domain: sizes up to n_a*n_b = 144, eta from 0 (perfect
 cancellation) through 1e-6 and on and next to the singular values 1/c,
 and lambda_s from 1 to 1e8; CDFs from 1e-3 lambda_s to 20 lambda_s.
 
-The reference does not use the package's coefficient table: it collects
-the (k, l, m) terms of the source derivation, each with its exact
-math.comb numerator, by c in Python ints, and sums them in mpmath.  It
-runs at twice the digits its sums need (17 plus the digits they cancel),
-and at 60 digits at least.  Where 1 - c*eta vanishes exactly for some c,
+The reference shares nothing with the package's double-precision rules:
+it collects the (k, l, m) terms of the source derivation
+(oracles.derivation_terms), each with its exact math.comb numerator, by c
+in Python ints, and sums them in mpmath.  It runs at twice the digits its
+sums need (17 plus the digits they cancel), and at 60 digits at least.  Where 1 - c*eta vanishes exactly for some c,
 it evaluates at eta * (1 + 1e-30) instead, whose effect is far below the
 tolerance.  At eta = 0 it uses the eta -> 0 limits of the kernels.
 """
 
-import functools
 import math
 import sys
 import warnings
@@ -34,8 +33,7 @@ from fdlink import (
     rate_ceiling,
     ser_floor,
 )
-from fdlink import analytic
-from fdlink.errors import DomainError
+from oracles import derivation_terms
 
 REF_DPS = 60
 REL_TOL = 1e-10
@@ -64,23 +62,6 @@ def grid(n_a, n_b):
 
 def make_cfg(n_a, n_b, lambda_s, eta):
     return SystemConfig(n_a=n_a, n_b=n_b, lambda_s=lambda_s, eta=eta, w=W)
-
-
-@functools.lru_cache(maxsize=None)
-def derivation_terms(n_a, n_b, link):
-    """Shared denominator and (exact signed numerator, c) of the link's CDF
-    sum_c coef * e^(-c x/lam) / (1 + c eta x), the derivation's terms
-    collected by c."""
-    nn = n_a * n_b
-    if link == "ab":
-        return 1, [((-1) ** k * math.comb(nn, k), k) for k in range(nn + 1)]
-    coefs = [0] * (nn + 1)
-    for k in range(1, n_a + n_b):
-        rank = math.comb(nn - k - 1, n_a + n_b - k - 1)
-        for l in range(nn - k, nn + 1):
-            for m in range(l + 1):
-                coefs[nn - l + m] += (-1) ** m * rank * math.comb(nn, l) * math.comb(l, m)
-    return math.comb(nn - 1, n_a + n_b - 2), [(coef, c) for c, coef in enumerate(coefs)]
 
 
 def reference_eta(cfg):
@@ -258,18 +239,23 @@ def test_cdfs_match_reference_down_to_the_float_range(n_a, n_b):
 
 @pytest.mark.parametrize("n_a,n_b", CDF_SIZES, ids=size_ids(CDF_SIZES))
 def test_tables_are_the_derivations_terms(n_a, n_b):
-    # the package builds its tables from the two-term law of one maximum,
-    # the derivation from the rank mixture's (k, l, m) terms: the same
-    # integers over the same denominator
-    for link in ("ab", "ba"):
+    # the package takes the second link from the two-term law of one
+    # maximum, the derivation from the rank mixture's (k, l, m) terms; at
+    # eta = 0 the derivation's CDF is a polynomial in q = e^(-x/lam), and
+    # it is (nn f^k - k f^nn) / (nn - k) with f = 1 - q, coefficient by
+    # coefficient and exactly; the first link's is f^nn
+    nn, k = n_a * n_b, (n_a - 1) * (n_b - 1)
+    for link, law in (("ab", lambda c: (-1) ** c * math.comb(nn, c) * (nn - k)),
+                      ("ba", lambda c: (-1) ** c * (nn * math.comb(k, c) - k * math.comb(nn, c)))):
         denom, terms = derivation_terms(n_a, n_b, link)
-        assert analytic._coefficients(n_a, n_b, link) == (denom, tuple(coef for coef, _ in terms))
+        assert [c for _, c in terms] == list(range(nn + 1))
+        assert [coef * (nn - k) for coef, _ in terms] == [denom * law(c) for c in range(nn + 1)]
 
 
 @pytest.mark.parametrize("n,t", [(2, 0.0), (6, 0.0), (12, 0.0), (12, 1e-7)])
 def test_cdf_below_the_float_range_is_positive_zero(n, t):
-    # each CDF is 0 (x = 0) or below the float range; a sum that still
-    # cancels too much at the last escalation returns +0.0 as well
+    # each CDF is 0 (x = 0) or below the float range, where it underflows
+    # to +0.0
     for eta in (0.0, 0.05):
         cfg = make_cfg(n, n, 10.0, eta)
         for cdf in (cdf_gamma_ab, cdf_gamma_ba):
@@ -282,9 +268,9 @@ FLAGGED_SIZES = [(8, 8), (10, 10), (12, 12), (2, 72), (3, 48), (9, 16)]
 
 @pytest.mark.parametrize("n_a,n_b", FLAGGED_SIZES, ids=size_ids(FLAGGED_SIZES))
 def test_flagged_sers_are_positive_zero(n_a, n_b):
-    # eta = 0 SERs at 100-300 dB lie far below the float range, and most of
-    # their sums still cancel too much at the last escalation; the sign of
-    # such a sum is noise, so a flagged sum returns +0.0 with its flag set
+    # eta = 0 SERs at 100-300 dB lie far below the float range, where the
+    # alternating sums of earlier versions cancelled past 1000 digits and
+    # were flagged; the quadrature's positive terms underflow to +0.0
     for snr_db in (100, 200, 300):
         cfg = make_cfg(n_a, n_b, 10.0 ** (snr_db / 10), 0.0)
         for result in (avg_ser_ab(cfg), avg_ser_ba(cfg), avg_weighted_sum_ser(cfg)):
@@ -292,38 +278,59 @@ def test_flagged_sers_are_positive_zero(n_a, n_b):
             assert result.value == 0.0, (snr_db, result)
 
 
-# floors whose sums cancel more digits than the first 50 can spare: at 6x6
+# floors whose alternating sums cancel more digits than 50 can spare: at 6x6
 # the first-link floor's largest term is 3e42 x its value at eta = 1e-3 and
-# 6e50 x at 1e-4
+# 6e50 x at 1e-4; earlier versions refused them at 50 digits
 DEEP_FLOORS = [(6, 6, 2e-3), (6, 6, 1e-3), (6, 6, 1e-4), (5, 5, 1e-3), (4, 4, 1e-4),
                (3, 3, 1e-5)]
 
 
-def test_floor_refuses_a_sum_it_cannot_vouch_for(monkeypatch):
+def test_floor_refuses_a_sum_it_cannot_vouch_for():
+    # nothing is refused any more: every such floor matches the reference
     for n_a, n_b, eta in DEEP_FLOORS + [(6, 6, 0.01), (6, 6, 0.02), (6, 6, 0.05)]:
         cfg = make_cfg(n_a, n_b, 100.0, eta)
         (floor,) = closed_forms_silently(lambda: ser_floor(cfg))
         assert rel_err(floor, weighted(*ser_reference(cfg, a_zero=True))) <= REL_TOL
-    # with no escalation left, the same sums are refused
-    monkeypatch.setattr(analytic, "_MAX_DPS", analytic._DPS)
-    for eta in (1e-3, 1e-4):
-        with pytest.raises(DomainError, match="SER floor sum cancels more than 33 digits"):
-            ser_floor(make_cfg(6, 6, 100.0, eta))
 
 
 @pytest.mark.parametrize("eta", [1e-30, 1e-100, 1e-300])
 def test_tiny_eta_ser_matches_reference_and_the_eta_zero_value(eta):
-    # z^2 ~ 1/eta: the kernel sums erfcx's asymptotic series, mpmath's erfc
-    # serves the reference; at 6x6, lambda_s = 1 the eta = 0 SER is
-    # 0.005701363267606306, and a floor near 0 cancels every digit
+    # at 6x6, lambda_s = 1 the eta = 0 SER is 0.005701363267606306; the floor
+    # lies far below the float range.  Its reference cancels about 25
+    # log10(1/eta) digits, past a minute at 1e-300, so below 1e-30 a bound
+    # stands in: P_k(x) <= k! (x eta)^k, so the second link's floor, which
+    # dominates, is at most nn/(nn - k) alpha k! (2 eta/beta)^k
+    # Gamma(k + 1/2) / (2 sqrt(pi)), below 1e-300
     cfg = make_cfg(6, 6, 1.0, eta)
-    ab, ba, wser = closed_forms_silently(lambda: avg_ser_ab(cfg), lambda: avg_ser_ba(cfg),
-                                         lambda: avg_weighted_sum_ser(cfg))
+    ab, ba, wser, floor = closed_forms_silently(
+        lambda: avg_ser_ab(cfg), lambda: avg_ser_ba(cfg), lambda: avg_weighted_sum_ser(cfg),
+        lambda: ser_floor(cfg))
     ref_ab, ref_ba = ser_reference(cfg)
     assert max(rel_err(ab, ref_ab), rel_err(ba, ref_ba)) <= REL_TOL
     assert rel_err(wser, 0.005701363267606306) <= REL_TOL
-    with pytest.raises(DomainError, match="SER floor sum cancels"):
-        ser_floor(cfg)
+    nn, k = cfg.nn, (cfg.n_a - 1) * (cfg.n_b - 1)
+    with mpmath.workdps(REF_DPS):
+        bound = (nn * mpmath.factorial(k) * (2 * mpmath.mpf(eta) / cfg.modulation.beta_mod) ** k
+                 * mpmath.gamma(k + 0.5) / ((nn - k) * 2 * mpmath.sqrt(mpmath.pi)))
+        ref_floor = weighted(*ser_reference(cfg, a_zero=True)) if eta >= 1e-30 else bound
+    assert bound < 1e-300 and rel_err(floor, ref_floor) <= REL_TOL
+
+
+# where earlier double-precision prototypes broke: CDFs that are polynomials
+# of degree n in the INR at large arrays, tiny eta and high SNR, and heavy
+# interference at eta = 0.5
+HARD_POINTS = [(n, n, eta, 1e8) for n in (8, 12) for eta in (1e-6, 1e-4)] + [
+    (n, n, 0.5, lam) for n in (2, 6, 12) for lam in (10.0, 1e8)]
+
+
+@pytest.mark.parametrize("n_a,n_b,eta,lam", HARD_POINTS,
+                         ids=[f"{a}x{b}-eta{e:g}-lam{l:g}" for a, b, e, l in HARD_POINTS])
+def test_hard_points_match_60_digit_reference(n_a, n_b, eta, lam):
+    cfg = make_cfg(n_a, n_b, lam, eta)
+    values = closed_forms_silently(lambda: avg_ser_ab(cfg), lambda: avg_ser_ba(cfg),
+                                   lambda: avg_rate_ab(cfg), lambda: avg_rate_ba(cfg))
+    worst = max(rel_err(v, r) for v, r in zip(values, ser_reference(cfg) + rate_reference(cfg)))
+    assert worst <= REL_TOL, worst
 
 
 def test_singular_point_agrees_with_monte_carlo():

@@ -10,7 +10,6 @@ from fdlink import (
     BPSK,
     ModulationParams,
     SystemConfig,
-    analytic,
     avg_weighted_sum_rate,
     cdf_gammas,
     db_to_linear,
@@ -106,10 +105,9 @@ def test_numpy_integer_antenna_counts_accepted():
 
 
 def test_numpy_integer_counts_give_the_plain_int_closed_forms():
-    # the 6x6 second-link table passes 4e19 on its way, past int64; each
-    # closed form is built with an empty table cache, so neither reuses the other's
+    # the antenna counts enter the kernels' sizes nn and k and their
+    # binomial weights; numpy integers give the same bits as ints
     def closed_forms(n):
-        analytic._coefficients.cache_clear()
         c = cfg(n_a=n, n_b=n)
         return cdf_gammas(100.0, c), avg_weighted_sum_rate(c)
 

@@ -265,6 +265,16 @@ def test_select_rejects_unknown_policy():
         select(np.ones((1, 3, 3)), 0.7, "exhaustive", BPSK)
 
 
+def test_select_takes_a_nested_list_for_every_policy():
+    # a contested stack, where the exhaustive policies score pairs from g
+    # itself; the list gives the array's picks
+    g = [[[5, 4, 0.1], [3, 0.2, 0.3], [0.4, 0.5, 0.6]]]
+    for policy, expected in (("serial_max", (0, 8)), ("max_wsr", (1, 3)), ("min_wser", (1, 3))):
+        picks = select(g, 0.7, policy, BPSK)
+        assert [int(p[0]) for p in picks] == list(expected), policy
+        assert all(np.array_equal(a, b) for a, b in zip(picks, select(np.array(g), 0.7, policy, BPSK)))
+
+
 def test_select_refuses_min_wser_without_a_modulation():
     # refused before any work: only a contested trial scores SERs, so a
     # stack without one would otherwise return positions
