@@ -2,9 +2,10 @@
 policy, with Monte Carlo and closed-form columns side by side.
 
 Output is plot-ready long-format CSV (or JSON), one row per grid point,
-plus a JSON sidecar recording the sweep spec (all but the output path) and
-the fdlink, numpy, scipy and mpmath versions.  SNR is accepted in dB on
-the command line and converted to linear scale once.
+plus a JSON sidecar recording the sweep spec (all but the output path),
+the fdlink, numpy, scipy and mpmath versions and numpy's CPU dispatch.
+SNR is accepted in dB on the command line and converted to linear scale
+once.
 Re-running a sweep with the same seed produces byte-identical files.
 
 Exit codes: 0 success, 2 bad input (a validation error, or an I/O error
@@ -231,6 +232,16 @@ def _format_cell(value) -> str:
     return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
+def _cpu_dispatch() -> dict:
+    """numpy's baseline and enabled dispatch targets, as numpy.show_runtime() reads them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return {"baseline": list(umath.__cpu_baseline__),
+            "enabled": [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]}
+
+
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate every grid point in deterministic order and write results;
     an output directory that cannot be written fails before any point runs."""
@@ -266,6 +277,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
             "tool": "fdlink",
             "version": __version__,
             "libraries": {m.__name__: m.__version__ for m in (np, scipy, mpmath)},
+            "numpy_cpu_dispatch": _cpu_dispatch(),
             "spec": {**recorded, "sizes": [list(s) for s in spec.sizes]},
         }
         with open(spec.out + ".meta.json", "w") as fh:

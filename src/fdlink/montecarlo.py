@@ -6,7 +6,9 @@ _UNIT trials, one task each, on one process-wide thread pool with a
 worker per CPU the process may use (_workers).  A task draws its block
 once, _CHUNK trials a call, and reduces it for every point, so memory
 stays flat in the trial count.  A block is at most a worker's share of
-the units and its picks at most _BLOCK_BYTES.
+the units and its picks at most _BLOCK_BYTES.  A call that draws six rows
+keeps its blocks while they fit in _KEEP_BYTES (_KEPT), and later calls
+at its size and seed read them in place of a draw.
 
 A point's mean is math.fsum of its values over the trial count, bit for
 bit: the blocks' certified parts (_certified_parts, _total) where their
@@ -33,6 +35,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
@@ -55,6 +58,11 @@ _UNIT = 1 << 13
 _BLOCK_BYTES = 1 << 20
 # rows of candidate SNRs each policy draws: (M, S) or (M, S, R, C)
 _CANDIDATES = {policy: 2 if policy == "serial_max" else 4 for policy in POLICIES}
+# the read-only six-row blocks of the last call that drew them, at most
+# _KEEP_BYTES, by (n_a, n_b, seed): (trials, step, blocks)
+_KEPT: dict[tuple, tuple] = {}
+_KEPT_LOCK = threading.Lock()
+_KEEP_BYTES = 1 << 22
 # the most trials per point: the largest run the ROADMAP plans for
 MAX_TRIALS = 10**8
 # _certified_parts: the block maxima it splits unscaled, far from overflow
@@ -152,23 +160,38 @@ def _point_sinrs(picks: np.ndarray, cfg: SystemConfig, policy: str = "serial_max
     pair = picks[:2] if policy == "serial_max" else best_pairs(
         picks[:k], _scaled(picks[:k], cfg), cfg.w, policy, cfg.modulation)
     ab_ba = by_weight(pair, pair[::-1], cfg.w)[0]  # the pair, or its rows swapped
-    inr = cfg.lambda_i * picks[k:][::-1]  # at B, then at A
+    inr = cfg.lambda_i * picks[-2:][::-1]  # at B, then at A
     return instantaneous_sinr(cfg.lambda_s * ab_ba, inr, out=inr)
 
 
 def _per_block(cfgs: list[SystemConfig], policy: str, trials: int, seed: int, point_fn,
                args: list[tuple]):
     """For each block of trials, in trial order, [point_fn(picks, c, *a)
-    for each config c and its arguments a] from the block's one draw.  The
-    blocks run on the shared pool at most two per worker ahead of the
-    caller; on an error, or when the caller stops early, the call's tasks
-    not yet started are cancelled and its running ones finish."""
+    for each config c and its arguments a] from the block's one read-only
+    draw, or from _KEPT where it covers the trials; a six-row draw replaces
+    _KEPT, with its blocks where they fit in _KEEP_BYTES.  The blocks run
+    on the shared pool at most two per worker ahead of the caller; on an
+    error, or when the caller stops early, the call's tasks not yet started
+    are cancelled and its running ones finish."""
     pool, workers = _executor()
     rows = _CANDIDATES[policy] + 2  # and inr_a, inr_b
-    step = _UNIT * max(1, min(_BLOCK_BYTES // (8 * rows * _UNIT), -(-trials // _UNIT) // workers))
+    key = (cfgs[0].n_a, cfgs[0].n_b, seed)
+    with _KEPT_LOCK:
+        kept_trials, step, kept = _KEPT.get(key, (0, 0, None))
+        if kept_trials < trials and rows == 6:
+            _KEPT.clear()
+    if kept_trials < trials:
+        kept = None
+        step = _UNIT * max(1, min(_BLOCK_BYTES // (8 * rows * _UNIT), -(-trials // _UNIT) // workers))
+    keep = not kept and rows == 6 and 8 * rows * trials <= _KEEP_BYTES
+    drawn = [None] * -(-trials // step) if keep else None
 
     def task(start):
-        picks = _chunk_picks(cfgs[0], policy, seed, start, min(step, trials - start))
+        count = min(step, trials - start)
+        picks = kept[start // step][:, :count] if kept else _chunk_picks(cfgs[0], policy, seed, start, count)
+        picks.flags.writeable = False
+        if drawn:
+            drawn[start // step] = picks
         return [point_fn(picks, c, *a) for c, a in zip(cfgs, args)]
 
     pending = collections.deque()
@@ -181,6 +204,10 @@ def _per_block(cfgs: list[SystemConfig], policy: str, trials: int, seed: int, po
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+        if drawn:
+            with _KEPT_LOCK:
+                _KEPT.clear()
+                _KEPT[key] = trials, step, drawn
     finally:
         for future in pending:
             future.cancel()

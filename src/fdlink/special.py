@@ -36,13 +36,14 @@ def exp_e1_scaled_array(x) -> np.ndarray:
     its continued fraction (A&S 5.1.22), evaluated from the bottom up."""
     x = np.asarray(x, dtype=float)
     low, high = np.minimum(x, 1.0), np.maximum(x, 1.0)
-    term, series = np.ones_like(low), np.zeros_like(low)
-    for k in range(1, 26):
-        term *= -low / k
-        series -= term / k
+    k = np.arange(1.0, 26.0).reshape((25,) + (1,) * x.ndim)
+    terms = np.multiply.accumulate(-low / k)  # (-low)**k / k!
+    series = np.add.accumulate(-(terms / k))[-1]
+    shifted = high + np.arange(181.0, 2.0, -2.0).reshape((90,) + (1,) * x.ndim)  # high + 2k + 1
     fraction = np.zeros_like(high)
-    for k in range(90, 0, -1):
-        fraction = k * k / (high + (2 * k + 1) - fraction)
+    for n, level in zip(range(90, 0, -1), shifted):
+        np.subtract(level, fraction, out=fraction)
+        np.divide(n * n, fraction, out=fraction)
     return np.where(x <= 1.0, np.exp(low) * (series - EULER_GAMMA - np.log(low)),
                     1.0 / (high + 1.0 - fraction))
 

@@ -1,8 +1,12 @@
 """Shared pytest wiring: collects the acceptance-gate verdict lines and
 prints them after the test summary, where output capture cannot hide them;
-and the masking oracle of exhaustive search's candidate links."""
+empties the Monte Carlo draws kept across calls before each test; and the
+masking oracle of exhaustive search's candidate links."""
 
 import numpy as np
+import pytest
+
+from fdlink import montecarlo
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -12,6 +16,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def forget_kept_draws():
+    """Empty the draws montecarlo keeps across calls, so the next call draws."""
+    with montecarlo._KEPT_LOCK:
+        montecarlo._KEPT.clear()
+
+
+@pytest.fixture(autouse=True)
+def no_kept_draws():
+    """Each test draws its own trials: none are served from an earlier test's call."""
+    forget_kept_draws()
 
 
 def masked_candidates(g):

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -92,6 +95,26 @@ def test_sweep_json_and_sidecar(tmp_path):
     assert meta["libraries"]["mpmath"] == mpmath.__version__
     assert meta["spec"]["seed"] == 5
     assert meta["spec"]["sizes"] == [[2, 2]]
+
+
+def test_sidecar_records_numpys_cpu_dispatch(tmp_path):
+    # a sweep's bits hold on one numpy build and dispatch: turning dispatch
+    # targets off changes the recorded dispatch, not the baseline
+    disabled = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+    def dispatch(**env):
+        out = tmp_path / "t.csv"
+        subprocess.run([sys.executable, "-m", "fdlink.cli", "--preset", "table1", "--out", str(out)],
+                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env),
+                       check=True, capture_output=True)
+        return json.loads((tmp_path / "t.csv.meta.json").read_text())["numpy_cpu_dispatch"]
+
+    full = dispatch()
+    assert full == cli._cpu_dispatch() and full["baseline"]
+    if not set(disabled) & set(full["enabled"]):
+        pytest.skip(f"this CPU and numpy enable none of {disabled}")
+    assert dispatch(NPY_DISABLE_CPU_FEATURES=" ".join(disabled)) == {
+        "baseline": full["baseline"], "enabled": [f for f in full["enabled"] if f not in disabled]}
 
 
 def test_json_output_writes_non_finite_cells_as_null(tmp_path):

@@ -26,6 +26,7 @@ from fdlink import (
 from fdlink import instantaneous_sinr, montecarlo
 from fdlink.analytic import cdf_gamma_ab
 from fdlink.selection import best_pairs, by_weight, rate_map, ser_map
+from conftest import forget_kept_draws
 from oracles import quadrature_avg_rate, quadrature_avg_ser
 
 
@@ -374,11 +375,15 @@ def test_shared_serial_max_picks_scale_the_unit_candidates(point, metric):
 
 def estimator_outputs(cfgs, trials, seed):
     """The bits of every estimator's output: each policy and metric at
-    cfgs[0] and over the list, P_not likewise, and both links' CDFs."""
+    cfgs[0] and over the list, P_not likewise, and both links' CDFs.  Each
+    policy and P_not draws its own trials, which its call over the list
+    and the CDFs after P_not may read from the kept draws."""
     out = []
     for fn in (mc_weighted_sum_rate, mc_weighted_sum_ser):
         for policy in montecarlo.POLICIES:
+            forget_kept_draws()
             out += [fn(cfgs[0], policy, trials, seed), *fn(cfgs, policy, trials, seed)]
+    forget_kept_draws()
     out += [mc_p_not(cfgs[0], trials, seed), *mc_p_not(cfgs, trials, seed)]
     out = [(bits(est.value), bits(est.std_error)) for est in out]
     grids = [np.geomspace(1e-3, 5.0 * cfg.lambda_s, 40) for cfg in cfgs]
@@ -399,9 +404,11 @@ def test_output_does_not_depend_on_the_worker_count(monkeypatch, trials):
 
 
 def one_point_outputs(cfg, trials, seed):
-    """The bits of each policy and metric, P_not and both links' CDFs at one point."""
-    out = [fn(cfg, policy, trials, seed) for fn in (mc_weighted_sum_rate, mc_weighted_sum_ser)
-           for policy in montecarlo.POLICIES] + [mc_p_not(cfg, trials, seed)]
+    """The bits of each policy and metric, P_not and both links' CDFs at
+    one point, each of the first drawing its own trials."""
+    calls = [lambda fn=fn, policy=policy: fn(cfg, policy, trials, seed)
+             for fn in (mc_weighted_sum_rate, mc_weighted_sum_ser) for policy in montecarlo.POLICIES]
+    out = [forget_kept_draws() or call() for call in calls + [lambda: mc_p_not(cfg, trials, seed)]]
     out = [(bits(est.value), bits(est.std_error)) for est in out]
     grid = np.geomspace(1e-3, 5.0 * cfg.lambda_s, 40)
     cdfs = montecarlo.mc_empirical_cdfs(cfg, trials, seed, grid)
@@ -437,6 +444,7 @@ def test_one_point_calls_split_their_passes_over_every_worker(monkeypatch, trial
     unit, units = montecarlo._UNIT, -(-trials // montecarlo._UNIT)
     for policy, rows in (("serial_max", 4), ("max_wsr", 6)):
         blocks.clear()
+        forget_kept_draws()
         mc_weighted_sum_rate(cfg, policy, trials, 5)
         step = unit * max(1, min(montecarlo._BLOCK_BYTES // (8 * rows * unit), units // 2))
         assert sorted(blocks) == [(start, min(step, trials - start))
@@ -510,6 +518,7 @@ def test_a_warning_inside_a_task_fails_the_call(monkeypatch):
         lambda: montecarlo.mc_empirical_cdfs(cfgs, 300, 0, [np.ones(2)] * 2),
     ]
     for call in calls:
+        forget_kept_draws()  # each call draws, not reads the one before's kept draws
         with pytest.raises(RuntimeWarning, match="divide by zero"):
             call()
         with np.errstate(divide="ignore"):  # the caller's error state holds in each task
@@ -808,6 +817,95 @@ def test_callers_on_several_threads_share_the_pool(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert outputs == expected
+
+
+def estimate_bits(est):
+    return bits(est.value), bits(est.std_error)
+
+
+def test_calls_after_an_exhaustive_call_read_its_kept_draws(monkeypatch):
+    # the draws of an exhaustive call serve every later call at its size
+    # and seed for as many trials or fewer, Serial-Max's too, with the bits
+    # each gets from its own draw
+    cfg = make_cfg(n_a=4, n_b=4, lambda_s=100.0, eta=0.05)
+    trials, seed = 3 * montecarlo._UNIT + 5, 9
+    calls = [lambda n=n, fn=fn, policy=policy: fn(cfg, policy, n, seed)
+             for n in (trials, montecarlo._UNIT + 7)
+             for fn, policy in ((mc_weighted_sum_rate, "serial_max"), (mc_weighted_sum_ser, "min_wser"),
+                                (mc_weighted_sum_ser, "serial_max"), (mc_weighted_sum_rate, "max_wsr"))]
+    calls.append(lambda: mc_p_not(cfg, trials, seed))
+    fresh = [forget_kept_draws() or estimate_bits(call()) for call in calls]
+    forget_kept_draws()
+    mc_weighted_sum_rate(cfg, "max_wsr", trials, seed)
+    blocks = record_blocks(monkeypatch)
+    assert [estimate_bits(call()) for call in calls] == fresh
+    assert not blocks
+
+
+def test_six_row_draws_at_another_key_replace_the_kept_ones():
+    cfg, other = make_cfg(), make_cfg(n_a=2, n_b=3)
+    mc_weighted_sum_rate(cfg, "serial_max", 1000, 1)
+    assert not montecarlo._KEPT  # Serial-Max draws two candidate rows, and keeps none
+    mc_weighted_sum_rate(cfg, "max_wsr", 1000, 1)
+    assert list(montecarlo._KEPT) == [(3, 3, 1)]
+    mc_weighted_sum_rate(cfg, "serial_max", 1000, 2)
+    mc_weighted_sum_ser(other, "serial_max", 1000, 1)
+    assert list(montecarlo._KEPT) == [(3, 3, 1)]  # nor evicts any
+    mc_p_not(cfg, 1000, 2)
+    assert list(montecarlo._KEPT) == [(3, 3, 2)]
+    mc_weighted_sum_ser(other, "min_wser", 1000, 2)
+    assert list(montecarlo._KEPT) == [(2, 3, 2)]
+    mc_weighted_sum_ser(other, "min_wser", 1001, 2)  # more trials than are kept
+    assert montecarlo._KEPT[2, 3, 2][0] == 1001
+
+
+def test_a_call_past_the_cap_keeps_nothing(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_KEEP_BYTES", 8 * 6 * 1000)
+    cfg = make_cfg()
+    mc_weighted_sum_rate(cfg, "max_wsr", 1000, 1)
+    assert list(montecarlo._KEPT) == [(3, 3, 1)]
+    mc_weighted_sum_rate(cfg, "max_wsr", 1001, 2)
+    assert not montecarlo._KEPT
+
+
+def test_kept_draws_are_the_read_only_blocks_the_tasks_drew(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    drawn, chunk_picks = {}, montecarlo._chunk_picks
+    monkeypatch.setattr(montecarlo, "_chunk_picks", lambda cfg, policy, seed, start, count:
+                        drawn.setdefault(start, chunk_picks(cfg, policy, seed, start, count)))
+    trials = 5 * montecarlo._UNIT + 3
+    mc_weighted_sum_ser(make_cfg(), "min_wser", trials, 4)
+    kept_trials, step, blocks = montecarlo._KEPT[3, 3, 4]
+    assert kept_trials == trials and len(blocks) == len(drawn) > 1
+    assert all(block is drawn[k * step] for k, block in enumerate(blocks))
+    for block in blocks:
+        assert block.shape[0] == 6 and not block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1.0
+
+
+def test_threads_running_one_exhaustive_then_serial_max_pair_at_once_agree(monkeypatch):
+    # callers racing to draw and keep the same trials, and to read them,
+    # on more workers than cores and a short switch interval, each get the
+    # bits of their own draws
+    monkeypatch.setattr(montecarlo, "_CHUNK", 97)
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 8)
+    cfg = make_cfg(lambda_s=1e3, eta=0.02)
+    trials = 2 * montecarlo._UNIT + 3
+    policies = ("max_wsr", "serial_max")
+    pair = lambda: [estimate_bits(mc_weighted_sum_rate(cfg, p, trials, 6)) for p in policies]
+    expected = [forget_kept_draws() or estimate_bits(mc_weighted_sum_rate(cfg, p, trials, 6))
+                for p in policies]
+    forget_kept_draws()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as callers:
+            futures = [callers.submit(pair) for _ in range(2)]
+            outputs = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs == [expected, expected]
 
 
 def test_a_forked_child_runs_an_estimator(monkeypatch):
