@@ -3,18 +3,18 @@
 Rayleigh fading is simulated in the |h|^2 domain: per-link SNRs are
 exponential, F(x) = 1 - exp(-x) at unit mean.  Selection reads only the
 values M, S, R and C of an n_a x n_b SNR matrix (see fdlink.selection);
-draw_trial_batch draws those, not the matrix.  Given the largest entry
-M = m, the others are i.i.d. with law F(x)/F(m) on [0, m] (David &
-Nagaraja, Order Statistics, 3rd ed., 2.4), so S, R and C are independent
-maxima of k = (n_a-1)(n_b-1), n_b-1 and n_a-1 of them.  With uniforms u
-in (0, 1), p = u0**(1/(n_a n_b)) = F(m) and q = 1 - p, m = -log(q) and
-X = -log(q + p * (1 - u**(1/k))); u**(1/k) is exp(log(u)/k) and
-1 - u**(1/k) is -expm1(log(u)/k), so nothing cancels, even at 10**6 x
-10**6.  Each log is multiplied by -lambda last, so a draw at mean lambda
-is lambda times the unit draw bit for bit.  The Philox stream is
-counter-addressed: trial k owns the 8 words at 8k (4 candidate uniforms,
-2 INR uniforms, 2 spare) at every size, so a batch for trials [k, k + n)
-equals columns k.. of any batch that covers them.
+draw_trial_batch draws all four, not the matrix, whatever the policy.
+Given the largest entry M = m, the others are i.i.d. with law F(x)/F(m)
+on [0, m] (David & Nagaraja, Order Statistics, 3rd ed., 2.4), so S, R
+and C are independent maxima of k = (n_a-1)(n_b-1), n_b-1 and n_a-1 of
+them.  With uniforms u in (0, 1), p = u0**(1/(n_a n_b)) = F(m) and
+q = 1 - p, m = -log(q) and X = -log(q + p * (1 - u**(1/k))); u**(1/k)
+is exp(log(u)/k) and 1 - u**(1/k) is -expm1(log(u)/k), so nothing
+cancels, even at 10**6 x 10**6.  Each log is multiplied by -lambda last,
+so a draw at mean lambda is lambda times the unit draw bit for bit.  The
+Philox stream is counter-addressed: trial k owns the 8 words at 8k (4
+candidate uniforms, 2 INR uniforms, 2 spare) at every size, so a batch
+for trials [k, k + n) equals columns k.. of any batch that covers them.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ _PER_TRIAL = 8
 
 
 def _candidates(x: np.ndarray, n_a: int, n_b: int, mean: float) -> np.ndarray:
-    """The first len(x) of (M, S, R, C) at mean from the logs x of their uniforms, in place."""
-    x /= np.array([[n_a * n_b], [(n_a - 1) * (n_b - 1)], [n_b - 1], [n_a - 1]], dtype=float)[:len(x)]
+    """(M, S, R, C) at mean from the logs x of their uniforms, in place."""
+    x /= np.array([[n_a * n_b], [(n_a - 1) * (n_b - 1)], [n_b - 1], [n_a - 1]], dtype=float)
     p = np.exp(x[0])
     np.expm1(x, out=x)
     np.negative(x, out=x)  # row 0 is now q, rows 1.. are 1 - u**(1/k)
@@ -52,15 +52,11 @@ def largest_unit_draw(n_a: int, n_b: int) -> float:
 
 
 def draw_trial_batch(
-    master_seed: int, start_trial: int, count: int, cfg: SystemConfig, lambda_i: float,
-    candidates: int = 4,
+    master_seed: int, start_trial: int, count: int, cfg: SystemConfig, lambda_i: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draws for trials [start_trial, start_trial + count) at cfg's size: the
-    (candidates, count) candidate SNRs at mean cfg.lambda_s, (M, S) or
-    (M, S, R, C), and the (count,) INRs at mean lambda_i consumed at node A
-    and at node B.  The rows do not depend on candidates."""
-    if candidates not in (2, 4):
-        raise ValueError(f"candidates must be 2 or 4, got {candidates!r}")
+    (4, count) candidate SNRs (M, S, R, C) at mean cfg.lambda_s, and the
+    (count,) INRs at mean lambda_i consumed at node A and at node B."""
     from numpy.random import Philox  # here, not at import: about 15 ms that only draws need
     bitgen = Philox(key=master_seed)
     bitgen.advance(start_trial * _PER_TRIAL // 4)
@@ -69,13 +65,12 @@ def draw_trial_batch(
     words = bitgen.random_raw(count * _PER_TRIAL)
     words >>= np.uint64(11)
     words |= np.uint64(1)
-    words = words.view(np.int64).reshape(count, _PER_TRIAL)[:, slice(6) if candidates == 4 else [0, 1, 4, 5]]
-    log_u = words.T.astype(float, order="C")
+    log_u = words.view(np.int64).reshape(count, _PER_TRIAL)[:, :6].T.astype(float, order="C")
     log_u *= 2.0**-53
     np.log(log_u, out=log_u)
-    inr = log_u[candidates:]
+    inr = log_u[4:]
     inr *= -lambda_i
-    return _candidates(log_u[:candidates], cfg.n_a, cfg.n_b, cfg.lambda_s), inr[0], inr[1]
+    return _candidates(log_u[:4], cfg.n_a, cfg.n_b, cfg.lambda_s), inr[0], inr[1]
 
 
 def instantaneous_sinr(gamma_s, gamma_ri, out=None):

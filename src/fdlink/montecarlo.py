@@ -6,25 +6,26 @@ _UNIT trials, one task each, on one process-wide thread pool with a
 worker per CPU the process may use (_workers).  A task draws its block
 once, _CHUNK trials a call, and reduces it for every point, so memory
 stays flat in the trial count.  A block is at most a worker's share of
-the units and its picks at most _BLOCK_BYTES.  A call that draws six rows
-keeps its blocks while they fit in _KEEP_BYTES (_KEPT), and later calls
-at its size and seed read them in place of a draw.
+the units and at most _BLOCK_UNITS.  A call that draws replaces the kept
+blocks (_KEPT) with its own where the whole call fits in _KEEP_BYTES, and
+clears them otherwise; later calls at its size and seed, for as many
+trials or fewer, read them in place of a draw, and evict nothing.
 
 A point's mean is math.fsum of its values over the trial count, bit for
 bit: the blocks' certified parts (_certified_parts, _total) where their
 error bound allows, else math.fsum of its values drawn again in trial
 order.  Its standard error merges the moments of each unit in unit order
 (_moments, _merge), squares scaled so that they cannot underflow: it
-depends on _UNIT, not on _CHUNK, _BLOCK_BYTES or the worker count.
+depends on _UNIT, not on _CHUNK, _BLOCK_UNITS or the worker count.
 Counts (empirical CDFs, P_not) merge exactly.
 
-Every policy draws at unit means the candidate SNRs it reads
-(fdlink.channel), (M, S) for Serial-Max and (M, S, R, C) for exhaustive
-search, and the INRs; a point scales them by lambda_s and lambda_i, bit
-for bit as a draw at its means.  Exhaustive policies score the four
-candidate pairs on each point's obtainable SINRs where R and C both
-exceed S, and take (M, S) elsewhere (fdlink.selection).  The INRs enter
-only the metric, never the selection.
+Every policy draws the same six rows at unit means (fdlink.channel): the
+candidate SNRs (M, S, R, C) and the INRs; a point scales them by lambda_s
+and lambda_i, bit for bit as a draw at its means.  Only _point_sinrs and
+_misses know which rows a policy reads: Serial-Max takes (M, S), and
+exhaustive policies score the four candidate pairs on each point's
+obtainable SINRs where R and C both exceed S, and take (M, S) elsewhere
+(fdlink.selection).  The INRs enter only the metric, never the selection.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import contextvars
 import functools
 import itertools
 import math
+import numbers
 import os
 import threading
 from collections.abc import Sequence
@@ -51,15 +53,12 @@ _CHUNK = 1 << 13
 # trials per unit of the standard error's moments, in trial order; task
 # blocks are whole units
 _UNIT = 1 << 13
-# the most bytes of picks per task, in whole units: 4 units under
-# Serial-Max (4 rows), 2 under exhaustive search (6 rows).  Longer blocks
-# mean fewer numpy calls, and interpreter-lock hand-offs, per trial; this
-# bound keeps a task's working set, picks and temporaries, a few MB
-_BLOCK_BYTES = 1 << 20
-# rows of candidate SNRs each policy draws: (M, S) or (M, S, R, C)
-_CANDIDATES = {policy: 2 if policy == "serial_max" else 4 for policy in POLICIES}
-# the read-only six-row blocks of the last call that drew them, at most
-# _KEEP_BYTES, by (n_a, n_b, seed): (trials, step, blocks)
+# the most units per task block.  Longer blocks mean fewer numpy calls,
+# and interpreter-lock hand-offs, per trial; this bound keeps a task's
+# working set, its 1.5 MiB of picks and their temporaries, a few MB
+_BLOCK_UNITS = 4
+# the read-only blocks of the last call that drew, where the whole call
+# fits in _KEEP_BYTES, by (n_a, n_b, seed): (trials, step, blocks)
 _KEPT: dict[tuple, tuple] = {}
 _KEPT_LOCK = threading.Lock()
 _KEEP_BYTES = 1 << 22
@@ -115,18 +114,21 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's t
     os.register_at_fork(after_in_child=_POOL.clear)
 
 
-def _points(cfg, policy: str, trials: int) -> list[SystemConfig]:
-    """The call's configs, checked with its policy and trial count."""
+def _points(cfg, trials, seed) -> tuple[list[SystemConfig], int, int]:
+    """The call's configs, checked, and its trial count and seed as plain ints."""
     cfgs = [cfg] if isinstance(cfg, SystemConfig) else list(cfg)
     if not cfgs:
         raise ValueError("give at least one config")
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
     if len({(c.n_a, c.n_b) for c in cfgs}) != 1:
         raise ValueError("the points of one call must share one array size")
+    for name, x in (("trials", trials), ("seed", seed)):
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise ValueError(f"{name} must be a whole number, got {x!r}")
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be >= 1 and at most MAX_TRIALS = {MAX_TRIALS:,}, got {trials:,}")
-    return cfgs
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), the Philox key range, got {seed}")
+    return cfgs, int(trials), int(seed)
 
 
 def _scaled(x, cfg: SystemConfig):
@@ -137,62 +139,57 @@ def _scaled(x, cfg: SystemConfig):
     return g
 
 
-def _chunk_picks(cfg: SystemConfig, policy: str, seed: int, start: int, count: int) -> np.ndarray:
+def _chunk_picks(cfg: SystemConfig, seed: int, start: int, count: int) -> np.ndarray:
     """Trials [start, start + count) drawn at unit means and cfg's size, a
-    chunk at a time, as draw_trial_batch gives them, in one (k + 2, count)
-    array: the k candidates policy reads, (M, S) or (M, S, R, C), then
-    inr_a and inr_b."""
-    unit, k = replace(cfg, lambda_s=1.0), _CANDIDATES[policy]
-    picks = np.empty((k + 2, count))
+    chunk at a time, as draw_trial_batch gives them, in one (6, count)
+    array: M, S, R, C, inr_a and inr_b."""
+    unit = replace(cfg, lambda_s=1.0)
+    picks = np.empty((6, count))
     for lo in range(0, count, _CHUNK):
         n = min(_CHUNK, count - lo)
-        picks[:k, lo:lo + n], picks[k, lo:lo + n], picks[k + 1, lo:lo + n] = draw_trial_batch(
-            seed, start + lo, n, unit, 1.0, candidates=k)
+        picks[:4, lo:lo + n], picks[4, lo:lo + n], picks[5, lo:lo + n] = draw_trial_batch(
+            seed, start + lo, n, unit, 1.0)
     return picks
 
 
 def _point_sinrs(picks: np.ndarray, cfg: SystemConfig, policy: str = "serial_max") -> np.ndarray:
     """cfg's (gamma_ab, gamma_ba) from _chunk_picks, as one (2, n) array:
-    the unit SNRs of policy's (first, second) pick, the best of the four
-    candidate pairs on cfg's own g for exhaustive policies, in by_weight's
-    order, over the unit INRs at B and at A, scaled to cfg's means."""
-    k = _CANDIDATES[policy]
+    the unit SNRs of policy's (first, second) pick, (M, S) for Serial-Max
+    and the best of the four candidate pairs on cfg's own g for exhaustive
+    policies, in by_weight's order, over the unit INRs at B and at A,
+    scaled to cfg's means."""
     pair = picks[:2] if policy == "serial_max" else best_pairs(
-        picks[:k], _scaled(picks[:k], cfg), cfg.w, policy, cfg.modulation)
+        picks[:4], _scaled(picks[:4], cfg), cfg.w, policy, cfg.modulation)
     ab_ba = by_weight(pair, pair[::-1], cfg.w)[0]  # the pair, or its rows swapped
     inr = cfg.lambda_i * picks[-2:][::-1]  # at B, then at A
     return instantaneous_sinr(cfg.lambda_s * ab_ba, inr, out=inr)
 
 
-def _per_block(cfgs: list[SystemConfig], policy: str, trials: int, seed: int, point_fn,
-               args: list[tuple]):
-    """For each block of trials, in trial order, [point_fn(picks, c, *a)
-    for each config c and its arguments a] from the block's one read-only
-    draw, or from _KEPT where it covers the trials; a six-row draw replaces
-    _KEPT, with its blocks where they fit in _KEEP_BYTES.  The blocks run
-    on the shared pool at most two per worker ahead of the caller; on an
-    error, or when the caller stops early, the call's tasks not yet started
-    are cancelled and its running ones finish."""
+def _per_block(cfg: SystemConfig, trials: int, seed: int, fns: list):
+    """For each block of trials, in trial order, [fn(picks) for fn in fns]
+    from the block's one read-only draw at cfg's size, or from _KEPT where
+    it covers the trials.  A call that draws replaces _KEPT with its blocks
+    where the whole call fits in _KEEP_BYTES, and clears it otherwise.  The
+    blocks run on the shared pool at most two per worker ahead of the
+    caller; on an error, or when the caller stops early, the call's tasks
+    not yet started are cancelled and its running ones finish."""
     pool, workers = _executor()
-    rows = _CANDIDATES[policy] + 2  # and inr_a, inr_b
-    key = (cfgs[0].n_a, cfgs[0].n_b, seed)
+    key = (cfg.n_a, cfg.n_b, seed)
     with _KEPT_LOCK:
         kept_trials, step, kept = _KEPT.get(key, (0, 0, None))
-        if kept_trials < trials and rows == 6:
+        if kept_trials < trials:  # this call draws
             _KEPT.clear()
-    if kept_trials < trials:
-        kept = None
-        step = _UNIT * max(1, min(_BLOCK_BYTES // (8 * rows * _UNIT), -(-trials // _UNIT) // workers))
-    keep = not kept and rows == 6 and 8 * rows * trials <= _KEEP_BYTES
-    drawn = [None] * -(-trials // step) if keep else None
+            kept, step = None, _UNIT * max(1, min(_BLOCK_UNITS, -(-trials // _UNIT) // workers))
+    # six rows of doubles a trial
+    drawn = [None] * -(-trials // step) if not kept and 8 * 6 * trials <= _KEEP_BYTES else None
 
     def task(start):
         count = min(step, trials - start)
-        picks = kept[start // step][:, :count] if kept else _chunk_picks(cfgs[0], policy, seed, start, count)
+        picks = kept[start // step][:, :count] if kept else _chunk_picks(cfg, seed, start, count)
         picks.flags.writeable = False
         if drawn:
             drawn[start // step] = picks
-        return [point_fn(picks, c, *a) for c, a in zip(cfgs, args)]
+        return [fn(picks) for fn in fns]
 
     pending = collections.deque()
     try:
@@ -302,19 +299,21 @@ def _merge(moments, unit):
 def _estimates(cfg, policy: str, metric: str, trials: int, seed: int):
     """Each config's mean, _total of its values' certified parts over trials,
     and standard error from its unit moments, merged as the blocks arrive."""
-    cfgs = _points(cfg, policy, trials)
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    cfgs, trials, seed = _points(cfg, trials, seed)
     values = lambda picks, c: weighted_sum(  # of rates or SERs, in the SINRs' own array
         g := _point_sinrs(picks, c, policy), c.w, c.modulation if metric == "ser" else None, g)
     # _moments overwrites the values, after _certified_parts has read them
     reduce = lambda picks, c: (_certified_parts(x := values(picks, c)), _moments(x))
     certified, moments = [[] for _ in cfgs], [(0, 0.0, 1023, 0.0)] * len(cfgs)
-    for block in _per_block(cfgs, policy, trials, seed, reduce, [()] * len(cfgs)):
+    for block in _per_block(cfgs[0], trials, seed, [functools.partial(reduce, c=c) for c in cfgs]):
         for i, (parts, units) in enumerate(block):
             certified[i].append(parts)
             moments[i] = functools.reduce(_merge, units, moments[i])
     out = []
     for c, parts, (n, _, e, s) in zip(cfgs, certified, moments):
-        redraw = lambda c=c: (x for (x,) in _per_block([c], policy, trials, seed, values, [()]))
+        redraw = lambda c=c: (x for (x,) in _per_block(c, trials, seed, [functools.partial(values, c=c)]))
         std_error = math.ldexp(math.sqrt(s / (n - 1)) / math.sqrt(n), -e) if n > 1 else 0.0
         out.append(MetricEstimate(_total(parts, redraw) / trials, std_error, trials, seed))
     return out[0] if isinstance(cfg, SystemConfig) else out
@@ -360,8 +359,9 @@ def mc_empirical_cdfs(
     for x in grids:
         if x.ndim != 1 or np.isnan(x).any() or np.any(np.diff(x) < 0):
             raise ValueError("grid must be one-dimensional and ascending")
-    counts = zip(*_per_block(_points(cfg, "serial_max", trials), "serial_max", trials, seed,
-                             _cdf_counts, [(x,) for x in grids]))
+    cfgs, trials, seed = _points(cfg, trials, seed)
+    counts = zip(*_per_block(cfgs[0], trials, seed,
+                             [functools.partial(_cdf_counts, cfg=c, grid=x) for c, x in zip(cfgs, grids)]))
     cdfs = [tuple(EmpiricalCdf(x, n / trials) for n in sum(c)) for x, c in zip(grids, counts)]
     return cdfs[0] if single else cdfs
 
@@ -383,9 +383,9 @@ def mc_p_not(cfg: SystemConfig | Sequence[SystemConfig], trials: int,
     one estimate per config as in mc_weighted_sum_rate: where the best of the
     four candidate pairs' weighted rates exceeds that of Serial-Max's own
     pair (M, S) by more than 1e-12 relative."""
-    cfgs = _points(cfg, "max_wsr", trials)
+    cfgs, trials, seed = _points(cfg, trials, seed)
     out = []
-    for misses in zip(*_per_block(cfgs, "max_wsr", trials, seed, _misses, [()] * len(cfgs))):
+    for misses in zip(*_per_block(cfgs[0], trials, seed, [functools.partial(_misses, cfg=c) for c in cfgs])):
         p = sum(misses) / trials
         out.append(MetricEstimate(p, math.sqrt(p * (1.0 - p) / trials), trials, seed))
     return out[0] if isinstance(cfg, SystemConfig) else out

@@ -178,10 +178,13 @@ def select(
     g: np.ndarray, w: float, policy: str, mod: ModulationParams | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (A->B, B->A) flat positions that policy picks in a
-    (T, n_a, n_b) stack; w in [0, 1] weights A->B.  A w outside [0, 1], a
-    NaN entry or min_wser without its modulation mod raises ValueError.  g
-    may be any array-like, a nested list too."""
+    (T, n_a, n_b) stack; w in [0, 1] weights A->B.  Any other shape, or n_a
+    or n_b below 2, raises MatrixTooSmall; a w outside [0, 1], a NaN entry
+    or min_wser without its modulation mod raises ValueError.  g may be any
+    array-like, a nested list too."""
     g = np.asarray(g)
+    if g.ndim != 3 or g.shape[1] < 2 or g.shape[2] < 2:
+        raise MatrixTooSmall(f"need a (T, n_a, n_b) stack with n_a, n_b >= 2, got shape {g.shape}")
     if policy == "min_wser" and mod is None:
         raise ValueError("min_wser needs a modulation")
     if not 0.0 <= w <= 1.0:

@@ -195,7 +195,7 @@ def test_criterion_03_sinr_cdfs_match_sampling():
     trials = 100_000
     worst = 0.0
     for cfg in (make_cfg(3, 3, 10.0, 0.1), make_cfg(2, 2, 100.0, 0.02)):
-        gamma_ab, gamma_ba = _point_sinrs(_chunk_picks(cfg, "serial_max", 314, 0, trials), cfg)
+        gamma_ab, gamma_ba = _point_sinrs(_chunk_picks(cfg, 314, 0, trials), cfg)
         for samples, vec_cdf in ((gamma_ab, vec_cdf_ab), (gamma_ba, vec_cdf_ba)):
             s = np.sort(samples)
             model = vec_cdf(cfg, s)

@@ -73,21 +73,6 @@ def test_batch_matches_per_trial_draws(cfg):
                 assert inr_b0[k] == np.ravel(d_inr_b)[0]
 
 
-@pytest.mark.parametrize("n_a,n_b", [(2, 2), (3, 3), (2, 7), (12, 12), (10**6, 10**6)])
-def test_serial_max_draw_is_the_full_draw_without_r_and_c(n_a, n_b):
-    # Serial-Max reads (M, S) and the INRs; its lean draw gives those rows
-    # of the full draw bit for bit
-    cfg = SystemConfig(n_a, n_b, lambda_s=3.7, eta=0.1, w=0.7)
-    for start, count in ((0, 1), (5, 999), (12_345, 8192)):
-        full = draw_trial_batch(9, start, count, cfg, 0.37)
-        lean = draw_trial_batch(9, start, count, cfg, 0.37, candidates=2)
-        assert lean[0].shape == (2, count)
-        for a, b in zip([*full[0][:2], *full[1:]], [*lean[0], *lean[1:]]):
-            assert np.array_equal(a.view(np.int64), b.view(np.int64))
-    with pytest.raises(ValueError, match="candidates must be 2 or 4"):
-        draw_trial_batch(9, 0, 1, cfg, 0.37, candidates=3)
-
-
 def test_candidates_are_ordered_and_finite_at_every_size():
     # M is the largest, and S, R and C lie in [0, M], up to 10**6 x 10**6
     for n_a, n_b in ((2, 2), (2, 5), (12, 12), (1000, 3), (10**6, 10**6)):

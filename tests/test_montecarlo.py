@@ -361,13 +361,11 @@ def test_shared_serial_max_picks_scale_the_unit_candidates(point, metric):
     # per-point oracle's, alone or beside another point
     lambda_s, eta = SCALED_POINTS[point]
     cfg = make_cfg(lambda_s=lambda_s, eta=eta)
-    *unit, unit_a, unit_b = montecarlo._chunk_picks(cfg, "max_wsr", 5, 3, 200)
+    *unit, unit_a, unit_b = montecarlo._chunk_picks(cfg, 5, 3, 200)
     cands, inr_a, inr_b = montecarlo.draw_trial_batch(5, 3, 200, cfg, eta * lambda_s)
     for drawn, scaled in zip([*cands, inr_a, inr_b],
                              [lambda_s * x for x in unit] + [eta * lambda_s * x for x in (unit_a, unit_b)]):
         assert np.array_equal(drawn.view(np.int64), scaled.view(np.int64))
-    serial = montecarlo._chunk_picks(cfg, "serial_max", 5, 3, 200)
-    assert np.array_equal(serial, [*unit[:2], unit_a, unit_b])
     other = make_cfg(lambda_s=1.0, eta=0.0)
     for cfgs in ([other, cfg], [cfg, other], [cfg]):
         assert_shared_matches_oracle(cfgs, 200, 5, metric)
@@ -420,9 +418,9 @@ def record_blocks(monkeypatch):
     blocks = []
     chunk_picks = montecarlo._chunk_picks
 
-    def recording(cfg, policy, seed, start, count):
+    def recording(cfg, seed, start, count):
         blocks.append((start, count))
-        return chunk_picks(cfg, policy, seed, start, count)
+        return chunk_picks(cfg, seed, start, count)
 
     monkeypatch.setattr(montecarlo, "_chunk_picks", recording)
     return blocks
@@ -430,8 +428,8 @@ def record_blocks(monkeypatch):
 
 @pytest.mark.parametrize("trials", [1, 2, 3, 5, 3 * montecarlo._CHUNK + 5])
 def test_one_point_calls_split_their_passes_over_every_worker(monkeypatch, trials):
-    # blocks are whole units, a worker's share of them at most and their
-    # picks at most _BLOCK_BYTES, so a lone point spreads over every worker;
+    # blocks are whole units, a worker's share of them at most and at most
+    # _BLOCK_UNITS, so a lone point spreads over every worker;
     # the blocks merge exactly, so the bits do not depend on the worker count
     cfg = make_cfg(n_a=4, n_b=4, lambda_s=100.0, eta=0.05)
     outputs = []
@@ -442,25 +440,26 @@ def test_one_point_calls_split_their_passes_over_every_worker(monkeypatch, trial
     monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
     blocks = record_blocks(monkeypatch)
     unit, units = montecarlo._UNIT, -(-trials // montecarlo._UNIT)
-    for policy, rows in (("serial_max", 4), ("max_wsr", 6)):
+    step = unit * max(1, min(montecarlo._BLOCK_UNITS, units // 2))
+    for policy in montecarlo.POLICIES:
         blocks.clear()
         forget_kept_draws()
         mc_weighted_sum_rate(cfg, policy, trials, 5)
-        step = unit * max(1, min(montecarlo._BLOCK_BYTES // (8 * rows * unit), units // 2))
         assert sorted(blocks) == [(start, min(step, trials - start))
                                   for start in range(0, trials, step)]
 
 
-@pytest.mark.parametrize("block_bytes,trials", [(1, 250), (13_968, 400), (10**9, 10_300)])
-def test_output_does_not_depend_on_the_task_blocks(monkeypatch, block_bytes, trials):
-    # tasks draw blocks of whole units, one unit where _BLOCK_BYTES holds
-    # less than a unit's picks, or a worker's share, 97 trials a draw, and
-    # reduce each block in one piece; blocks of any length give the
-    # unpatched run's bits at any worker count
+@pytest.mark.parametrize("block_units,trials", [(1, 250), (3, 400), (10**6, 10_300)])
+def test_output_does_not_depend_on_the_task_blocks(monkeypatch, block_units, trials):
+    # tasks draw blocks of whole units, at most _BLOCK_UNITS of them or a
+    # worker's share, and reduce each block in one piece; at units of 61
+    # trials, blocks of 1, 3 or every unit, 97 trials a draw, give the
+    # default blocks' bits at any worker count
+    monkeypatch.setattr(montecarlo, "_UNIT", 61)
     cfgs = [make_cfg(lambda_s=lam, eta=eta) for lam, eta in ((10.0, 0.1), (1.0, 0.0), (1e4, 0.02))]
     expected = estimator_outputs(cfgs, trials, 11)
     monkeypatch.setattr(montecarlo, "_CHUNK", 97)
-    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(montecarlo, "_BLOCK_UNITS", block_units)
     for workers in (1, 2, 8):
         monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
         assert estimator_outputs(cfgs, trials, 11) == expected
@@ -493,6 +492,35 @@ def test_a_positive_mean_has_a_positive_standard_error():
         assert est.std_error > 0 or est.value == 0, (seed, est)
     assert (bits(estimates[0].value), bits(estimates[0].std_error)) == tuple(
         map(bits, per_point_estimate(cfg, 139_264, 1, "ser")))
+
+
+def all_estimators(cfg, trials, seed):
+    """Calls of each of the four estimators at cfg."""
+    return [lambda: mc_weighted_sum_rate(cfg, "serial_max", trials, seed),
+            lambda: mc_weighted_sum_ser(cfg, "max_wsr", trials, seed),
+            lambda: mc_p_not(cfg, trials, seed),
+            lambda: montecarlo.mc_empirical_cdfs(cfg, trials, seed, [1.0])]
+
+
+@pytest.mark.parametrize("trials,seed", [(100, 1.5), (100, 1.9), (1e4, 1), (100.0, 1), (True, 1),
+                                         (100, True), (100, "1"), (100, -1), (100, 2**128)])
+def test_estimators_take_only_whole_number_trials_and_seeds(trials, seed):
+    # a float seed would be truncated by the Philox key, and a float or bool
+    # trial count miscounted; a seed outside the key's range is refused here,
+    # not inside a worker
+    for call in all_estimators(make_cfg(), trials, seed):
+        with pytest.raises(ValueError, match="must be a whole number|seed must lie in"):
+            call()
+
+
+def test_numpy_integer_trials_and_seeds_are_stored_as_plain_ints():
+    cfg = make_cfg()
+    numpy_ints = [call() for call in all_estimators(cfg, np.int64(500), np.uint64(2**64 - 1))]
+    plain = [call() for call in all_estimators(cfg, 500, 2**64 - 1)]
+    for est in numpy_ints[:3]:
+        assert type(est.trials) is int and type(est.master_seed) is int and type(est.value) is float
+    assert repr(numpy_ints) == repr(plain)
+    assert mc_p_not(cfg, 100, 2**128 - 1).master_seed == 2**128 - 1  # the largest Philox key
 
 
 def test_trial_counts_past_the_cap_are_refused():
@@ -842,37 +870,59 @@ def test_calls_after_an_exhaustive_call_read_its_kept_draws(monkeypatch):
     assert not blocks
 
 
+def test_calls_after_a_serial_max_call_read_its_kept_draws(monkeypatch):
+    # every policy draws the same six rows, so a Serial-Max call's draws
+    # serve the exhaustive calls and P_not after it at its size and seed,
+    # with the bits each gets from its own draw
+    cfg = make_cfg(n_a=4, n_b=4, lambda_s=100.0, eta=0.05)
+    trials, seed = 3 * montecarlo._UNIT + 5, 9
+    calls = [lambda: mc_weighted_sum_rate(cfg, "max_wsr", trials, seed),
+             lambda: mc_weighted_sum_ser(cfg, "min_wser", trials, seed),
+             lambda: mc_p_not(cfg, trials, seed)]
+    fresh = [forget_kept_draws() or estimate_bits(call()) for call in calls]
+    forget_kept_draws()
+    mc_weighted_sum_rate(cfg, "serial_max", trials, seed)
+    blocks = record_blocks(monkeypatch)
+    assert [estimate_bits(call()) for call in calls] == fresh
+    assert not blocks
+
+
 def test_six_row_draws_at_another_key_replace_the_kept_ones():
+    # one rule for every estimator: a call that draws replaces the kept
+    # draws with its own, and a call that reads them evicts nothing
     cfg, other = make_cfg(), make_cfg(n_a=2, n_b=3)
     mc_weighted_sum_rate(cfg, "serial_max", 1000, 1)
-    assert not montecarlo._KEPT  # Serial-Max draws two candidate rows, and keeps none
-    mc_weighted_sum_rate(cfg, "max_wsr", 1000, 1)
     assert list(montecarlo._KEPT) == [(3, 3, 1)]
+    mc_weighted_sum_rate(cfg, "max_wsr", 1000, 1)
+    mc_weighted_sum_ser(cfg, "serial_max", 999, 1)  # fewer trials than are kept
+    assert list(montecarlo._KEPT) == [(3, 3, 1)] and montecarlo._KEPT[3, 3, 1][0] == 1000
     mc_weighted_sum_rate(cfg, "serial_max", 1000, 2)
-    mc_weighted_sum_ser(other, "serial_max", 1000, 1)
-    assert list(montecarlo._KEPT) == [(3, 3, 1)]  # nor evicts any
+    assert list(montecarlo._KEPT) == [(3, 3, 2)]
+    mc_weighted_sum_ser(other, "serial_max", 1000, 2)
+    assert list(montecarlo._KEPT) == [(2, 3, 2)]
     mc_p_not(cfg, 1000, 2)
     assert list(montecarlo._KEPT) == [(3, 3, 2)]
-    mc_weighted_sum_ser(other, "min_wser", 1000, 2)
-    assert list(montecarlo._KEPT) == [(2, 3, 2)]
-    mc_weighted_sum_ser(other, "min_wser", 1001, 2)  # more trials than are kept
-    assert montecarlo._KEPT[2, 3, 2][0] == 1001
+    montecarlo.mc_empirical_cdfs(other, 1000, 1, [1.0])
+    assert list(montecarlo._KEPT) == [(2, 3, 1)]
+    mc_weighted_sum_ser(other, "min_wser", 1001, 1)  # more trials than are kept
+    assert list(montecarlo._KEPT) == [(2, 3, 1)] and montecarlo._KEPT[2, 3, 1][0] == 1001
 
 
 def test_a_call_past_the_cap_keeps_nothing(monkeypatch):
     monkeypatch.setattr(montecarlo, "_KEEP_BYTES", 8 * 6 * 1000)
     cfg = make_cfg()
-    mc_weighted_sum_rate(cfg, "max_wsr", 1000, 1)
-    assert list(montecarlo._KEPT) == [(3, 3, 1)]
-    mc_weighted_sum_rate(cfg, "max_wsr", 1001, 2)
-    assert not montecarlo._KEPT
+    for policy in ("serial_max", "max_wsr"):
+        mc_weighted_sum_rate(cfg, policy, 1000, 1)
+        assert list(montecarlo._KEPT) == [(3, 3, 1)]
+        mc_weighted_sum_rate(cfg, policy, 1001, 2)
+        assert not montecarlo._KEPT
 
 
 def test_kept_draws_are_the_read_only_blocks_the_tasks_drew(monkeypatch):
     monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
     drawn, chunk_picks = {}, montecarlo._chunk_picks
-    monkeypatch.setattr(montecarlo, "_chunk_picks", lambda cfg, policy, seed, start, count:
-                        drawn.setdefault(start, chunk_picks(cfg, policy, seed, start, count)))
+    monkeypatch.setattr(montecarlo, "_chunk_picks", lambda cfg, seed, start, count:
+                        drawn.setdefault(start, chunk_picks(cfg, seed, start, count)))
     trials = 5 * montecarlo._UNIT + 3
     mc_weighted_sum_ser(make_cfg(), "min_wser", trials, 4)
     kept_trials, step, blocks = montecarlo._KEPT[3, 3, 4]

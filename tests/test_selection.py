@@ -265,6 +265,16 @@ def test_select_rejects_unknown_policy():
         select(np.ones((1, 3, 3)), 0.7, "exhaustive", BPSK)
 
 
+def test_select_refuses_stacks_it_cannot_serve():
+    # a 1 x 3 matrix has one row: both links would be picked in it, so
+    # antenna 0 at A would both transmit and receive
+    for g in (np.array([[[1.0, 5.0, 3.0]]]), np.ones((4, 3, 1)), np.ones((3, 3)),
+              np.ones((2, 2, 2, 2)), [1.0, 2.0]):
+        for policy in POLICIES:
+            with pytest.raises(MatrixTooSmall):
+                select(g, 0.7, policy, BPSK)
+
+
 def test_select_takes_a_nested_list_for_every_policy():
     # a contested stack, where the exhaustive policies score pairs from g
     # itself; the list gives the array's picks
