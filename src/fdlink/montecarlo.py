@@ -8,8 +8,8 @@ once, _CHUNK trials a call, and reduces it for every point, so memory
 stays flat in the trial count.  A block is at most a worker's share of
 the units and at most _BLOCK_UNITS.  A call that draws replaces the kept
 blocks (_KEPT) with its own where the whole call fits in _KEEP_BYTES, and
-clears them otherwise; later calls at its size and seed, for as many
-trials or fewer, read them in place of a draw, and evict nothing.
+clears them otherwise; later calls through the same draw_trial_batch at
+its size and seed, for no more trials, read them and evict nothing.
 
 A point's mean is math.fsum of its values over the trial count, bit for
 bit: the blocks' certified parts (_certified_parts, _total) where their
@@ -58,7 +58,7 @@ _UNIT = 1 << 13
 # working set, its 1.5 MiB of picks and their temporaries, a few MB
 _BLOCK_UNITS = 4
 # the read-only blocks of the last call that drew, where the whole call
-# fits in _KEEP_BYTES, by (n_a, n_b, seed): (trials, step, blocks)
+# fits in _KEEP_BYTES, by (n_a, n_b, seed, draw function): (trials, step, blocks)
 _KEPT: dict[tuple, tuple] = {}
 _KEPT_LOCK = threading.Lock()
 _KEEP_BYTES = 1 << 22
@@ -174,7 +174,7 @@ def _per_block(cfg: SystemConfig, trials: int, seed: int, fns: list):
     caller; on an error, or when the caller stops early, the call's tasks
     not yet started are cancelled and its running ones finish."""
     pool, workers = _executor()
-    key = (cfg.n_a, cfg.n_b, seed)
+    key = (cfg.n_a, cfg.n_b, seed, draw_trial_batch)  # a wrapper or stub in its place draws anew
     with _KEPT_LOCK:
         kept_trials, step, kept = _KEPT.get(key, (0, 0, None))
         if kept_trials < trials:  # this call draws

@@ -887,25 +887,47 @@ def test_calls_after_a_serial_max_call_read_its_kept_draws(monkeypatch):
     assert not blocks
 
 
+def kept_trials():
+    """The kept draws' trial counts, by (n_a, n_b, seed), all drawn by the
+    module's draw_trial_batch."""
+    assert all(key[3] is montecarlo.draw_trial_batch for key in montecarlo._KEPT)
+    return {key[:3]: trials for key, (trials, _, _) in montecarlo._KEPT.items()}
+
+
 def test_six_row_draws_at_another_key_replace_the_kept_ones():
     # one rule for every estimator: a call that draws replaces the kept
     # draws with its own, and a call that reads them evicts nothing
     cfg, other = make_cfg(), make_cfg(n_a=2, n_b=3)
     mc_weighted_sum_rate(cfg, "serial_max", 1000, 1)
-    assert list(montecarlo._KEPT) == [(3, 3, 1)]
+    assert kept_trials() == {(3, 3, 1): 1000}
     mc_weighted_sum_rate(cfg, "max_wsr", 1000, 1)
     mc_weighted_sum_ser(cfg, "serial_max", 999, 1)  # fewer trials than are kept
-    assert list(montecarlo._KEPT) == [(3, 3, 1)] and montecarlo._KEPT[3, 3, 1][0] == 1000
+    assert kept_trials() == {(3, 3, 1): 1000}
     mc_weighted_sum_rate(cfg, "serial_max", 1000, 2)
-    assert list(montecarlo._KEPT) == [(3, 3, 2)]
+    assert kept_trials() == {(3, 3, 2): 1000}
     mc_weighted_sum_ser(other, "serial_max", 1000, 2)
-    assert list(montecarlo._KEPT) == [(2, 3, 2)]
+    assert kept_trials() == {(2, 3, 2): 1000}
     mc_p_not(cfg, 1000, 2)
-    assert list(montecarlo._KEPT) == [(3, 3, 2)]
+    assert kept_trials() == {(3, 3, 2): 1000}
     montecarlo.mc_empirical_cdfs(other, 1000, 1, [1.0])
-    assert list(montecarlo._KEPT) == [(2, 3, 1)]
+    assert kept_trials() == {(2, 3, 1): 1000}
     mc_weighted_sum_ser(other, "min_wser", 1001, 1)  # more trials than are kept
-    assert list(montecarlo._KEPT) == [(2, 3, 1)] and montecarlo._KEPT[2, 3, 1][0] == 1001
+    assert kept_trials() == {(2, 3, 1): 1001}
+
+
+def test_a_replaced_draw_function_draws_anew(monkeypatch):
+    # draws kept from one draw_trial_batch serve no call through another,
+    # a wrapper put in its place, and the other's draws none through it
+    cfg = make_cfg(lambda_s=100.0, eta=0.05)
+    first = estimate_bits(mc_weighted_sum_rate(cfg, "serial_max", 1000, 1))
+    draw, calls = montecarlo.draw_trial_batch, []
+    monkeypatch.setattr(montecarlo, "draw_trial_batch", lambda *args: calls.append(args) or draw(*args))
+    assert estimate_bits(mc_weighted_sum_rate(cfg, "serial_max", 1000, 1)) == first
+    assert [args[:3] for args in calls] == [(1, 0, 1000)]
+    monkeypatch.undo()
+    blocks = record_blocks(monkeypatch)
+    assert estimate_bits(mc_weighted_sum_rate(cfg, "serial_max", 1000, 1)) == first
+    assert blocks and kept_trials() == {(3, 3, 1): 1000}
 
 
 def test_a_call_past_the_cap_keeps_nothing(monkeypatch):
@@ -913,7 +935,7 @@ def test_a_call_past_the_cap_keeps_nothing(monkeypatch):
     cfg = make_cfg()
     for policy in ("serial_max", "max_wsr"):
         mc_weighted_sum_rate(cfg, policy, 1000, 1)
-        assert list(montecarlo._KEPT) == [(3, 3, 1)]
+        assert kept_trials() == {(3, 3, 1): 1000}
         mc_weighted_sum_rate(cfg, policy, 1001, 2)
         assert not montecarlo._KEPT
 
@@ -925,8 +947,8 @@ def test_kept_draws_are_the_read_only_blocks_the_tasks_drew(monkeypatch):
                         drawn.setdefault(start, chunk_picks(cfg, seed, start, count)))
     trials = 5 * montecarlo._UNIT + 3
     mc_weighted_sum_ser(make_cfg(), "min_wser", trials, 4)
-    kept_trials, step, blocks = montecarlo._KEPT[3, 3, 4]
-    assert kept_trials == trials and len(blocks) == len(drawn) > 1
+    kept, step, blocks = montecarlo._KEPT[3, 3, 4, montecarlo.draw_trial_batch]
+    assert kept == trials and len(blocks) == len(drawn) > 1
     assert all(block is drawn[k * step] for k, block in enumerate(blocks))
     for block in blocks:
         assert block.shape[0] == 6 and not block.flags.writeable
